@@ -13,11 +13,11 @@ void Run() {
          "the native LFP operator eliminates table-copy and set-difference "
          "overheads; the gap widens with relation size");
 
-  const int kReps = 3;
+  const int kReps = Reps(3, 1);
   TablePrinter table({"tree_depth", "parent_tuples", "t_seminaive_sql",
                       "t_native_lfp", "t_native_tc", "native_speedup",
                       "tc_speedup", "sql_temp_share"});
-  for (int depth : {7, 8, 9, 10, 11}) {
+  for (int depth : Sweep({7, 8, 9, 10, 11})) {
     auto tb = MakeAncestorTree(depth);
     datalog::Atom goal = TreeAncestorGoal(0);
 
@@ -58,7 +58,8 @@ void Run() {
 }  // namespace
 }  // namespace dkb::bench
 
-int main() {
+int main(int argc, char** argv) {
+  dkb::bench::ParseBenchArgs(argc, argv);
   dkb::bench::Run();
   return 0;
 }

@@ -5,12 +5,10 @@
 
 namespace dkb {
 
-/// The engine's parallelism knobs in one place. Historically these were
-/// spread over three surfaces — exec::ParallelTuning (morsel thresholds),
-/// lfp::EvalOptions::parallelism (wavefront width), and the DKB_THREADS
-/// environment variable (pool size) — which made it impossible to reason
-/// about a query's effective parallelism from any single struct. The old
-/// surfaces survive as deprecated delegates; new code reads and writes this.
+/// The engine's parallelism knobs in one place, so a query's effective
+/// parallelism can be read from a single struct. DKB_THREADS is read only
+/// as the `threads == 0` fallback, and lfp::EvalOptions::parallelism
+/// carries the resolved lfp_parallelism into one ExecuteProgram call.
 ///
 /// One policy instance is process-wide (GlobalParallelismPolicy); queries
 /// may carry an override through testbed::QueryOptions::WithPolicy, which

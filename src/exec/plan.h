@@ -97,16 +97,6 @@ inline void StatAdd(std::atomic<int64_t>& counter, int64_t n = 1) {
   counter.fetch_add(n, std::memory_order_relaxed);
 }
 
-/// Deprecated: the morsel thresholds moved to ParallelismPolicy
-/// (common/parallelism.h) so all parallelism knobs live in one struct. The
-/// alias and accessor delegate to the global policy for source compat.
-using ParallelTuning = ParallelismPolicy;
-
-[[deprecated("use GlobalParallelismPolicy() from common/parallelism.h")]]
-inline ParallelTuning& GetParallelTuning() {
-  return GlobalParallelismPolicy();
-}
-
 /// Volcano-style physical operator, batch-at-a-time. Open() may be called
 /// repeatedly; each call resets the operator to produce its output from the
 /// beginning (the nested-loop join relies on this for its inner side).

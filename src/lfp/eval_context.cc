@@ -4,6 +4,7 @@
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "km/naming.h"
 
 namespace dkb::lfp {
 
@@ -17,6 +18,25 @@ namespace {
 bool Aligned(const ScanSource& a, const ScanSource& b) {
   return a.shard_count() == b.shard_count() &&
          a.partition_column() == b.partition_column();
+}
+
+/// Seed-fact INSERT ... VALUES text for an empty-body rule.
+std::string SeedInsertSql(const datalog::Rule& seed,
+                          const std::string& table) {
+  std::string sql = "INSERT INTO " + table + " VALUES (";
+  for (size_t i = 0; i < seed.head.args.size(); ++i) {
+    if (i > 0) sql += ", ";
+    sql += seed.head.args[i].value.ToSqlLiteral();
+  }
+  sql += ")";
+  return sql;
+}
+
+/// INSERT the (distinct) result of `select` into `table`, skipping rows
+/// already present: INSERT INTO t (select) EXCEPT (SELECT * FROM t).
+std::string InsertNewSql(const std::string& table, const std::string& select) {
+  return "INSERT INTO " + table + " (" + select + ") EXCEPT (SELECT * FROM " +
+         table + ")";
 }
 
 }  // namespace
@@ -41,37 +61,19 @@ Result<int64_t> EvalContext::TermCount(const std::string& count_sql) {
   return db_->QueryCount(count_sql);
 }
 
-Status EvalContext::TermPrepared(PreparedStatement* stmt) {
-  ScopedAccumulator acc(&stats_->t_term_us);
-  return stmt->Execute().status();
-}
-
-Result<int64_t> EvalContext::TermCountPrepared(PreparedStatement* count_stmt) {
-  ScopedAccumulator acc(&stats_->t_term_us);
-  DKB_ASSIGN_OR_RETURN(QueryResult result, count_stmt->Execute());
-  if (result.rows.empty() || result.rows[0].empty() ||
-      !result.rows[0][0].is_int()) {
-    return Status::Internal("termination count returned no integer");
-  }
-  return result.rows[0][0].as_int();
-}
-
 Status EvalContext::CreateLike(const std::string& name,
                                const km::PredicateBinding& binding) {
-  // A failed earlier run may have leaked the temp table; recreate cleanly.
-  DKB_RETURN_IF_ERROR(Drop(name));
-  std::string ddl = "CREATE TABLE " + name + " (";
+  std::vector<Column> columns;
+  columns.reserve(binding.columns.size());
   for (size_t i = 0; i < binding.columns.size(); ++i) {
-    if (i > 0) ddl += ", ";
-    ddl += binding.columns[i];
-    ddl += binding.types[i] == DataType::kInteger ? " INT" : " VARCHAR";
+    columns.push_back({binding.columns[i], binding.types[i]});
   }
-  ddl += ")";
-  return Temp(ddl);
+  return CreateWithSchema(name, Schema(std::move(columns)));
 }
 
 Status EvalContext::CreateWithSchema(const std::string& name,
                                      const Schema& schema) {
+  // A failed earlier run may have leaked the temp table; recreate cleanly.
   DKB_RETURN_IF_ERROR(Drop(name));
   std::string ddl = "CREATE TABLE " + name + " (";
   for (size_t i = 0; i < schema.num_columns(); ++i) {
@@ -103,6 +105,39 @@ Status EvalContext::EvalRuleInto(const datalog::Rule& rule,
     if (status.ok()) status = drop;
   }
   return status;
+}
+
+km::BindingResolver EvalContext::CanonicalResolver(
+    const km::QueryProgram& program) {
+  return [&program](const datalog::Atom& atom,
+                    size_t) -> Result<km::RelationBinding> {
+    auto it = program.bindings.find(atom.predicate);
+    if (it == program.bindings.end()) {
+      return Status::Internal("no binding for " + atom.predicate);
+    }
+    return it->second.AsRelation();
+  };
+}
+
+Status EvalContext::EvalExitRules(const km::QueryProgram& program,
+                                  const km::ProgramNode& node,
+                                  size_t node_index, bool into_new) {
+  const std::string np = "#n" + std::to_string(node_index) + "x";
+  for (size_t i = 0; i < node.exit_rules.size(); ++i) {
+    const km::CompiledRule& cr = node.exit_rules[i];
+    const std::string& head = cr.rule.head.predicate;
+    const std::string target =
+        into_new ? km::NewTableName(head) : program.bindings.at(head).table;
+    if (cr.rule.body.empty()) {
+      DKB_RETURN_IF_ERROR(Rhs(SeedInsertSql(cr.rule, target)));
+    } else if (!cr.select_sql.empty()) {
+      DKB_RETURN_IF_ERROR(Rhs(InsertNewSql(target, cr.select_sql)));
+    } else {
+      DKB_RETURN_IF_ERROR(EvalRuleInto(cr.rule, CanonicalResolver(program),
+                                       target, np + std::to_string(i)));
+    }
+  }
+  return Status::OK();
 }
 
 Status EvalContext::Clear(const std::string& name) {
@@ -289,24 +324,8 @@ Status EvalContext::Drop(const std::string& name) {
 }
 
 Result<int64_t> EvalContext::Count(const std::string& name) {
-  return db_->QueryCount("SELECT COUNT(*) FROM " + name);
-}
-
-std::string EvalContext::SeedInsertSql(const datalog::Rule& seed,
-                                       const km::PredicateBinding& binding) {
-  std::string sql = "INSERT INTO " + binding.table + " VALUES (";
-  for (size_t i = 0; i < seed.head.args.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += seed.head.args[i].value.ToSqlLiteral();
-  }
-  sql += ")";
-  return sql;
-}
-
-std::string EvalContext::InsertNewSql(const std::string& table,
-                                      const std::string& select) {
-  return "INSERT INTO " + table + " (" + select + ") EXCEPT (SELECT * FROM " +
-         table + ")";
+  DKB_ASSIGN_OR_RETURN(ScanSource * table, db_->catalog().GetSource(name));
+  return static_cast<int64_t>(table->num_tuples());
 }
 
 }  // namespace dkb::lfp

@@ -11,7 +11,7 @@
 
 namespace dkb::lfp {
 
-/// Shared machinery for the SQL-driven evaluators: executes statements
+/// Shared machinery for the per-node evaluators: executes statements
 /// against the DBMS and attributes wall-clock time to the paper's cost
 /// buckets (temp-table management / RHS evaluation / termination check).
 class EvalContext {
@@ -41,17 +41,17 @@ class EvalContext {
   Status Term(const std::string& sql);
   Result<int64_t> TermCount(const std::string& count_sql);
 
-  /// Prepared-statement variants for per-iteration termination work: the
-  /// statement is parsed once (Database::Prepare) and re-executed here.
-  Status TermPrepared(PreparedStatement* stmt);
-  Result<int64_t> TermCountPrepared(PreparedStatement* count_stmt);
-
   /// CREATE TABLE `name` with the column layout of `binding`.
   Status CreateLike(const std::string& name,
                     const km::PredicateBinding& binding);
 
   /// CREATE TABLE `name` with an explicit schema (binding-table pipeline).
   Status CreateWithSchema(const std::string& name, const Schema& schema);
+
+  /// Resolver that reads every body atom from its predicate's stored
+  /// relation (exit rules, and naive's full recompute).
+  static km::BindingResolver CanonicalResolver(
+      const km::QueryProgram& program);
 
   /// Evaluates one rule into `target` through the run time library: plain
   /// rules become a single INSERT-new statement; rules with negated atoms
@@ -61,6 +61,16 @@ class EvalContext {
                       const km::BindingResolver& resolver,
                       const std::string& target,
                       const std::string& bind_prefix);
+
+  /// Evaluates the exit rules of `node`, the program's node `node_index`:
+  /// a seed INSERT for an empty body, the precompiled INSERT-new select when
+  /// the compiler produced one, and otherwise the binding-table pipeline
+  /// over the canonical relations. Each rule inserts into its head's IDB
+  /// table, or into the head's #p_new temporary when `into_new` is set
+  /// (naive's per-iteration recompute).
+  Status EvalExitRules(const km::QueryProgram& program,
+                       const km::ProgramNode& node, size_t node_index,
+                       bool into_new = false);
 
   /// DELETE FROM `name` (attributed to temp management).
   Status Clear(const std::string& name);
@@ -88,17 +98,10 @@ class EvalContext {
 
   Status Drop(const std::string& name);
 
-  /// COUNT(*) of a table (not attributed; diagnostics).
+  /// Live rows of a table, read from storage without a SQL statement (not
+  /// attributed; NodeStats diagnostics). The IDB tables it counts are
+  /// written only by the running query, so this equals their COUNT(*).
   Result<int64_t> Count(const std::string& name);
-
-  /// Seed-fact INSERT ... VALUES text for an empty-body rule.
-  static std::string SeedInsertSql(const datalog::Rule& seed,
-                                   const km::PredicateBinding& binding);
-
-  /// INSERT the (distinct) result of `select` into `table`, skipping rows
-  /// already present: INSERT INTO t (select) EXCEPT (SELECT * FROM t).
-  static std::string InsertNewSql(const std::string& table,
-                                  const std::string& select);
 
  private:
   Database* db_;

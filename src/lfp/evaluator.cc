@@ -1,6 +1,7 @@
 #include "lfp/evaluator.h"
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -14,39 +15,6 @@ namespace dkb::lfp {
 
 namespace {
 
-/// Evaluates a non-recursive node: one INSERT-new per rule (or the
-/// binding-table pipeline for rules with negated atoms).
-Status EvaluateFlatNode(EvalContext* ctx, const km::QueryProgram& program,
-                        const km::ProgramNode& node, size_t node_index) {
-  km::BindingResolver canonical =
-      [&program](const datalog::Atom& atom,
-                 size_t) -> Result<km::RelationBinding> {
-    auto it = program.bindings.find(atom.predicate);
-    if (it == program.bindings.end()) {
-      return Status::Internal("no binding for " + atom.predicate);
-    }
-    return it->second.AsRelation();
-  };
-  size_t rule_index = 0;
-  for (const km::CompiledRule& cr : node.exit_rules) {
-    const km::PredicateBinding& b =
-        program.bindings.at(cr.rule.head.predicate);
-    if (cr.rule.body.empty()) {
-      DKB_RETURN_IF_ERROR(ctx->Rhs(EvalContext::SeedInsertSql(cr.rule, b)));
-    } else if (!cr.select_sql.empty()) {
-      DKB_RETURN_IF_ERROR(
-          ctx->Rhs(EvalContext::InsertNewSql(b.table, cr.select_sql)));
-    } else {
-      DKB_RETURN_IF_ERROR(ctx->EvalRuleInto(
-          cr.rule, canonical, b.table,
-          "#n" + std::to_string(node_index) + "flat" +
-              std::to_string(rule_index)));
-    }
-    ++rule_index;
-  }
-  return Status::OK();
-}
-
 /// Predicates defined by a node, comma-joined (NodeStats label and trace
 /// span names).
 std::string NodeLabel(const km::ProgramNode& node) {
@@ -58,18 +26,23 @@ std::string NodeLabel(const km::ProgramNode& node) {
   return label;
 }
 
-/// Evaluates one node end to end, appending its NodeStats to ctx's stats.
-/// `node_span` (may be null) becomes the node's trace span: the clique
-/// evaluators hang per-iteration children off it via ctx->span().
+/// Evaluates program node `node_index` end to end with the strategy's
+/// per-node evaluator, appending its NodeStats to ctx's stats. `node_span`
+/// (may be null) becomes the node's trace span: the evaluators hang
+/// per-iteration children off it via ctx->span().
 Status RunOneNode(EvalContext* ctx, const km::QueryProgram& program,
-                  const km::ProgramNode& node, size_t node_index,
-                  LfpStrategy strategy, trace::TraceSpan* node_span) {
+                  size_t node_index, LfpStrategy strategy,
+                  trace::TraceSpan* node_span) {
+  const km::ProgramNode& node = program.nodes[node_index];
   WallTimer node_timer;
   ctx->set_span(node_span);
-  ctx->delta_sizes().clear();
   int64_t iterations = 0;
-  if (!node.is_clique) {
-    DKB_RETURN_IF_ERROR(EvaluateFlatNode(ctx, program, node, node_index));
+  if (strategy == LfpStrategy::kNative || strategy == LfpStrategy::kNativeTc) {
+    DKB_ASSIGN_OR_RETURN(
+        iterations, EvaluateNodeNative(ctx, program, node,
+                                       strategy == LfpStrategy::kNativeTc));
+  } else if (!node.is_clique) {
+    DKB_RETURN_IF_ERROR(ctx->EvalExitRules(program, node, node_index));
   } else if (strategy == LfpStrategy::kNaive) {
     DKB_ASSIGN_OR_RETURN(
         iterations, EvaluateCliqueNaive(ctx, program, node, node_index));
@@ -82,7 +55,6 @@ Status RunOneNode(EvalContext* ctx, const km::QueryProgram& program,
   ns.is_clique = node.is_clique;
   ns.iterations = iterations;
   ns.delta_sizes = std::move(ctx->delta_sizes());
-  ctx->delta_sizes().clear();
   ctx->set_span(nullptr);
   for (const std::string& p : node.predicates) {
     DKB_ASSIGN_OR_RETURN(int64_t n,
@@ -100,26 +72,19 @@ Status RunOneNode(EvalContext* ctx, const km::QueryProgram& program,
   return Status::OK();
 }
 
-Status RunNodes(EvalContext* ctx, const km::QueryProgram& program,
-                LfpStrategy strategy, trace::TraceSpan* parent) {
-  for (size_t i = 0; i < program.nodes.size(); ++i) {
-    trace::TraceSpan* node_span =
-        trace::StartSpan(parent, "node:" + NodeLabel(program.nodes[i]));
-    DKB_RETURN_IF_ERROR(
-        RunOneNode(ctx, program, program.nodes[i], i, strategy, node_span));
-  }
-  return Status::OK();
-}
-
-/// Topological-wavefront scheduler: node j waits on node i iff a rule of j
-/// mentions a predicate i defines. Independent nodes of a wave evaluate
-/// concurrently — they touch disjoint IDB/temp tables, and the shared
-/// DBMS plumbing (catalog map, statement cache, counters) is thread-safe.
-/// Per-node stats accumulate into private ExecutionStats and merge in
-/// program order, so the reported breakdown is deterministic.
-Status RunNodesParallel(Database* db, const km::QueryProgram& program,
-                        LfpStrategy strategy, ThreadPool* pool,
-                        ExecutionStats* stats, trace::TraceSpan* parent) {
+/// The program-level node loop of every strategy: a topological-wavefront
+/// scheduler where node j waits on node i iff a rule of j mentions a
+/// predicate i defines. With a null `pool` each wave runs inline on the
+/// caller (width 1, the serial case); otherwise the independent nodes of a
+/// wave evaluate concurrently on the pool — they touch disjoint IDB/temp
+/// tables, and the shared DBMS plumbing (catalog map, statement cache,
+/// counters) is thread-safe. Each node accumulates into private
+/// ExecutionStats and a detached trace span; both merge into `stats` and
+/// `parent` in program order, so the reported breakdown and the span tree
+/// are deterministic whatever the width.
+Status RunNodes(Database* db, const km::QueryProgram& program,
+                LfpStrategy strategy, ThreadPool* pool,
+                ExecutionStats* stats, trace::TraceSpan* parent) {
   const size_t n = program.nodes.size();
   std::map<std::string, size_t> defined_by;
   for (size_t i = 0; i < n; ++i) {
@@ -148,14 +113,22 @@ Status RunNodesParallel(Database* db, const km::QueryProgram& program,
   }
 
   std::vector<ExecutionStats> locals(n);
-  // Per-node spans are detached from the shared context (each pool thread
-  // writes only its own slot) and adopted into `parent` in program order
-  // below, so the span tree is identical run to run.
   std::vector<std::unique_ptr<trace::TraceSpan>> node_spans(n);
   std::vector<Status> results(n, Status::OK());
+  auto run_node = [&](size_t i) {
+    EvalContext node_ctx(db, &locals[i]);
+    if (parent != nullptr) {
+      node_spans[i] = parent->context()->Detach(
+          "node:" + NodeLabel(program.nodes[i]));
+    }
+    results[i] = RunOneNode(&node_ctx, program, i, strategy,
+                            node_spans[i].get());
+  };
+
+  Status status = Status::OK();
   std::vector<bool> done(n, false);
   size_t completed = 0;
-  while (completed < n) {
+  while (completed < n && status.ok()) {
     std::vector<size_t> wave;
     for (size_t i = 0; i < n; ++i) {
       if (done[i]) continue;
@@ -171,22 +144,15 @@ Status RunNodesParallel(Database* db, const km::QueryProgram& program,
     if (wave.empty()) {
       return Status::Internal("cyclic dependency between program nodes");
     }
-    pool->ParallelFor(0, wave.size(), [&](size_t w) {
-      size_t i = wave[w];
-      EvalContext node_ctx(db, &locals[i]);
-      if (parent != nullptr) {
-        node_spans[i] = parent->context()->Detach(
-            "node:" + NodeLabel(program.nodes[i]));
-      }
-      results[i] = RunOneNode(&node_ctx, program, program.nodes[i], i,
-                              strategy, node_spans[i].get());
-    });
+    if (pool == nullptr) {
+      for (size_t i : wave) run_node(i);
+    } else {
+      pool->ParallelFor(0, wave.size(), [&](size_t w) { run_node(wave[w]); });
+    }
     for (size_t i : wave) {
       done[i] = true;
       ++completed;
-    }
-    for (size_t i : wave) {
-      if (!results[i].ok()) return results[i];
+      if (status.ok()) status = results[i];
     }
   }
 
@@ -198,11 +164,9 @@ Status RunNodesParallel(Database* db, const km::QueryProgram& program,
     for (NodeStats& ns : locals[i].nodes) {
       stats->nodes.push_back(std::move(ns));
     }
-    if (parent != nullptr && node_spans[i] != nullptr) {
-      parent->Adopt(std::move(node_spans[i]));
-    }
+    if (node_spans[i] != nullptr) parent->Adopt(std::move(node_spans[i]));
   }
-  return Status::OK();
+  return status;
 }
 
 }  // namespace
@@ -230,22 +194,6 @@ Result<QueryResult> ExecuteProgram(Database* db,
   *stats = ExecutionStats{};
   stats->query_id = options.query_id;
 
-  if (options.strategy == LfpStrategy::kNative ||
-      options.strategy == LfpStrategy::kNativeTc) {
-    return ExecuteProgramNative(db, program, stats,
-                                options.strategy == LfpStrategy::kNativeTc,
-                                options.span);
-  }
-
-  // Resolve the parallelism knob to a wavefront worker count.
-  size_t workers = 1;
-  if (options.parallelism == 0) {
-    workers = GlobalThreadPool().num_threads() + 1;
-  } else if (options.parallelism > 1) {
-    workers = static_cast<size_t>(options.parallelism);
-  }
-  const bool parallel = workers > 1 && program.nodes.size() > 1;
-
   WallTimer total;
   EvalContext ctx(db, stats);
   {
@@ -258,17 +206,22 @@ Result<QueryResult> ExecuteProgram(Database* db,
     }
   }
 
-  Status status;
-  if (parallel && options.parallelism == 0) {
-    status = RunNodesParallel(db, program, options.strategy,
-                              &GlobalThreadPool(), stats, options.span);
-  } else if (parallel) {
-    ThreadPool wave_pool(workers - 1);
-    status = RunNodesParallel(db, program, options.strategy, &wave_pool,
-                              stats, options.span);
-  } else {
-    status = RunNodes(&ctx, program, options.strategy, options.span);
+  // Resolve the parallelism knob to a pool for the waves: none (inline)
+  // at width 1 or for a single node, the global pool for 0, and a private
+  // pool of N - 1 workers for N > 1 (the caller is the N-th).
+  std::unique_ptr<ThreadPool> wave_pool;
+  ThreadPool* pool = nullptr;
+  if (program.nodes.size() > 1) {
+    if (options.parallelism == 0 && GlobalThreadPool().num_threads() > 0) {
+      pool = &GlobalThreadPool();
+    } else if (options.parallelism > 1) {
+      wave_pool = std::make_unique<ThreadPool>(
+          static_cast<size_t>(options.parallelism - 1));
+      pool = wave_pool.get();
+    }
   }
+  Status status = RunNodes(db, program, options.strategy, pool, stats,
+                           options.span);
 
   Result<QueryResult> answer = Status::Internal("unreachable");
   if (status.ok()) {
@@ -293,15 +246,6 @@ Result<QueryResult> ExecuteProgram(Database* db,
   }
   stats->t_total_us = total.ElapsedMicros();
   return answer;
-}
-
-Result<QueryResult> ExecuteProgram(Database* db,
-                                   const km::QueryProgram& program,
-                                   LfpStrategy strategy,
-                                   ExecutionStats* stats) {
-  EvalOptions options;
-  options.strategy = strategy;
-  return ExecuteProgram(db, program, options, stats);
 }
 
 }  // namespace dkb::lfp

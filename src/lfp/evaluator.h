@@ -32,14 +32,15 @@ struct EvalOptions {
   /// flat rule groups) evaluated concurrently: 1 = serial (default),
   /// 0 = size to the global worker pool, N > 1 = at most N at a time.
   /// Nodes are scheduled in topological wavefronts over the predicate
-  /// dependency graph, and each node's semi-naive iteration stays
+  /// dependency graph, and each node's fixpoint iteration stays
   /// sequential, so the fixed point reached is identical to a serial run.
+  /// Mirrors ParallelismPolicy::lfp_parallelism, which callers resolve.
   int parallelism = 1;
   /// Parent trace span for this execution; when set, temp-table setup,
   /// every program node (with per-iteration children), and final answer
-  /// retrieval become child spans. Parallel runs detach per-node spans and
-  /// adopt them in program order, so the tree is deterministic. Null (the
-  /// default) disables tracing.
+  /// retrieval become child spans. Per-node spans are detached while their
+  /// node runs and adopted in program order, so the tree is deterministic
+  /// at any parallelism. Null (the default) disables tracing.
   trace::TraceSpan* span = nullptr;
 };
 
@@ -72,19 +73,16 @@ struct ExecutionStats {
 };
 
 /// Runs the generated query program against the DBMS and returns the answer
-/// relation (the run time library of paper §3.3). IDB tables are created at
-/// the start and dropped afterwards, win or lose. With parallelism enabled,
-/// per-node stats are still reported in program order and the t_* buckets
-/// sum the per-node work (CPU-time-like accounting, not wall clock).
+/// relation (the run time library of paper §3.3). The one program-level
+/// driver for every strategy: IDB tables are created at the start, the
+/// nodes run in topological waves through the strategy's per-node
+/// evaluator, the answer is selected, and the tables are dropped
+/// afterwards, win or lose. Per-node stats are reported in program order
+/// and the t_* buckets sum the per-node work (CPU-time-like accounting,
+/// not wall clock, when nodes run in parallel).
 Result<QueryResult> ExecuteProgram(Database* db,
                                    const km::QueryProgram& program,
                                    const EvalOptions& options,
-                                   ExecutionStats* stats);
-
-/// Back-compat entry point: serial evaluation with `strategy`.
-Result<QueryResult> ExecuteProgram(Database* db,
-                                   const km::QueryProgram& program,
-                                   LfpStrategy strategy,
                                    ExecutionStats* stats);
 
 }  // namespace dkb::lfp

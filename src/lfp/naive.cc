@@ -1,7 +1,5 @@
 #include "lfp/naive.h"
 
-#include <set>
-
 #include "km/naming.h"
 #include "km/rule_sql.h"
 
@@ -11,21 +9,12 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
                                     const km::QueryProgram& program,
                                     const km::ProgramNode& node,
                                     size_t node_index) {
-  const std::set<std::string> members(node.predicates.begin(),
-                                      node.predicates.end());
   const std::string np = "#n" + std::to_string(node_index);
 
-  // Canonical resolver: every predicate reads its stored relation. During
-  // an iteration the member relations hold the previous iteration's value.
-  km::BindingResolver canonical =
-      [&program](const datalog::Atom& atom,
-                 size_t) -> Result<km::RelationBinding> {
-    auto it = program.bindings.find(atom.predicate);
-    if (it == program.bindings.end()) {
-      return Status::Internal("no binding for " + atom.predicate);
-    }
-    return it->second.AsRelation();
-  };
+  // Every predicate reads its stored relation. During an iteration the
+  // member relations hold the previous iteration's value.
+  const km::BindingResolver canonical =
+      EvalContext::CanonicalResolver(program);
 
   // Temp tables: #p_new (recomputed value) and #p_diff (termination check).
   for (const std::string& p : node.predicates) {
@@ -34,30 +23,8 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
     DKB_RETURN_IF_ERROR(ctx->CreateLike(km::DiffTableName(p), b));
   }
 
-  // Evaluates one exit rule into `target` (seed insert, precompiled
-  // select, or binding-table pipeline for negated rules).
-  auto eval_exit = [&](const km::CompiledRule& cr, const std::string& target,
-                       size_t index) -> Status {
-    if (cr.rule.body.empty()) {
-      const km::PredicateBinding& b =
-          program.bindings.at(cr.rule.head.predicate);
-      km::PredicateBinding tmp = b;
-      tmp.table = target;
-      return ctx->Rhs(EvalContext::SeedInsertSql(cr.rule, tmp));
-    }
-    if (!cr.select_sql.empty()) {
-      return ctx->Rhs(EvalContext::InsertNewSql(target, cr.select_sql));
-    }
-    return ctx->EvalRuleInto(cr.rule, canonical, target,
-                             np + "nx" + std::to_string(index));
-  };
-
   // p^(0): exit rules into the base relations.
-  for (size_t i = 0; i < node.exit_rules.size(); ++i) {
-    const km::PredicateBinding& b =
-        program.bindings.at(node.exit_rules[i].rule.head.predicate);
-    DKB_RETURN_IF_ERROR(eval_exit(node.exit_rules[i], b.table, i));
-  }
+  DKB_RETURN_IF_ERROR(ctx->EvalExitRules(program, node, node_index));
 
   int64_t iterations = 0;
   while (true) {
@@ -68,11 +35,8 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
     for (const std::string& p : node.predicates) {
       DKB_RETURN_IF_ERROR(ctx->Clear(km::NewTableName(p)));
     }
-    for (size_t i = 0; i < node.exit_rules.size(); ++i) {
-      DKB_RETURN_IF_ERROR(eval_exit(
-          node.exit_rules[i],
-          km::NewTableName(node.exit_rules[i].rule.head.predicate), i));
-    }
+    DKB_RETURN_IF_ERROR(
+        ctx->EvalExitRules(program, node, node_index, /*into_new=*/true));
     for (size_t ri = 0; ri < node.recursive_rules.size(); ++ri) {
       const datalog::Rule& rule = node.recursive_rules[ri];
       DKB_RETURN_IF_ERROR(ctx->EvalRuleInto(

@@ -9,7 +9,6 @@
 #include <unordered_set>
 
 #include "common/timer.h"
-#include "km/naming.h"
 #include "lfp/tc_operator.h"
 
 namespace dkb::lfp {
@@ -184,76 +183,46 @@ std::vector<size_t> JoinOrder(const datalog::Rule& rule,
   return order;
 }
 
-class NativeExecutor {
+/// One program node evaluated in memory. The relations its rules read are
+/// loaded from their tables on first use; the node's own relations start
+/// empty and are appended to their IDB tables once the fixpoint is reached.
+class NativeNode {
  public:
-  NativeExecutor(Database* db, const km::QueryProgram& program,
-                 ExecutionStats* stats, bool use_tc_operator,
-                 trace::TraceSpan* span)
-      : db_(db),
-        program_(program),
-        stats_(stats),
-        use_tc_operator_(use_tc_operator),
-        span_(span) {}
+  NativeNode(EvalContext* ctx, const km::QueryProgram& program,
+             const km::ProgramNode& node)
+      : ctx_(ctx), program_(program), node_(node) {}
 
-  Result<QueryResult> Run() {
-    WallTimer total;
-    // Materialize the IDB tables (empty) so the final select and any
-    // outside observer see the same schema as the SQL evaluators.
-    {
-      trace::ScopedSpan temp_span(span_, "temp");
-      for (const std::string& sql : program_.drop_statements) {
-        DKB_RETURN_IF_ERROR(Temp(sql));
-      }
-      for (const std::string& sql : program_.create_statements) {
-        DKB_RETURN_IF_ERROR(Temp(sql));
-      }
-    }
-
-    Status status = RunNodes();
-    if (status.ok()) status = StoreDerived();
-
-    Result<QueryResult> answer = Status::Internal("unreachable");
-    if (status.ok()) {
-      ScopedAccumulator acc(&stats_->t_final_us);
-      trace::ScopedSpan final_span(span_, "final");
-      answer = db_->Execute(program_.final_select);
+  Result<int64_t> Evaluate(bool use_tc_operator) {
+    int64_t iterations = 0;
+    TcShape shape;
+    if (use_tc_operator && MatchesTransitiveClosure(node_, &shape)) {
+      DKB_RETURN_IF_ERROR(EvalTransitiveClosure(shape));
+      iterations = 1;  // single pass, no fixpoint loop
     } else {
-      answer = status;
+      DKB_ASSIGN_OR_RETURN(iterations, EvalSemiNaive());
     }
-    {
-      trace::ScopedSpan cleanup_span(span_, "cleanup");
-      for (const std::string& sql : program_.drop_statements) {
-        Status drop = Temp(sql);
-        (void)drop;  // best-effort cleanup
-      }
-    }
-    if (answer.ok()) {
-      stats_->answer_tuples = static_cast<int64_t>(answer->rows.size());
-    }
-    stats_->t_total_us = total.ElapsedMicros();
-    return answer;
+    DKB_RETURN_IF_ERROR(StoreDerived());
+    return iterations;
   }
 
  private:
-  Status Temp(const std::string& sql) {
-    ScopedAccumulator acc(&stats_->t_temp_us);
-    return db_->Execute(sql).status();
-  }
+  ExecutionStats* stats() { return ctx_->stats(); }
 
   /// Relation for `pred`, loading base/stored relations on first use.
   Result<NativeRelation*> Rel(const std::string& pred) {
     auto it = relations_.find(pred);
     if (it != relations_.end()) return it->second.get();
-    ScopedAccumulator acc(&stats_->t_temp_us);
+    ScopedAccumulator acc(&stats()->t_temp_us);
     auto binding_it = program_.bindings.find(pred);
     if (binding_it == program_.bindings.end()) {
       return Status::Internal("no binding for " + pred);
     }
+    Catalog& catalog = ctx_->db()->catalog();
     DKB_ASSIGN_OR_RETURN(ScanSource * table,
-                         db_->catalog().GetSource(binding_it->second.table));
+                         catalog.GetSource(binding_it->second.table));
     auto rel = std::make_unique<NativeRelation>();
     table->Scan([&rel](RowId, const Tuple& row) { rel->Insert(row); },
-                db_->catalog().read_epoch());
+                catalog.read_epoch());
     NativeRelation* raw = rel.get();
     relations_.emplace(pred, std::move(rel));
     return raw;
@@ -273,49 +242,12 @@ class NativeExecutor {
     return rels;
   }
 
-  Status RunNodes() {
-    for (const km::ProgramNode& node : program_.nodes) {
-      WallTimer node_timer;
-      int64_t iterations = 0;
-      NodeStats ns;
-      for (const std::string& p : node.predicates) {
-        if (!ns.label.empty()) ns.label += ",";
-        ns.label += p;
-      }
-      trace::TraceSpan* node_span =
-          trace::StartSpan(span_, "node:" + ns.label);
-      DKB_RETURN_IF_ERROR(
-          EvalNode(node, &iterations, node_span, &ns.delta_sizes));
-      for (const std::string& p : node.predicates) {
-        ns.tuples += static_cast<int64_t>(relations_.at(p)->size());
-      }
-      ns.is_clique = node.is_clique;
-      ns.iterations = iterations;
-      ns.t_us = node_timer.ElapsedMicros();
-      if (node_span != nullptr) {
-        node_span->Tag("iterations", iterations);
-        node_span->Tag("tuples", ns.tuples);
-        node_span->End();
-      }
-      stats_->nodes.push_back(std::move(ns));
-      stats_->iterations += iterations;
-    }
-    return Status::OK();
-  }
-
-  Status EvalNode(const km::ProgramNode& node, int64_t* iterations,
-                  trace::TraceSpan* node_span,
-                  std::vector<int64_t>* delta_sizes) {
-    if (use_tc_operator_) {
-      TcShape shape;
-      if (MatchesTransitiveClosure(node, &shape)) {
-        return EvalTransitiveClosure(shape, iterations);
-      }
-    }
-    std::set<std::string> members(node.predicates.begin(),
-                                  node.predicates.end());
+  /// Exit rules, then (for a clique) semi-naive iteration to the fixpoint.
+  Result<int64_t> EvalSemiNaive() {
+    std::set<std::string> members(node_.predicates.begin(),
+                                  node_.predicates.end());
     std::map<std::string, std::unique_ptr<NativeRelation>> delta;
-    for (const std::string& p : node.predicates) {
+    for (const std::string& p : node_.predicates) {
       relations_[p] = std::make_unique<NativeRelation>();
       delta[p] = std::make_unique<NativeRelation>();
     }
@@ -323,8 +255,8 @@ class NativeExecutor {
     // Exit rules populate the initial relations; the initial delta is the
     // whole relation.
     {
-      ScopedAccumulator acc(&stats_->t_rhs_us);
-      for (const km::CompiledRule& cr : node.exit_rules) {
+      ScopedAccumulator acc(&stats()->t_rhs_us);
+      for (const km::CompiledRule& cr : node_.exit_rules) {
         NativeRelation* full = relations_.at(cr.rule.head.predicate).get();
         NativeRelation* d = delta.at(cr.rule.head.predicate).get();
         if (cr.rule.body.empty()) {
@@ -344,19 +276,20 @@ class NativeExecutor {
       }
     }
 
-    if (!node.is_clique) return Status::OK();
+    if (!node_.is_clique) return 0;
 
+    int64_t iterations = 0;
     while (true) {
-      ++*iterations;
-      trace::ScopedSpan iter_span(node_span, "iteration");
-      iter_span.Tag("iter", *iterations);
+      ++iterations;
+      trace::ScopedSpan iter_span(ctx_->span(), "iteration");
+      iter_span.Tag("iter", iterations);
       std::map<std::string, std::unique_ptr<NativeRelation>> new_delta;
-      for (const std::string& p : node.predicates) {
+      for (const std::string& p : node_.predicates) {
         new_delta[p] = std::make_unique<NativeRelation>();
       }
       {
-        ScopedAccumulator acc(&stats_->t_rhs_us);
-        for (const datalog::Rule& rule : node.recursive_rules) {
+        ScopedAccumulator acc(&stats()->t_rhs_us);
+        for (const datalog::Rule& rule : node_.recursive_rules) {
           DKB_ASSIGN_OR_RETURN(std::vector<NativeRelation*> rels,
                                BodyRels(rule));
           NativeRelation* full = relations_.at(rule.head.predicate).get();
@@ -380,88 +313,81 @@ class NativeExecutor {
       bool changed = false;
       int64_t delta_total = 0;
       {
-        ScopedAccumulator acc(&stats_->t_term_us);
+        ScopedAccumulator acc(&stats()->t_term_us);
         for (const auto& [p, nd] : new_delta) {
           if (!nd->empty()) changed = true;
           delta_total += static_cast<int64_t>(nd->size());
         }
       }
-      delta_sizes->push_back(delta_total);
+      ctx_->delta_sizes().push_back(delta_total);
       iter_span.Tag("delta", delta_total);
       if (!changed) break;
 
       // Merge deltas (incremental index extension, no copies) and swap the
       // delta pointers.
       {
-        ScopedAccumulator acc(&stats_->t_rhs_us);
-        for (const std::string& p : node.predicates) {
+        ScopedAccumulator acc(&stats()->t_rhs_us);
+        for (const std::string& p : node_.predicates) {
           NativeRelation* full = relations_.at(p).get();
           for (const Tuple& t : new_delta.at(p)->rows()) full->Insert(t);
           delta[p] = std::move(new_delta.at(p));
         }
       }
     }
-    return Status::OK();
+    return iterations;
   }
 
   /// Specialized transitive-closure operator (paper conclusion #8): one
   /// BFS per source over the edge adjacency list, bypassing the generic
   /// join/delta machinery entirely.
-  Status EvalTransitiveClosure(const TcShape& shape, int64_t* iterations) {
+  Status EvalTransitiveClosure(const TcShape& shape) {
     DKB_ASSIGN_OR_RETURN(NativeRelation * edges, Rel(shape.edge_predicate));
     auto full = std::make_unique<NativeRelation>();
     {
-      ScopedAccumulator acc(&stats_->t_rhs_us);
+      ScopedAccumulator acc(&stats()->t_rhs_us);
       std::vector<Tuple> closure;
       ComputeTransitiveClosure(edges->rows(), &closure);
       for (Tuple& t : closure) full->Insert(std::move(t));
     }
     relations_[shape.predicate] = std::move(full);
-    *iterations = 1;  // single pass, no fixpoint loop
     return Status::OK();
   }
 
-  /// Writes every derived relation back into its IDB table, a batch at a
+  /// Appends the node's derived relations to their IDB tables, a batch at a
   /// time (Table::AppendBatch interns and maintains indexes per batch).
   Status StoreDerived() {
-    ScopedAccumulator acc(&stats_->t_temp_us);
+    ScopedAccumulator acc(&stats()->t_temp_us);
     RowBatch batch;
-    for (const km::ProgramNode& node : program_.nodes) {
-      for (const std::string& p : node.predicates) {
-        const km::PredicateBinding& b = program_.bindings.at(p);
-        DKB_ASSIGN_OR_RETURN(ScanSource * table,
-                             db_->catalog().GetSource(b.table));
-        batch.Reset(table->schema().num_columns());
-        for (const Tuple& t : relations_.at(p)->rows()) {
-          batch.AppendRow(t);
-          if (batch.full()) {
-            DKB_RETURN_IF_ERROR(table->AppendBatch(batch));
-            batch.Reset(table->schema().num_columns());
-          }
+    for (const std::string& p : node_.predicates) {
+      const km::PredicateBinding& b = program_.bindings.at(p);
+      DKB_ASSIGN_OR_RETURN(ScanSource * table,
+                           ctx_->db()->catalog().GetSource(b.table));
+      batch.Reset(table->schema().num_columns());
+      for (const Tuple& t : relations_.at(p)->rows()) {
+        batch.AppendRow(t);
+        if (batch.full()) {
+          DKB_RETURN_IF_ERROR(table->AppendBatch(batch));
+          batch.Reset(table->schema().num_columns());
         }
-        if (!batch.empty()) DKB_RETURN_IF_ERROR(table->AppendBatch(batch));
       }
+      if (!batch.empty()) DKB_RETURN_IF_ERROR(table->AppendBatch(batch));
     }
     return Status::OK();
   }
 
-  Database* db_;
+  EvalContext* ctx_;
   const km::QueryProgram& program_;
-  ExecutionStats* stats_;
-  bool use_tc_operator_;
-  trace::TraceSpan* span_;
+  const km::ProgramNode& node_;
   std::map<std::string, std::unique_ptr<NativeRelation>> relations_;
 };
 
 }  // namespace
 
-Result<QueryResult> ExecuteProgramNative(Database* db,
-                                         const km::QueryProgram& program,
-                                         ExecutionStats* stats,
-                                         bool use_tc_operator,
-                                         trace::TraceSpan* span) {
-  NativeExecutor executor(db, program, stats, use_tc_operator, span);
-  return executor.Run();
+Result<int64_t> EvaluateNodeNative(EvalContext* ctx,
+                                   const km::QueryProgram& program,
+                                   const km::ProgramNode& node,
+                                   bool use_tc_operator) {
+  return NativeNode(ctx, program, node).Evaluate(use_tc_operator);
 }
 
 }  // namespace dkb::lfp

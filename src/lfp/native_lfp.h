@@ -2,30 +2,34 @@
 #define DKB_LFP_NATIVE_LFP_H_
 
 #include "km/codegen.h"
-#include "lfp/evaluator.h"
+#include "lfp/eval_context.h"
 
 namespace dkb::lfp {
 
-/// In-engine generalized LFP operator (paper conclusion #6 ablation).
+/// In-engine generalized LFP operator (paper conclusion #6 ablation),
+/// evaluating one program node.
 ///
 /// Instead of driving the DBMS through per-statement SQL, this evaluator
-/// pulls the input relations into memory once, runs semi-naive iteration
-/// with hash-indexed joins, swaps delta sets by pointer (no table copies),
-/// checks termination by delta emptiness (no full set difference), and
-/// writes the final relations back into the IDB tables so the answer query
-/// and any downstream consumers see identical state.
+/// pulls the relations the node's rules read into memory, runs semi-naive
+/// iteration with hash-indexed joins, swaps delta sets by pointer (no table
+/// copies), and checks termination by delta emptiness (no full set
+/// difference). Before returning it appends the node's derived relations to
+/// their IDB tables, so later nodes, the answer query and any downstream
+/// consumers see the same state as under the SQL evaluators.
 ///
 /// Time attribution: relation load/store -> t_temp, join evaluation ->
 /// t_rhs, (trivial) termination checks -> t_term.
 ///
-/// With `use_tc_operator`, cliques matching the transitive-closure shape
-/// are evaluated by the specialized BFS operator instead of generic
+/// With `use_tc_operator`, a clique matching the transitive-closure shape
+/// is evaluated by the specialized BFS operator instead of generic
 /// semi-naive iteration (paper conclusion #8).
-Result<QueryResult> ExecuteProgramNative(Database* db,
-                                         const km::QueryProgram& program,
-                                         ExecutionStats* stats,
-                                         bool use_tc_operator = false,
-                                         trace::TraceSpan* span = nullptr);
+///
+/// Returns the number of iterations: 0 for a non-recursive node, 1 for the
+/// transitive-closure operator's single pass.
+Result<int64_t> EvaluateNodeNative(EvalContext* ctx,
+                                   const km::QueryProgram& program,
+                                   const km::ProgramNode& node,
+                                   bool use_tc_operator);
 
 }  // namespace dkb::lfp
 

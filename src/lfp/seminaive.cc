@@ -25,32 +25,8 @@ Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
     DKB_RETURN_IF_ERROR(ctx->CreateLike(km::DiffTableName(p), b));
   }
 
-  // Canonical resolver for exit rules with negated atoms.
-  km::BindingResolver canonical =
-      [&program](const datalog::Atom& atom,
-                 size_t) -> Result<km::RelationBinding> {
-    auto it = program.bindings.find(atom.predicate);
-    if (it == program.bindings.end()) {
-      return Status::Internal("no binding for " + atom.predicate);
-    }
-    return it->second.AsRelation();
-  };
-
   // p^(0): exit rules.
-  for (size_t i = 0; i < node.exit_rules.size(); ++i) {
-    const km::CompiledRule& cr = node.exit_rules[i];
-    const km::PredicateBinding& b =
-        program.bindings.at(cr.rule.head.predicate);
-    if (cr.rule.body.empty()) {
-      DKB_RETURN_IF_ERROR(ctx->Rhs(EvalContext::SeedInsertSql(cr.rule, b)));
-    } else if (!cr.select_sql.empty()) {
-      DKB_RETURN_IF_ERROR(
-          ctx->Rhs(EvalContext::InsertNewSql(b.table, cr.select_sql)));
-    } else {
-      DKB_RETURN_IF_ERROR(ctx->EvalRuleInto(cr.rule, canonical, b.table,
-                                            np + "sx" + std::to_string(i)));
-    }
-  }
+  DKB_RETURN_IF_ERROR(ctx->EvalExitRules(program, node, node_index));
   // delta^(0) = p^(0); prev = p^(-1) = empty.
   for (const std::string& p : node.predicates) {
     DKB_RETURN_IF_ERROR(

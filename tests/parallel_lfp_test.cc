@@ -53,6 +53,7 @@ std::unique_ptr<Testbed> MakeTreeTestbed(int depth) {
 
 void ExpectParallelMatchesSerial(Testbed* tb, const std::string& goal,
                                  QueryOptions base) {
+  SCOPED_TRACE(lfp::StrategyName(base.strategy));
   auto serial = tb->Query(goal, QueryOptions(base).WithParallelism(1));
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (int par : {2, 4, 0}) {
@@ -71,8 +72,16 @@ void ExpectParallelMatchesSerial(Testbed* tb, const std::string& goal,
 
 TEST(ParallelLfpTest, IndependentCliquesSemiNaive) {
   auto tb = MakeTwoCliqueTestbed();
-  ExpectParallelMatchesSerial(tb.get(), "both(X, Y)",
-                              QueryOptions::SemiNaive());
+  // The in-memory evaluators run on the same wavefront scheduler: each
+  // node loads its inputs and stores its relations before its dependents
+  // start.
+  for (lfp::LfpStrategy strategy :
+       {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNative,
+        lfp::LfpStrategy::kNativeTc}) {
+    ExpectParallelMatchesSerial(
+        tb.get(), "both(X, Y)",
+        QueryOptions::SemiNaive().WithStrategy(strategy));
+  }
 }
 
 TEST(ParallelLfpTest, IndependentCliquesNaive) {
@@ -100,10 +109,15 @@ TEST(ParallelLfpTest, AncestorTreeWorkload) {
 TEST(ParallelLfpTest, MagicSetsParallel) {
   auto tb = MakeTreeTestbed(/*depth=*/6);
   std::string root = workload::TreeNodeName(0, 0);
-  ExpectParallelMatchesSerial(tb.get(), "ancestor('" + root + "', W)",
-                              QueryOptions::Magic());
-  ExpectParallelMatchesSerial(tb.get(), "ancestor('" + root + "', W)",
-                              QueryOptions::SupplementaryMagic());
+  for (lfp::LfpStrategy strategy :
+       {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNative,
+        lfp::LfpStrategy::kNativeTc}) {
+    ExpectParallelMatchesSerial(tb.get(), "ancestor('" + root + "', W)",
+                                QueryOptions::Magic().WithStrategy(strategy));
+    ExpectParallelMatchesSerial(
+        tb.get(), "ancestor('" + root + "', W)",
+        QueryOptions::SupplementaryMagic().WithStrategy(strategy));
+  }
 }
 
 TEST(ParallelLfpTest, SameGenerationParallel) {

@@ -208,28 +208,42 @@ TEST(QueryTraceTest, ParallelLfpTraceIsDeterministicProgramOrder) {
   ASSERT_TRUE(tb_or.ok()) << tb_or.status().ToString();
   auto tb = std::move(tb_or).value();
 
-  auto serial = tb->Query("all(X, Y)",
-                          QueryOptions::SemiNaive().WithTrace());
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  std::vector<std::string> serial_names = ExecuteChildNames(serial->report);
+  for (lfp::LfpStrategy strategy :
+       {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNaive,
+        lfp::LfpStrategy::kNative, lfp::LfpStrategy::kNativeTc}) {
+    SCOPED_TRACE(lfp::StrategyName(strategy));
+    const QueryOptions base = QueryOptions::SemiNaive().WithStrategy(strategy);
+    auto serial = tb->Query("all(X, Y)", QueryOptions(base).WithTrace());
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
-  // Parallel runs detach per-node spans on pool threads and adopt them in
-  // program order: the execute children must match the serial tree exactly,
-  // run after run.
-  for (int rep = 0; rep < 3; ++rep) {
-    auto parallel = tb->Query(
-        "all(X, Y)",
-        QueryOptions::SemiNaive().WithParallelism(4).WithTrace());
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(ExecuteChildNames(parallel->report), serial_names)
-        << parallel->report.trace->RenderText();
+    // Every strategy runs through the one driver: temp setup, one span per
+    // program node in program order, the final answer, then cleanup.
+    std::vector<std::string> expected = {"temp"};
+    for (const testbed::PlanSummary::Node& node : serial->report.plan.nodes) {
+      expected.push_back("node:" + node.label);
+    }
+    expected.push_back("final");
+    expected.push_back("cleanup");
+    EXPECT_EQ(ExecuteChildNames(serial->report), expected)
+        << serial->report.trace->RenderText();
 
-    // Per-node stats merge in program order too.
-    ASSERT_EQ(parallel->report.exec.nodes.size(),
-              serial->report.exec.nodes.size());
-    for (size_t i = 0; i < parallel->report.exec.nodes.size(); ++i) {
-      EXPECT_EQ(parallel->report.exec.nodes[i].label,
-                serial->report.exec.nodes[i].label);
+    // Parallel runs detach per-node spans on pool threads and adopt them in
+    // program order: the execute children must match the serial tree
+    // exactly, run after run.
+    for (int rep = 0; rep < 3; ++rep) {
+      auto parallel = tb->Query(
+          "all(X, Y)", QueryOptions(base).WithParallelism(4).WithTrace());
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      EXPECT_EQ(ExecuteChildNames(parallel->report), expected)
+          << parallel->report.trace->RenderText();
+
+      // Per-node stats merge in program order too.
+      ASSERT_EQ(parallel->report.exec.nodes.size(),
+                serial->report.exec.nodes.size());
+      for (size_t i = 0; i < parallel->report.exec.nodes.size(); ++i) {
+        EXPECT_EQ(parallel->report.exec.nodes[i].label,
+                  serial->report.exec.nodes[i].label);
+      }
     }
   }
 }
