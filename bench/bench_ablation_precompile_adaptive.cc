@@ -6,21 +6,17 @@
 //    policies across the selectivity range.
 
 #include "bench_setup.h"
-#include "common/timer.h"
 
 namespace dkb::bench {
 namespace {
 
-void RunPrecompile() {
-  Banner("Ablation - precompiled queries (conclusion #3)",
-         "SIGMOD'88 D/KB testbed, Conclusions, item 3",
-         "precompilation pays for frequently occurring queries with large "
-         "R_rs; updates pay an invalidation cost");
-
-  TablePrinter table({"R_rs", "t_first_total", "t_cached_total",
-                      "compile_saved", "speedup"});
-  for (int rrs : {1, 7, 20, 40}) {
-    StoredRuleBaseFixture fx = MakeStoredRuleBase(200, rrs);
+void RunPrecompile(Report* report) {
+  Table table({Count("R_rs"), Micros("t_first_total"),
+               Micros("t_cached_total"), Micros("compile_saved"),
+               Ratio("speedup")},
+              "Conclusion #3: precompiled queries");
+  for (int rrs : Sweep({1, 7, 20, 40})) {
+    StoredRuleBaseFixture fx = MakeStoredRuleBase(SmokeSize(200, 100), rrs);
     datalog::Atom goal;
     goal.predicate = fx.rulebase.query_pred;
     goal.args = {datalog::Term::Constant(Value("k")),
@@ -29,35 +25,30 @@ void RunPrecompile() {
         testbed::QueryOptions::SemiNaive().WithCache();
     auto first = Unwrap(fx.tb->Query(goal, opts), "first query");
     int64_t t_first = first.report.compile.total_us() + first.report.exec.t_total_us;
-    int64_t t_cached = MedianMicros(9, [&]() {
+    int64_t t_cached = MedianMicros(Reps(9), [&]() {
       auto outcome = Unwrap(fx.tb->Query(goal, opts), "cached query");
       return outcome.report.compile.total_us() + outcome.report.exec.t_total_us;
     });
-    table.AddRow({std::to_string(rrs), FormatUs(t_first),
-                  FormatUs(t_cached), FormatUs(first.report.compile.total_us()),
-                  FormatF(static_cast<double>(t_first) /
-                              std::max<int64_t>(1, t_cached),
-                          2)});
+    table.Row({rrs, t_first, t_cached, first.report.compile.total_us(),
+               static_cast<double>(t_first) / std::max<int64_t>(1, t_cached)});
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
-void RunAdaptive() {
-  Banner("Ablation - dynamic magic-sets decision (conclusion #4)",
-         "SIGMOD'88 D/KB testbed, Conclusions, item 4 / Section 4.2 step 5",
-         "the adaptive policy should track the better static policy on both "
-         "sides of the selectivity crossover");
-
-  const int kDepth = 10;
-  const int kReps = 3;
+void RunAdaptive(Report* report) {
+  const int kDepth = SmokeSize(10, 6);
+  const int kReps = Reps(3, 1);
   // Unindexed EDB: the configuration where always-on magic actually loses
-  // at high selectivity (see bench_fig13).
+  // at high selectivity (see fig13_magic_crossover).
   auto tb = MakeAncestorTree(kDepth, /*index_edb=*/false);
   const double dtot = static_cast<double>(workload::SubtreeSize(kDepth, 0));
 
-  TablePrinter table({"level", "selectivity", "t_off", "t_on", "t_adaptive",
-                      "adaptive_chose_magic"});
-  for (int level : {0, 1, 2, 4, 6, 8}) {
+  Table table({Count("level"), Percent("selectivity"), Micros("t_off"),
+               Micros("t_on"), Micros("t_adaptive"),
+               Text("adaptive_chose_magic")},
+              "Conclusion #4: dynamic magic-sets decision (unindexed "
+              "depth-" + std::to_string(kDepth) + " tree)");
+  for (int level : Sweep({0, 1, 2, 4, 6, 8})) {
     datalog::Atom goal = TreeAncestorGoal(LeftmostAtLevel(level));
     auto timed = [&](bool magic, bool adaptive, bool* chose) {
       testbed::QueryOptions opts =
@@ -76,18 +67,25 @@ void RunAdaptive() {
     int64_t t_on = timed(true, false, nullptr);
     int64_t t_adaptive = timed(false, true, &chose);
     double sel = workload::SubtreeSize(kDepth, level) / dtot;
-    table.AddRow({std::to_string(level), FormatPct(sel), FormatUs(t_off),
-                  FormatUs(t_on), FormatUs(t_adaptive),
-                  chose ? "yes" : "no"});
+    table.Row({level, sel, t_off, t_on, t_adaptive, chose ? "yes" : "no"});
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
 }  // namespace
-}  // namespace dkb::bench
 
-int main() {
-  dkb::bench::RunPrecompile();
-  dkb::bench::RunAdaptive();
-  return 0;
+void AblationPrecompileAdaptive(Report* report) {
+  report->Banner(
+      "Ablation - precompiled queries (conclusion #3) and the dynamic "
+      "magic-sets decision (conclusion #4)",
+      "SIGMOD'88 D/KB testbed, Conclusions, items 3 and 4 / Section 4.2 "
+      "step 5",
+      "precompilation pays for frequently occurring queries with large "
+      "R_rs, and updates pay an invalidation cost; the adaptive policy "
+      "tracks the better static policy on both sides of the selectivity "
+      "crossover");
+  RunPrecompile(report);
+  RunAdaptive(report);
 }
+
+}  // namespace dkb::bench

@@ -29,19 +29,23 @@ std::unique_ptr<testbed::Testbed> SgTestbed(int depth) {
   return tb;
 }
 
-void Run() {
-  Banner("Ablation - generalized vs supplementary magic sets",
-         "SIGMOD'88 D/KB testbed, Section 2.5 (strategy survey)",
-         "supplementary magic trades extra materialization (sup_i tables, "
-         "more statements per LFP iteration) for avoided prefix re-joins; "
-         "it pays when joins are expensive (the paper's disk DBMS) and "
-         "costs when per-statement overhead dominates (this in-memory "
-         "engine) - the ratio should improve with depth either way");
+}  // namespace
 
-  const int kReps = 3;
-  TablePrinter table({"tree_depth", "answers", "t_plain", "t_magic",
-                      "t_supplementary", "sup_vs_magic"});
-  for (int depth : {5, 6, 7, 8}) {
+void AblationSupplementary(Report* report) {
+  report->Banner("Ablation - generalized vs supplementary magic sets",
+                 "SIGMOD'88 D/KB testbed, Section 2.5 (strategy survey)",
+                 "supplementary magic trades extra materialization (sup_i "
+                 "tables, more statements per LFP iteration) for avoided "
+                 "prefix re-joins; it pays when joins are expensive (the "
+                 "paper's disk DBMS) and costs when per-statement overhead "
+                 "dominates (this in-memory engine) - the ratio should "
+                 "improve with depth either way");
+
+  const int kReps = Reps(3, 1);
+  Table table({Count("tree_depth"), Count("answers"), Micros("t_plain"),
+               Micros("t_magic"), Micros("t_supplementary"),
+               Ratio("sup_vs_magic")});
+  for (int depth : Sweep({5, 6, 7, 8})) {
     auto tb = SgTestbed(depth);
     // Same-generation peers of the leftmost leaf.
     std::string leaf = workload::TreeNodeName(0, (1 << (depth - 1)) - 1);
@@ -62,17 +66,10 @@ void Run() {
     int64_t t_plain = timed(false, false, &answers);
     int64_t t_magic = timed(true, false, nullptr);
     int64_t t_sup = timed(true, true, nullptr);
-    table.AddRow({std::to_string(depth), std::to_string(answers),
-                  FormatUs(t_plain), FormatUs(t_magic), FormatUs(t_sup),
-                  FormatF(static_cast<double>(t_magic) / t_sup, 2)});
+    table.Row({depth, answers, t_plain, t_magic, t_sup,
+               static_cast<double>(t_magic) / t_sup});
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main() {
-  dkb::bench::Run();
-  return 0;
-}

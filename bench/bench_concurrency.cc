@@ -1,7 +1,6 @@
 // Concurrent query throughput through the Session API, plus single-query
 // parallel-LFP speedup. Not a paper figure: the 1988 testbed was
 // single-user; this bench characterizes the concurrency extension.
-// Emits BENCH_parallel.json next to the textual report.
 
 #include <atomic>
 #include <cstdio>
@@ -21,11 +20,7 @@ constexpr int kTreeDepth = 7;
 constexpr int kCliques = 4;
 constexpr int kChainLength = 24;
 
-/// --smoke: tiny rep counts, then validate that the emitted JSON parses
-/// (CI runs this mode; plotting scripts consume the real runs).
-bool g_smoke = false;
-
-int RepsPerThread() { return g_smoke ? 2 : 10; }
+int RepsPerThread() { return Reps(10); }
 
 /// Queries per second with `threads` sessions querying concurrently.
 double MeasureQps(testbed::Testbed* tb, const datalog::Atom& goal,
@@ -80,11 +75,14 @@ std::unique_ptr<testbed::Testbed> MakeMultiCliqueTestbed() {
   return tb;
 }
 
-void Run() {
-  Banner("Concurrency - session throughput and parallel LFP",
-         "extension beyond the single-user SIGMOD'88 testbed",
-         "qps scales with reader threads (hardware permitting); parallel "
-         "LFP matches serial answers while overlapping independent cliques");
+}  // namespace
+
+void Concurrency(Report* report) {
+  report->Banner("Concurrency - session throughput and parallel LFP",
+                 "extension beyond the single-user SIGMOD'88 testbed",
+                 "qps scales with reader threads (hardware permitting); "
+                 "parallel LFP matches serial answers while overlapping "
+                 "independent cliques");
 
   unsigned hw = std::thread::hardware_concurrency();
   std::printf("  hardware threads: %u; DKB worker pool: %zu\n\n", hw,
@@ -93,17 +91,14 @@ void Run() {
   auto tb = MakeAncestorTree(kTreeDepth);
   datalog::Atom goal = TreeAncestorGoal(0);
 
-  TablePrinter table({"threads", "qps", "speedup_vs_1"});
-  std::vector<std::pair<int, double>> qps_rows;
+  Table table({Count("threads"), Ratio("qps", 1), Ratio("speedup_vs_1")});
   double qps1 = 0.0;
   for (int threads : {1, 2, 4, 8}) {
     double qps = MeasureQps(tb.get(), goal, threads);
     if (threads == 1) qps1 = qps;
-    qps_rows.emplace_back(threads, qps);
-    table.AddRow({std::to_string(threads), FormatF(qps, 1),
-                  FormatF(qps / qps1, 2)});
+    table.Row({threads, qps, qps / qps1});
   }
-  table.Print();
+  report->Add(std::move(table));
 
   // Single-query parallel LFP: one program, independent cliques evaluated
   // concurrently vs in sequence.
@@ -111,7 +106,7 @@ void Run() {
   auto serial_opts = testbed::QueryOptions::SemiNaive().WithParallelism(1);
   auto parallel_opts =
       testbed::QueryOptions::SemiNaive().WithParallelism(kCliques);
-  const int lfp_reps = g_smoke ? 1 : 3;
+  const int lfp_reps = Reps(3, 1);
   int64_t t_serial = MedianMicros(lfp_reps, [&]() {
     return Unwrap(multi->Query("all(X, Y)", serial_opts), "serial LFP")
         .report.exec.t_total_us;
@@ -121,53 +116,17 @@ void Run() {
         .report.exec.t_total_us;
   });
 
-  TablePrinter lfp({"lfp_mode", "t_e", "speedup"});
-  lfp.AddRow({"serial", FormatUs(t_serial), "1.00"});
-  lfp.AddRow({"parallel(" + std::to_string(kCliques) + ")",
-              FormatUs(t_parallel),
-              FormatF(static_cast<double>(t_serial) / t_parallel, 2)});
-  lfp.Print();
+  Table lfp({Text("lfp_mode"), Micros("t_e"), Ratio("speedup")});
+  lfp.Row({"serial", t_serial, 1.0});
+  lfp.Row({"parallel(" + std::to_string(kCliques) + ")", t_parallel,
+           static_cast<double>(t_serial) / t_parallel});
+  report->Add(std::move(lfp));
 
-  BenchJson json("concurrency");
-  json.Add("workload",
-           "ancestor tree depth " + std::to_string(kTreeDepth) +
-               ", bound root");
-  json.Add("smoke", g_smoke);
-  json.Add("reps_per_thread", static_cast<int64_t>(RepsPerThread()));
-  std::string qps_json = "[";
-  for (size_t i = 0; i < qps_rows.size(); ++i) {
-    if (i > 0) qps_json += ", ";
-    qps_json += "{\"threads\": " + std::to_string(qps_rows[i].first) +
-                ", \"qps\": " + FormatF(qps_rows[i].second, 2) + "}";
-  }
-  qps_json += "]";
-  json.AddRaw("qps", qps_json);
-  json.AddRaw("lfp",
-              "{\"cliques\": " + std::to_string(kCliques) +
-                  ", \"serial_us\": " + std::to_string(t_serial) +
-                  ", \"parallel_us\": " + std::to_string(t_parallel) +
-                  ", \"speedup\": " +
-                  FormatF(static_cast<double>(t_serial) / t_parallel, 3) +
-                  "}");
-  CheckOk(json.WriteFile("BENCH_parallel.json"), "write BENCH_parallel.json");
-  std::printf("\n  wrote BENCH_parallel.json\n");
-
-  std::string error;
-  if (!JsonValidator::Validate(json.Render(), &error)) {
-    std::fprintf(stderr, "FATAL: BENCH_parallel.json does not parse: %s\n",
-                 error.c_str());
-    std::exit(1);
-  }
-  if (g_smoke) std::printf("  smoke: BENCH JSON validated\n");
+  report->Value(Text("workload"), "ancestor tree depth " +
+                                      std::to_string(kTreeDepth) +
+                                      ", bound root");
+  report->Value(Count("reps_per_thread"), RepsPerThread());
+  report->Value(Count("cliques"), kCliques);
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") dkb::bench::g_smoke = true;
-  }
-  dkb::bench::Run();
-  return 0;
-}

@@ -10,28 +10,37 @@ namespace dkb::bench {
 namespace {
 
 struct DataCase {
-  const char* name;
+  std::string name;
   workload::EdgeSet edges;
   std::string root;
 };
 
-void Run() {
-  Banner("Section 5.2 - D/KB data characterization",
-         "SIGMOD'88 D/KB testbed, Section 5.2 (relation types table)",
-         "t_e and iteration counts are shaped by path length and fan-out: "
-         "lists iterate longest, trees/DAGs fan out, cycles still terminate");
+}  // namespace
 
+void DataCharacterization(Report* report) {
+  report->Banner("Section 5.2 - D/KB data characterization",
+                 "SIGMOD'88 D/KB testbed, Section 5.2 (relation types table)",
+                 "t_e and iteration counts are shaped by path length and "
+                 "fan-out: lists iterate longest, trees/DAGs fan out, cycles "
+                 "still terminate");
+
+  const int list_length = SmokeSize(64, 16);
+  const int tree_depth = SmokeSize(9, 6);
+  const int levels = SmokeSize(16, 6);
   std::vector<DataCase> cases;
-  cases.push_back({"lists (8 x 64)", workload::MakeLists(8, 64), "l0_0"});
-  cases.push_back(
-      {"binary tree (depth 9)", workload::MakeFullBinaryTrees(1, 9), "t0_0"});
-  cases.push_back(
-      {"dag (16 levels x 32)", workload::MakeDag(16, 32, 1, 7), "g0_0"});
+  cases.push_back({"lists (8 x " + std::to_string(list_length) + ")",
+                   workload::MakeLists(8, list_length), "l0_0"});
+  cases.push_back({"binary tree (depth " + std::to_string(tree_depth) + ")",
+                   workload::MakeFullBinaryTrees(1, tree_depth), "t0_0"});
+  cases.push_back({"dag (" + std::to_string(levels) + " levels x 32)",
+                   workload::MakeDag(levels, 32, 1, 7), "g0_0"});
   cases.push_back({"cyclic (dag + 8 cycles)",
-                   workload::MakeCyclicGraph(16, 32, 1, 8, 4, 7), "g0_0"});
+                   workload::MakeCyclicGraph(levels, 32, 1, 8, 4, 7), "g0_0"});
 
-  TablePrinter table({"data_type", "tuples", "answers", "iterations",
-                      "t_e_seminaive", "t_e_magic"});
+  const int kReps = Reps(3, 1);
+  Table table({Text("data_type"), Count("tuples"), Count("answers"),
+               Count("iterations"), Micros("t_e_seminaive"),
+               Micros("t_e_magic")});
   for (DataCase& dc : cases) {
     auto tb = Unwrap(testbed::Testbed::Create(), "create");
     CheckOk(tb->Consult(workload::AncestorRules()), "consult");
@@ -45,26 +54,19 @@ void Run() {
     testbed::QueryOptions magic = testbed::QueryOptions::Magic();
     size_t answers = 0;
     int64_t iterations = 0;
-    int64_t t_semi = MedianMicros(3, [&]() {
+    int64_t t_semi = MedianMicros(kReps, [&]() {
       auto outcome = Unwrap(tb->Query(goal, semi), "query");
       answers = outcome.result.rows.size();
       iterations = outcome.report.exec.iterations;
       return outcome.report.exec.t_total_us;
     });
-    int64_t t_magic = MedianMicros(3, [&]() {
+    int64_t t_magic = MedianMicros(kReps, [&]() {
       return Unwrap(tb->Query(goal, magic), "magic query").report.exec.t_total_us;
     });
-    table.AddRow({dc.name, std::to_string(dc.edges.num_tuples()),
-                  std::to_string(answers), std::to_string(iterations),
-                  FormatUs(t_semi), FormatUs(t_magic)});
+    table.Row({dc.name, dc.edges.num_tuples(), answers, iterations, t_semi,
+               t_magic});
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main() {
-  dkb::bench::Run();
-  return 0;
-}

@@ -3,24 +3,23 @@
 // of rules relevant to the query R_rs.
 
 #include "bench_setup.h"
-#include "common/timer.h"
 
 namespace dkb::bench {
-namespace {
 
-void Run() {
-  Banner("Test 1 / Figure 7 - t_extract vs R_s",
-         "SIGMOD'88 D/KB testbed, Section 5.3.1.1 Test 1, Figure 7",
-         "t_extract is insensitive to R_s (indexed reachablepreds join) and "
-         "increases with R_rs");
+void Fig07Extract(Report* report) {
+  report->Banner("Test 1 / Figure 7 - t_extract vs R_s",
+                 "SIGMOD'88 D/KB testbed, Section 5.3.1.1 Test 1, Figure 7",
+                 "t_extract is insensitive to R_s (indexed reachablepreds "
+                 "join) and increases with R_rs");
 
   const std::vector<int> kRs = Sweep({50, 100, 200, 400, 800});
   const int kRrs[] = {1, 7, 20};
   const int kReps = Reps(15);
 
-  TablePrinter table({"R_s", "R_rs=1", "R_rs=7", "R_rs=20"});
+  Table table({Count("R_s"), Micros("R_rs=1"), Micros("R_rs=7"),
+               Micros("R_rs=20")});
   for (int rs : kRs) {
-    std::vector<std::string> row = {std::to_string(rs)};
+    std::vector<Cell> row = {rs};
     for (int rrs : kRrs) {
       StoredRuleBaseFixture fx = MakeStoredRuleBase(rs, rrs);
       datalog::Atom goal;
@@ -33,18 +32,11 @@ void Run() {
         Unwrap(fx.tb->CompileOnly(goal, opts, &stats), "CompileOnly");
         return stats.t_extract_us;
       });
-      row.push_back(FormatUs(median));
+      row.push_back(median);
     }
-    table.AddRow(std::move(row));
+    table.Row(std::move(row));
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
-}

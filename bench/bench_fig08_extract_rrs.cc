@@ -4,19 +4,18 @@
 #include "bench_setup.h"
 
 namespace dkb::bench {
-namespace {
 
-void Run() {
-  Banner("Test 1 / Figure 8 - t_extract vs R_rs",
-         "SIGMOD'88 D/KB testbed, Section 5.3.1.1 Test 1, Figure 8",
-         "t_extract grows with R_rs (extraction-join selectivity), roughly "
-         "linearly");
+void Fig08ExtractRrs(Report* report) {
+  report->Banner("Test 1 / Figure 8 - t_extract vs R_rs",
+                 "SIGMOD'88 D/KB testbed, Section 5.3.1.1 Test 1, Figure 8",
+                 "t_extract grows with R_rs (extraction-join selectivity), "
+                 "roughly linearly");
 
   const int kRs = SmokeSize(400, 100);
   const std::vector<int> kRrs = Sweep({1, 2, 5, 10, 20, 40, 80});
   const int kReps = Reps(15);
 
-  TablePrinter table({"R_rs", "t_extract", "rules_extracted"});
+  Table table({Count("R_rs"), Micros("t_extract"), Count("rules_extracted")});
   for (int rrs : kRrs) {
     StoredRuleBaseFixture fx = MakeStoredRuleBase(kRs, rrs);
     datalog::Atom goal;
@@ -29,17 +28,9 @@ void Run() {
       Unwrap(fx.tb->CompileOnly(goal, opts, &last), "CompileOnly");
       return last.t_extract_us;
     });
-    table.AddRow({std::to_string(rrs), FormatUs(median),
-                  std::to_string(last.rules_extracted_stored)});
+    table.Row({rrs, median, last.rules_extracted_stored});
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
-}

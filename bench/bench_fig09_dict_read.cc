@@ -4,21 +4,21 @@
 #include "bench_setup.h"
 
 namespace dkb::bench {
-namespace {
 
-void Run() {
-  Banner("Test 2 / Figure 9 - t_read vs P_s",
-         "SIGMOD'88 D/KB testbed, Section 5.3.1.1 Test 2, Figure 9",
-         "t_read is insensitive to P_s (indexed dictionary relations)");
+void Fig09DictRead(Report* report) {
+  report->Banner("Test 2 / Figure 9 - t_read vs P_s",
+                 "SIGMOD'88 D/KB testbed, Section 5.3.1.1 Test 2, Figure 9",
+                 "t_read is insensitive to P_s (indexed dictionary relations)");
 
   // One rule per predicate, so P_s == R_s and P_rs == R_rs.
   const std::vector<int> kPs = Sweep({50, 100, 200, 400, 800});
   const int kPrs[] = {1, 4, 10};
   const int kReps = Reps(15);
 
-  TablePrinter table({"P_s", "P_rs=1", "P_rs=4", "P_rs=10"});
+  Table table({Count("P_s"), Micros("P_rs=1"), Micros("P_rs=4"),
+               Micros("P_rs=10")});
   for (int ps : kPs) {
-    std::vector<std::string> row = {std::to_string(ps)};
+    std::vector<Cell> row = {ps};
     for (int prs : kPrs) {
       StoredRuleBaseFixture fx = MakeStoredRuleBase(ps, prs);
       datalog::Atom goal;
@@ -31,18 +31,11 @@ void Run() {
         Unwrap(fx.tb->CompileOnly(goal, opts, &stats), "CompileOnly");
         return stats.t_read_us;
       });
-      row.push_back(FormatUs(median));
+      row.push_back(median);
     }
-    table.AddRow(std::move(row));
+    table.Row(std::move(row));
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
-}

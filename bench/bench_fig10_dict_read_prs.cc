@@ -4,18 +4,17 @@
 #include "bench_setup.h"
 
 namespace dkb::bench {
-namespace {
 
-void Run() {
-  Banner("Test 2 / Figure 10 - t_read vs P_rs",
-         "SIGMOD'88 D/KB testbed, Section 5.3.1.1 Test 2, Figure 10",
-         "t_read grows with P_rs (dictionary-join selectivity)");
+void Fig10DictReadPrs(Report* report) {
+  report->Banner("Test 2 / Figure 10 - t_read vs P_rs",
+                 "SIGMOD'88 D/KB testbed, Section 5.3.1.1 Test 2, Figure 10",
+                 "t_read grows with P_rs (dictionary-join selectivity)");
 
   const int kPs = SmokeSize(400, 100);
   const std::vector<int> kPrs = Sweep({1, 2, 4, 8, 16, 32, 64});
   const int kReps = Reps(15);
 
-  TablePrinter table({"P_rs", "t_read"});
+  Table table({Count("P_rs"), Micros("t_read")});
   for (int prs : kPrs) {
     StoredRuleBaseFixture fx = MakeStoredRuleBase(kPs, prs);
     datalog::Atom goal;
@@ -28,16 +27,9 @@ void Run() {
       Unwrap(fx.tb->CompileOnly(goal, opts, &stats), "CompileOnly");
       return stats.t_read_us;
     });
-    table.AddRow({std::to_string(prs), FormatUs(median)});
+    table.Row({prs, median});
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
-}

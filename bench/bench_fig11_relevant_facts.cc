@@ -3,7 +3,6 @@
 // semi-naive evaluation).
 
 #include "bench_setup.h"
-#include "common/timer.h"
 
 namespace dkb::bench {
 namespace {
@@ -18,12 +17,14 @@ int64_t TimeQuery(testbed::Testbed* tb, const datalog::Atom& goal,
   });
 }
 
-void Run() {
-  Banner("Test 4 / Figure 11 - t_e vs D_rel/D_tot",
-         "SIGMOD'88 D/KB testbed, Section 5.3.1.2 Test 4, Figure 11",
-         "without magic, t_e is insensitive to D_rel when D_tot is fixed "
-         "(full closure is computed regardless) and grows with D_tot when "
-         "D_rel is fixed");
+}  // namespace
+
+void Fig11RelevantFacts(Report* report) {
+  report->Banner("Test 4 / Figure 11 - t_e vs D_rel/D_tot",
+                 "SIGMOD'88 D/KB testbed, Section 5.3.1.2 Test 4, Figure 11",
+                 "without magic, t_e is insensitive to D_rel when D_tot is "
+                 "fixed (full closure is computed regardless) and grows with "
+                 "D_tot when D_rel is fixed");
 
   testbed::QueryOptions opts;  // semi-naive, no magic
   const int kReps = Reps(5);
@@ -35,25 +36,28 @@ void Run() {
     auto tb = MakeAncestorTree(kDepth);
     const double dtot =
         static_cast<double>(workload::SubtreeSize(kDepth, 0));
-    TablePrinter table({"query_root_level", "D_rel/D_tot", "answers", "t_e"});
+    Table table({Count("query_root_level"), Ratio("D_rel/D_tot", 4),
+                 Count("answers"), Micros("t_e")},
+                "Method 1: D_tot fixed (depth-" + std::to_string(kDepth) +
+                    " tree, " +
+                    std::to_string(workload::SubtreeSize(kDepth, 0) - 1) +
+                    " tuples), query moves to smaller sub-trees");
     for (int level : Sweep({0, 1, 2, 4, 6, 8})) {
       size_t answers = 0;
       int64_t t = TimeQuery(tb.get(), TreeAncestorGoal(LeftmostAtLevel(level)),
                             opts, kReps, &answers);
       double drel = static_cast<double>(workload::SubtreeSize(kDepth, level));
-      table.AddRow({std::to_string(level), FormatF(drel / dtot, 4),
-                    std::to_string(answers), FormatUs(t)});
+      table.Row({level, drel / dtot, answers, t});
     }
-    std::printf("Method 1: D_tot fixed (depth-%d tree, %lld tuples), query "
-                "moves to smaller sub-trees\n\n",
-                kDepth,
-                static_cast<long long>(workload::SubtreeSize(kDepth, 0) - 1));
-    table.Print();
+    report->Add(std::move(table));
   }
 
   // Method 2: fix D_rel (a depth-5 sub-tree) and grow the parent relation.
   {
-    TablePrinter table({"tree_depth", "D_tot", "D_rel/D_tot", "t_e"});
+    Table table({Count("tree_depth"), Count("D_tot"), Ratio("D_rel/D_tot", 4),
+                 Micros("t_e")},
+                "Method 2: D_rel fixed (depth-5 sub-tree), parent relation "
+                "grows");
     for (int depth : Sweep({6, 7, 8, 9, 10, 11})) {
       auto tb = MakeAncestorTree(depth);
       // Query at the leftmost node `depth-5` levels down: its sub-tree has
@@ -64,21 +68,10 @@ void Run() {
                             kReps);
       double dtot = static_cast<double>(workload::SubtreeSize(depth, 0));
       double drel = static_cast<double>(workload::SubtreeSize(depth, level));
-      table.AddRow({std::to_string(depth),
-                    std::to_string(static_cast<long long>(dtot - 1)),
-                    FormatF(drel / dtot, 4), FormatUs(t)});
+      table.Row({depth, dtot - 1, drel / dtot, t});
     }
-    std::printf("\nMethod 2: D_rel fixed (depth-5 sub-tree), parent relation "
-                "grows\n\n");
-    table.Print();
+    report->Add(std::move(table));
   }
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
-}

@@ -4,21 +4,21 @@
 #include "bench_setup.h"
 
 namespace dkb::bench {
-namespace {
 
-void Run() {
-  Banner("Test 5 / Figure 12 - naive vs semi-naive t_e",
-         "SIGMOD'88 D/KB testbed, Section 5.3.1.2 Test 5, Figure 12",
-         "semi-naive is roughly 2.5-3x faster than naive (redundant "
-         "recomputation avoided)");
+void Fig12NaiveVsSeminaive(Report* report) {
+  report->Banner("Test 5 / Figure 12 - naive vs semi-naive t_e",
+                 "SIGMOD'88 D/KB testbed, Section 5.3.1.2 Test 5, Figure 12",
+                 "semi-naive is roughly 2.5-3x faster than naive (redundant "
+                 "recomputation avoided)");
 
   const int kDepth = SmokeSize(9, 6);
   const int kReps = Reps(5);
   auto tb = MakeAncestorTree(kDepth);
   const double dtot = static_cast<double>(workload::SubtreeSize(kDepth, 0));
 
-  TablePrinter table({"query_root_level", "D_rel/D_tot", "t_e_naive",
-                      "t_e_seminaive", "naive/seminaive"});
+  Table table({Count("query_root_level"), Ratio("D_rel/D_tot", 4),
+               Micros("t_e_naive"), Micros("t_e_seminaive"),
+               Ratio("naive/seminaive")});
   for (int level : Sweep({0, 1, 2, 3, 4})) {
     datalog::Atom goal = TreeAncestorGoal(LeftmostAtLevel(level));
     testbed::QueryOptions naive = testbed::QueryOptions::Naive();
@@ -30,18 +30,9 @@ void Run() {
       return Unwrap(tb->Query(goal, semi), "semi").report.exec.t_total_us;
     });
     double drel = static_cast<double>(workload::SubtreeSize(kDepth, level));
-    table.AddRow({std::to_string(level), FormatF(drel / dtot, 4),
-                  FormatUs(tn), FormatUs(ts),
-                  FormatF(static_cast<double>(tn) / ts, 2)});
+    table.Row({level, drel / dtot, tn, ts, static_cast<double>(tn) / ts});
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
-}

@@ -8,22 +8,25 @@
 #include "bench_setup.h"
 
 namespace dkb::bench {
-namespace {
 
-void Run() {
-  Banner("Test 7 / Figure 13 - magic sets on/off vs selectivity",
-         "SIGMOD'88 D/KB testbed, Section 5.3.1.2 Test 7, Figure 13",
-         "without magic t_e is flat in selectivity; with magic t_e grows "
-         "with selectivity; magic wins by orders of magnitude at low "
-         "selectivity and loses past a high-selectivity crossover");
+void Fig13MagicCrossover(Report* report) {
+  report->Banner("Test 7 / Figure 13 - magic sets on/off vs selectivity",
+                 "SIGMOD'88 D/KB testbed, Section 5.3.1.2 Test 7, Figure 13",
+                 "without magic t_e is flat in selectivity; with magic t_e "
+                 "grows with selectivity; magic wins by orders of magnitude at "
+                 "low selectivity and loses past a high-selectivity crossover "
+                 "(speedup > 1 means magic wins; the crossover is where it "
+                 "drops below 1)");
 
-  auto run_series = [](int depth, bool index_edb, const char* caption) {
+  auto run_series = [&](int depth, bool index_edb, std::string caption) {
     const int kReps = Reps(3, 1);
     auto tb = MakeAncestorTree(depth, index_edb);
     const double dtot = static_cast<double>(workload::SubtreeSize(depth, 0));
-    TablePrinter table({"level", "selectivity", "semi_plain", "semi_magic",
-                        "naive_plain", "naive_magic", "semi_speedup",
-                        "naive_speedup"});
+    Table table({Count("level"), Percent("selectivity"), Micros("semi_plain"),
+                 Micros("semi_magic"), Micros("naive_plain"),
+                 Micros("naive_magic"), Ratio("semi_speedup"),
+                 Ratio("naive_speedup")},
+                std::move(caption));
     for (int level : Sweep({0, 1, 2, 3, 5, 7, 9})) {
       datalog::Atom goal = TreeAncestorGoal(LeftmostAtLevel(level));
       auto timed = [&](lfp::LfpStrategy strategy, bool magic) {
@@ -40,32 +43,22 @@ void Run() {
       int64_t np = timed(lfp::LfpStrategy::kNaive, false);
       int64_t nm = timed(lfp::LfpStrategy::kNaive, true);
       double sel = workload::SubtreeSize(depth, level) / dtot;
-      table.AddRow({std::to_string(level), FormatPct(sel), FormatUs(sp),
-                    FormatUs(sm), FormatUs(np), FormatUs(nm),
-                    FormatF(static_cast<double>(sp) / sm, 2),
-                    FormatF(static_cast<double>(np) / nm, 2)});
+      table.Row({level, sel, sp, sm, np, nm, static_cast<double>(sp) / sm,
+                 static_cast<double>(np) / nm});
     }
-    std::printf("%s\n\n", caption);
-    table.Print();
-    std::printf("\n");
+    report->Add(std::move(table));
   };
 
-  run_series(SmokeSize(11, 7), /*index_edb=*/true,
-             "Configuration A: indexed parent relation (depth-11 tree)");
-  run_series(SmokeSize(10, 6), /*index_edb=*/false,
-             "Configuration B: unindexed parent relation (depth-10 tree) - "
-             "the magic LFP pays full scans per iteration, exposing the "
-             "paper's high-selectivity crossover");
-  std::printf(
-      "speedup > 1 means the magic sets optimization wins; the crossover "
-      "is where it drops below 1.\n");
+  const int depth_a = SmokeSize(11, 7);
+  run_series(depth_a, /*index_edb=*/true,
+             "Configuration A: indexed parent relation (depth-" +
+                 std::to_string(depth_a) + " tree)");
+  const int depth_b = SmokeSize(10, 6);
+  run_series(depth_b, /*index_edb=*/false,
+             "Configuration B: unindexed parent relation (depth-" +
+                 std::to_string(depth_b) +
+                 " tree) - the magic LFP pays full scans per iteration, "
+                 "exposing the paper's high-selectivity crossover");
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
-}

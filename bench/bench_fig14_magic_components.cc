@@ -7,60 +7,49 @@
 #include "magic/adornment.h"
 
 namespace dkb::bench {
-namespace {
 
-void Run() {
-  Banner("Test 7 / Figure 14 - magic vs modified rules LFP time",
-         "SIGMOD'88 D/KB testbed, Section 5.3.1.2 Test 7, Figure 14",
-         "the modified-rules evaluation is more selectivity-sensitive than "
-         "the magic-rules evaluation (it computes D_rel-sized closures)");
+void Fig14MagicComponents(Report* report) {
+  report->Banner("Test 7 / Figure 14 - magic vs modified rules LFP time",
+                 "SIGMOD'88 D/KB testbed, Section 5.3.1.2 Test 7, Figure 14",
+                 "the modified-rules evaluation is more selectivity-sensitive "
+                 "than the magic-rules evaluation (it computes D_rel-sized "
+                 "closures)");
 
   const int kDepth = SmokeSize(11, 7);
   const int kReps = Reps(3, 1);
   auto tb = MakeAncestorTree(kDepth);
   const double dtot = static_cast<double>(workload::SubtreeSize(kDepth, 0));
 
-  TablePrinter table({"level", "selectivity", "t_magic_clique",
-                      "t_modified_clique", "magic_tuples",
-                      "modified_tuples"});
+  Table table({Count("level"), Percent("selectivity"),
+               Micros("t_magic_clique"), Micros("t_modified_clique"),
+               Count("magic_tuples"), Count("modified_tuples")});
   for (int level : Sweep({1, 2, 3, 4, 5, 7, 9})) {
     datalog::Atom goal = TreeAncestorGoal(LeftmostAtLevel(level));
     testbed::QueryOptions opts = testbed::QueryOptions::Magic();
+    const lfp::ExecutionStats exec = MedianRun(
+        kReps,
+        [&]() { return Unwrap(tb->Query(goal, opts), "Query").report.exec; },
+        [](const lfp::ExecutionStats& s) { return s.t_total_us; });
 
     int64_t t_magic = 0;
     int64_t t_modified = 0;
     int64_t n_magic = 0;
     int64_t n_modified = 0;
-    MedianMicros(kReps, [&]() {
-      auto outcome = Unwrap(tb->Query(goal, opts), "Query");
-      t_magic = t_modified = n_magic = n_modified = 0;
-      for (const lfp::NodeStats& ns : outcome.report.exec.nodes) {
-        // A node's label is its predicate list; magic cliques contain only
-        // magic predicates.
-        bool is_magic = magic::IsMagicPredicateName(ns.label);
-        if (is_magic) {
-          t_magic += ns.t_us;
-          n_magic += ns.tuples;
-        } else {
-          t_modified += ns.t_us;
-          n_modified += ns.tuples;
-        }
+    for (const lfp::NodeStats& ns : exec.nodes) {
+      // A node's label is its predicate list; magic cliques contain only
+      // magic predicates.
+      if (magic::IsMagicPredicateName(ns.label)) {
+        t_magic += ns.t_us;
+        n_magic += ns.tuples;
+      } else {
+        t_modified += ns.t_us;
+        n_modified += ns.tuples;
       }
-      return outcome.report.exec.t_total_us;
-    });
+    }
     double sel = workload::SubtreeSize(kDepth, level) / dtot;
-    table.AddRow({std::to_string(level), FormatPct(sel), FormatUs(t_magic),
-                  FormatUs(t_modified), std::to_string(n_magic),
-                  std::to_string(n_modified)});
+    table.Row({level, sel, t_magic, t_modified, n_magic, n_modified});
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
-}

@@ -32,28 +32,23 @@ double AvgSingleRuleUpdateUs(bool compiled, int rs) {
   return static_cast<double>(total_us) / kBatch;
 }
 
-void Run() {
-  Banner("Test 8 / Figure 15 - t_u vs R_s, with/without compiled storage",
-         "SIGMOD'88 D/KB testbed, Section 5.3.2 Test 8, Figure 15",
-         "updates are roughly an order of magnitude faster without compiled "
-         "rule storage; t_u is insensitive to R_s in both modes");
+}  // namespace
 
-  TablePrinter table({"R_s", "t_u_compiled_us", "t_u_source_only_us",
-                      "ratio"});
+void Fig15Update(Report* report) {
+  report->Banner(
+      "Test 8 / Figure 15 - t_u vs R_s, with/without compiled storage",
+      "SIGMOD'88 D/KB testbed, Section 5.3.2 Test 8, Figure 15",
+      "updates are roughly an order of magnitude faster without compiled "
+      "rule storage; t_u is insensitive to R_s in both modes");
+
+  Table table({Count("R_s"), Micros("t_u_compiled_us", 1),
+               Micros("t_u_source_only_us", 1), Ratio("ratio", 1)});
   for (int rs : Sweep({9, 25, 50, 100, 189, 400})) {
     double tc = AvgSingleRuleUpdateUs(/*compiled=*/true, rs);
     double ts = AvgSingleRuleUpdateUs(/*compiled=*/false, rs);
-    table.AddRow({std::to_string(rs), FormatF(tc, 1), FormatF(ts, 1),
-                  FormatF(tc / std::max(0.01, ts), 1)});
+    table.Row({rs, tc, ts, tc / std::max(0.01, ts)});
   }
-  table.Print();
+  report->Add(std::move(table));
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
-}

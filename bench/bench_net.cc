@@ -1,12 +1,10 @@
 // Network layer characterization: round-trip latency and pipelined
 // throughput of the binary wire protocol (dkb_server + RemoteClient).
 // Not a paper figure: the 1988 testbed was a single-process system; this
-// bench characterizes the network extension the same way bench_concurrency
-// characterizes the in-process one. Emits BENCH_net.json (folded into
-// BENCH_paper.json by bench_paper).
+// bench characterizes the network extension the same way the concurrency
+// bench characterizes the in-process one.
 //
-//   bench_net [--smoke] [--connect host:port] [--trace]
-//             [--connections N] [--pipeline D] [--batch B] [--windows W]
+//   dkb_bench [--smoke] [--connect host:port] net
 //
 // Without --connect an in-process dkb::net::Server on a loopback ephemeral
 // port serves the run, so the bench is self-contained; with --connect it
@@ -21,11 +19,11 @@
 //                      --smoke), each keeping a window of pipelined query
 //                      batches in flight
 //   sustain_untraced / sustain_traced
-//                      (--trace only) the pipelined sustain over the
-//                      recursive closure goal, without and with every query
-//                      sampled — the server builds and ships net.*-wrapped
-//                      span trees; the qps delta is the trace-propagation
-//                      overhead (target < 3%)
+//                      the pipelined sustain over the recursive closure
+//                      goal, without and with every query sampled — the
+//                      server builds and ships net.*-wrapped span trees;
+//                      the qps delta is the trace-propagation overhead
+//                      (target < 3%)
 
 #include <sys/resource.h>
 
@@ -47,33 +45,14 @@
 namespace dkb::bench {
 namespace {
 
-struct NetCli {
-  std::string connect;  // empty = spawn an in-process server
-  int connections = 0;  // 0 = workload default
-  int pipeline = 0;
-  int batch = 0;
-  int windows = 0;
-  bool trace = false;  // also measure span-tree propagation overhead
-};
+int SustainConnections() { return SmokeSize(512, 32); }
+int PipelineDepth() { return SmokeSize(8, 4); }
+int BatchSize() { return SmokeSize(4, 2); }
+int Windows() { return SmokeSize(4, 2); }
 
-NetCli g_cli;
-
-int SustainConnections() {
-  if (g_cli.connections > 0) return g_cli.connections;
-  return SmokeSize(512, 32);
-}
-int PipelineDepth() {
-  if (g_cli.pipeline > 0) return g_cli.pipeline;
-  return SmokeSize(8, 4);
-}
-int BatchSize() {
-  if (g_cli.batch > 0) return g_cli.batch;
-  return SmokeSize(4, 2);
-}
-int Windows() {
-  if (g_cli.windows > 0) return g_cli.windows;
-  return SmokeSize(4, 2);
-}
+/// Trace-overhead rounds: the traced/untraced sustain pair alternates this
+/// many times and each arm keeps its best round.
+constexpr int kTraceRounds = 3;
 
 /// See tools/dkb_server.cc: hundreds of client fds need headroom over the
 /// usual 1024 soft limit.
@@ -106,7 +85,7 @@ void LoadFixture(const std::string& target, int chain) {
           "DefineBase bnupd");
 }
 
-/// Latency summary of one workload, ready for the table and the JSON.
+/// Latency summary of one workload.
 struct WorkloadStats {
   std::string name;
   int connections = 0;
@@ -116,26 +95,6 @@ struct WorkloadStats {
   std::shared_ptr<metrics::Histogram> latency =
       std::make_shared<metrics::Histogram>();
   double qps = 0.0;
-
-  std::string Json() const {
-    std::string out = "{\"workload\": \"" + JsonEscape(name) + "\"";
-    out += ", \"connections\": " + std::to_string(connections);
-    out += ", \"requests\": " + std::to_string(requests);
-    out += ", \"qps\": " + FormatF(qps, 2);
-    out += ", \"latency_us\": {\"count\": " + std::to_string(latency->count());
-    out += ", \"mean\": " + FormatF(latency->mean(), 1);
-    out += ", \"max\": " + std::to_string(latency->max());
-    out += ", \"quantiles\": [";
-    const double qs[] = {0.25, 0.5, 0.75, 0.9, 0.99, 0.999};
-    for (size_t i = 0; i < sizeof(qs) / sizeof(qs[0]); ++i) {
-      if (i > 0) out += ", ";
-      out += "{\"q\": " + FormatF(qs[i], 3) +
-             ", \"le_us\": " + std::to_string(latency->ApproxQuantile(qs[i])) +
-             "}";
-    }
-    out += "]}}";
-    return out;
-  }
 };
 
 /// Runs `body(conn_index, client)` on `connections` threads, one fresh
@@ -223,7 +182,7 @@ WorkloadStats RunUpdateInterleaved(const std::string& target) {
 /// `Windows()` rounds. Latency samples are whole-window round trips.
 /// With `collect_trace` on, every query is sampled: the server builds the
 /// net.*-wrapped span tree and ships it back in each response — the
-/// traced/untraced qps delta is the --trace overhead row.
+/// traced/untraced qps delta is the trace-overhead value.
 WorkloadStats RunSustainPipelined(const std::string& target,
                                   const std::string& name,
                                   const std::string& goal,
@@ -265,11 +224,13 @@ WorkloadStats RunSustainPipelined(const std::string& target,
   return stats;
 }
 
-void Run() {
-  Banner("Network - wire round trips and pipelined connection sustain",
-         "extension beyond the single-user SIGMOD'88 testbed",
-         "pipelining amortizes round trips; hundreds of connections sustain "
-         "concurrent pipelined batches without errors");
+}  // namespace
+
+void Net(Report* report) {
+  report->Banner("Network - wire round trips and pipelined connection sustain",
+                 "extension beyond the single-user SIGMOD'88 testbed",
+                 "pipelining amortizes round trips; hundreds of connections "
+                 "sustain concurrent pipelined batches without errors");
 
   RaiseFdLimit(8192);
 
@@ -277,7 +238,7 @@ void Run() {
   // loopback port. --connect points the same traffic at a real dkb_server.
   std::unique_ptr<testbed::Testbed> own_tb;
   net::Server own_server;
-  std::string target = g_cli.connect;
+  std::string target = ConnectTarget();
   if (target.empty()) {
     own_tb = Unwrap(testbed::Testbed::Create(), "Testbed::Create");
     net::ServerOptions server_options;
@@ -303,8 +264,8 @@ void Run() {
   workloads.push_back(RunSustainPipelined(target, "sustain_pipelined",
                                           "bnpar(bn0, W)",
                                           /*collect_trace=*/false));
-  // --trace: the same pipelined sustain over the recursive closure, once
-  // untraced and once with every query sampled (span trees built, wrapped
+  // The same pipelined sustain over the recursive closure, once untraced
+  // and once with every query sampled (span trees built, wrapped
   // in net.* spans, and shipped back). The recursive goal is the honest
   // denominator — trace overhead is per-span work amortized over real
   // engine execution; against the wire-only bnpar goal (a ~10 us cached
@@ -317,106 +278,50 @@ void Run() {
   // few percent of the ~0.5 ms recursive goal. On single-core CI boxes
   // the sustained number reads higher than that floor because dozens of
   // oversubscribed threads amplify the traced path's extra allocations.
-  double trace_overhead_pct = 0.0;
-  if (g_cli.trace) {
-    const std::string traced_goal = "bnanc(bn0, W)";
-    constexpr int kTraceRounds = 3;
-    WorkloadStats best_untraced;
-    WorkloadStats best_traced;
-    for (int round = 0; round < kTraceRounds; ++round) {
-      WorkloadStats untraced = RunSustainPipelined(
-          target, "sustain_untraced", traced_goal, /*collect_trace=*/false);
-      WorkloadStats traced = RunSustainPipelined(
-          target, "sustain_traced", traced_goal, /*collect_trace=*/true);
-      if (untraced.qps > best_untraced.qps) best_untraced = untraced;
-      if (traced.qps > best_traced.qps) best_traced = traced;
-    }
-    workloads.push_back(best_untraced);
-    workloads.push_back(best_traced);
-    if (best_traced.qps > 0.0) {
-      trace_overhead_pct = (best_untraced.qps / best_traced.qps - 1.0) * 100.0;
-    }
+  const std::string traced_goal = "bnanc(bn0, W)";
+  WorkloadStats best_untraced;
+  WorkloadStats best_traced;
+  for (int round = 0; round < kTraceRounds; ++round) {
+    WorkloadStats untraced = RunSustainPipelined(
+        target, "sustain_untraced", traced_goal, /*collect_trace=*/false);
+    WorkloadStats traced = RunSustainPipelined(
+        target, "sustain_traced", traced_goal, /*collect_trace=*/true);
+    if (untraced.qps > best_untraced.qps) best_untraced = untraced;
+    if (traced.qps > best_traced.qps) best_traced = traced;
   }
+  workloads.push_back(best_untraced);
+  workloads.push_back(best_traced);
 
-  TablePrinter table({"workload", "conns", "requests", "p50", "p99", "max",
-                      "mean", "qps"});
+  Table table({Text("workload"), Count("conns"), Count("requests"),
+               Micros("p50"), Micros("p99"), Micros("max"), Micros("mean"),
+               Ratio("qps", 1)});
+  // Histogram quantiles are power-of-two bucket upper bounds.
+  Table quantiles({Text("workload"), Count("samples"), Micros("p25"),
+                   Micros("p75"), Micros("p90"), Micros("p999")},
+                  "latency quantiles (bucket upper bounds)");
   for (const WorkloadStats& w : workloads) {
-    table.AddRow({w.name, std::to_string(w.connections),
-                  std::to_string(w.requests),
-                  FormatUs(w.latency->ApproxQuantile(0.5)),
-                  FormatUs(w.latency->ApproxQuantile(0.99)),
-                  FormatUs(w.latency->max()),
-                  FormatUs(static_cast<int64_t>(w.latency->mean())),
-                  FormatF(w.qps, 1)});
+    const metrics::Histogram& h = *w.latency;
+    table.Row({w.name, w.connections, w.requests, h.ApproxQuantile(0.5),
+               h.ApproxQuantile(0.99), h.max(), h.mean(), w.qps});
+    quantiles.Row({w.name, h.count(), h.ApproxQuantile(0.25),
+                   h.ApproxQuantile(0.75), h.ApproxQuantile(0.9),
+                   h.ApproxQuantile(0.999)});
   }
-  table.Print();
-  std::printf(
-      "\n  (sustain_pipelined: %d connections x %d windows x %d batches "
-      "x %d goals)\n",
-      SustainConnections(), Windows(), PipelineDepth(), BatchSize());
-  if (g_cli.trace) {
-    std::printf("  trace propagation overhead: %s%% (target < 3%%)\n",
-                FormatF(trace_overhead_pct, 2).c_str());
-  }
+  report->Add(std::move(table));
+  report->Add(std::move(quantiles));
 
-  BenchJson json("net");
-  json.Add("smoke", SmokeMode());
-  json.Add("external_server", !g_cli.connect.empty());
-  json.Add("sustain_connections", static_cast<int64_t>(SustainConnections()));
-  json.Add("pipeline_depth", static_cast<int64_t>(PipelineDepth()));
-  json.Add("batch_size", static_cast<int64_t>(BatchSize()));
-  if (g_cli.trace) {
-    json.AddRaw("trace_overhead",
-                "{\"overhead_pct\": " + FormatF(trace_overhead_pct, 2) +
-                    ", \"target_pct\": 3.0, \"rounds\": 3"
-                    ", \"hardware_concurrency\": " +
-                    std::to_string(std::thread::hardware_concurrency()) + "}");
-  }
-  std::string rows = "[";
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    if (i > 0) rows += ", ";
-    rows += workloads[i].Json();
-  }
-  rows += "]";
-  json.AddRaw("workloads", rows);
-  CheckOk(json.WriteFile("BENCH_net.json"), "write BENCH_net.json");
-  std::printf("  wrote BENCH_net.json\n");
-
-  std::string error;
-  if (!JsonValidator::Validate(json.Render(), &error)) {
-    std::fprintf(stderr, "FATAL: BENCH_net.json does not parse: %s\n",
-                 error.c_str());
-    std::exit(1);
-  }
-  if (SmokeMode()) std::printf("  smoke: BENCH JSON validated\n");
+  report->Value(Text("server"),
+                ConnectTarget().empty() ? "in-process" : ConnectTarget());
+  report->Value(Count("sustain_connections"), SustainConnections());
+  report->Value(Count("windows"), Windows());
+  report->Value(Count("pipeline_depth"), PipelineDepth());
+  report->Value(Count("batch_size"), BatchSize());
+  report->Value(Percent("trace_overhead", 2),
+                best_untraced.qps / best_traced.qps - 1.0);
+  report->Value(Percent("trace_overhead_target", 0), 0.03);
+  report->Value(Count("trace_rounds"), kTraceRounds);
 
   if (own_tb != nullptr) own_server.Stop();
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next_int = [&](int* out) {
-      if (i + 1 < argc) *out = std::atoi(argv[++i]);
-    };
-    if (arg == "--connect" && i + 1 < argc) {
-      dkb::bench::g_cli.connect = argv[++i];
-    } else if (arg == "--connections") {
-      next_int(&dkb::bench::g_cli.connections);
-    } else if (arg == "--pipeline") {
-      next_int(&dkb::bench::g_cli.pipeline);
-    } else if (arg == "--batch") {
-      next_int(&dkb::bench::g_cli.batch);
-    } else if (arg == "--windows") {
-      next_int(&dkb::bench::g_cli.windows);
-    } else if (arg == "--trace") {
-      dkb::bench::g_cli.trace = true;
-    }
-  }
-  dkb::bench::Run();
-  return 0;
-}

@@ -5,8 +5,6 @@
 // builds, and per-shard LFP delta maintenance on all cores; shards=1 is
 // the guard that the redesigned ScanSource path costs nothing when the
 // layout is classic.
-//
-// Writes BENCH_shard.json (folded into BENCH_paper.json under "shard").
 
 #include <cstdio>
 #include <string>
@@ -31,25 +29,28 @@ std::unique_ptr<testbed::Testbed> MakeShardedTree(int depth, size_t shards) {
   return tb;
 }
 
-void Run() {
-  Banner("Sharded data plane - fig12/fig13 workloads, shards=1 vs shards=4",
-         "SIGMOD'88 D/KB testbed, Tests 5/7 rerun on the sharded storage "
-         "layout at 10x the paper's data size",
-         "shards=4 wins on multi-core hosts (shard-parallel scans and LFP "
-         "deltas); shards=1 matches the classic unsharded path");
+}  // namespace
+
+void Shard(Report* report) {
+  report->Banner(
+      "Sharded data plane - fig12/fig13 workloads, shards=1 vs shards=4",
+      "SIGMOD'88 D/KB testbed, Tests 5/7 rerun on the sharded storage "
+      "layout at 10x the paper's data size",
+      "shards=4 wins on multi-core hosts (shard-parallel scans and LFP "
+      "deltas); shards=1 matches the classic unsharded path");
 
   const int kDepth = SmokeSize(13, 6);
   const int kReps = Reps(3, 1);
   auto tb1 = MakeShardedTree(kDepth, 1);
   auto tb4 = MakeShardedTree(kDepth, 4);
 
-  std::string results_json = "[";
   int cells = 0;
   double speedup_sum = 0;
 
+  Table table({Text("figure"), Count("level"), Micros("t_e_shards1"),
+               Micros("t_e_shards4"), Ratio("speedup_4x")});
   auto run_cell = [&](const char* figure, int level,
-                      const testbed::QueryOptions& opts,
-                      TablePrinter* table) {
+                      const testbed::QueryOptions& opts) {
     datalog::Atom goal = TreeAncestorGoal(LeftmostAtLevel(level));
     int64_t t1 = MedianMicros(kReps, [&]() {
       return Unwrap(tb1->Query(goal, opts), "shards=1").report.exec.t_total_us;
@@ -58,52 +59,32 @@ void Run() {
       return Unwrap(tb4->Query(goal, opts), "shards=4").report.exec.t_total_us;
     });
     const double speedup = static_cast<double>(t1) / static_cast<double>(t4);
-    table->AddRow({figure, std::to_string(level), FormatUs(t1), FormatUs(t4),
-                   FormatF(speedup, 2)});
-    results_json += std::string(cells ? ", " : "") + "{\"figure\": \"" +
-                    figure + "\", \"level\": " + std::to_string(level) +
-                    ", \"us_shards1\": " + std::to_string(t1) +
-                    ", \"us_shards4\": " + std::to_string(t4) +
-                    ", \"speedup\": " + FormatF(speedup, 4) + "}";
+    table.Row({figure, level, t1, t4, speedup});
     speedup_sum += speedup;
     ++cells;
   };
 
-  TablePrinter table(
-      {"figure", "level", "t_e_shards1", "t_e_shards4", "speedup_4x"});
   // Figure 12's axis: semi-naive t_e across query-root levels.
   for (int level : Sweep({0, 2, 4})) {
-    run_cell("fig12_seminaive", level, testbed::QueryOptions::SemiNaive(),
-             &table);
+    run_cell("fig12_seminaive", level, testbed::QueryOptions::SemiNaive());
   }
   // Figure 13's axis: the same sweep with the magic rewrite on.
   for (int level : Sweep({0, 3})) {
-    run_cell("fig13_magic", level, testbed::QueryOptions::Magic(), &table);
+    run_cell("fig13_magic", level, testbed::QueryOptions::Magic());
   }
-  table.Print();
-  results_json += "]";
+  report->Add(std::move(table));
 
   const size_t pool = GlobalThreadPool().num_threads();
   std::printf(
-      "\npool_threads=%zu; shard parallelism needs >= 2 pool workers - on "
+      "pool_threads=%zu; shard parallelism needs >= 2 pool workers - on "
       "smaller hosts both columns run the serial per-shard path\n",
       pool);
 
-  BenchJson json("shard");
-  json.Add("workload",
-           "ancestor full binary tree depth " + std::to_string(kDepth));
-  json.Add("reps", static_cast<int64_t>(kReps));
-  json.Add("cells", static_cast<int64_t>(cells));
-  json.Add("speedup_avg", cells > 0 ? speedup_sum / cells : 0.0);
-  json.AddRaw("results", results_json);
-  CheckOk(json.WriteFile("BENCH_shard.json"), "write BENCH_shard.json");
+  report->Value(Text("workload"),
+                "ancestor full binary tree depth " + std::to_string(kDepth));
+  report->Value(Count("reps"), kReps);
+  report->Value(Count("cells"), cells);
+  report->Value(Ratio("speedup_avg"), speedup_sum / cells);
 }
 
-}  // namespace
 }  // namespace dkb::bench
-
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
-}

@@ -7,7 +7,7 @@
 namespace dkb::bench {
 namespace {
 
-void RunCase(int r_ws, TablePrinter* table) {
+void RunCase(int r_ws, Table* table) {
   const int kRs = SmokeSize(189, 50);
   // The stored rule base; the workspace rules chain onto its relevant
   // family so the update extraction has real work to do.
@@ -24,35 +24,27 @@ void RunCase(int r_ws, TablePrinter* table) {
   }
   auto stats = Unwrap(fx.tb->UpdateStoredDkb(), "UpdateStoredDkb");
   double total = static_cast<double>(std::max<int64_t>(1, stats.total_us()));
-  table->AddRow({std::to_string(r_ws), std::to_string(kRs),
-                 std::to_string(stats.closure_edges),
-                 FormatPct(stats.t_extract_us / total),
-                 FormatPct(stats.t_tc_us / total),
-                 FormatPct(stats.t_typecheck_us / total),
-                 FormatPct(stats.t_dict_us / total),
-                 FormatPct(stats.t_store_us / total),
-                 FormatUs(stats.total_us())});
-}
-
-void Run() {
-  Banner("Test 9 / Table 8 - update time breakdown",
-         "SIGMOD'88 D/KB testbed, Section 5.3.2 Test 9, Table 8",
-         "extraction of relevant rules dominates small updates (81% at "
-         "R_ws=1 vs 42% at R_ws=36 in the paper); storing the source form "
-         "is a small share");
-
-  TablePrinter table({"R_ws", "R_s", "closure_edges", "extract", "tc",
-                      "typecheck", "dict", "store", "total"});
-  RunCase(SmokeSize(36, 6), &table);
-  RunCase(1, &table);
-  table.Print();
+  table->Row({r_ws, kRs, stats.closure_edges, stats.t_extract_us / total,
+              stats.t_tc_us / total, stats.t_typecheck_us / total,
+              stats.t_dict_us / total, stats.t_store_us / total,
+              stats.total_us()});
 }
 
 }  // namespace
-}  // namespace dkb::bench
 
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
+void Table8UpdateBreakdown(Report* report) {
+  report->Banner("Test 9 / Table 8 - update time breakdown",
+                 "SIGMOD'88 D/KB testbed, Section 5.3.2 Test 9, Table 8",
+                 "extraction of relevant rules dominates small updates (81% "
+                 "at R_ws=1 vs 42% at R_ws=36 in the paper); storing the "
+                 "source form is a small share");
+
+  Table table({Count("R_ws"), Count("R_s"), Count("closure_edges"),
+               Percent("extract"), Percent("tc"), Percent("typecheck"),
+               Percent("dict"), Percent("store"), Micros("total")});
+  RunCase(SmokeSize(36, 6), &table);
+  RunCase(1, &table);
+  report->Add(std::move(table));
 }
+
+}  // namespace dkb::bench

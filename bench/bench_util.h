@@ -2,44 +2,32 @@
 #define DKB_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "common/str_util.h"
-#include "common/thread_pool.h"
-
-#ifndef DKB_GIT_DESCRIBE
-#define DKB_GIT_DESCRIBE "unknown"
-#endif
+#include "report.h"
 
 namespace dkb::bench {
 
-/// Schema version of BENCH_*.json files. Bump when the header or the shape
-/// of bench-specific fields changes incompatibly, so cross-PR comparison
-/// scripts can refuse to mix generations.
-constexpr int kBenchJsonSchemaVersion = 2;
-
-/// Process-wide smoke switch. Under --smoke every bench shrinks its sweep
-/// grids and rep counts so the full paper suite (bench_paper) finishes in
-/// seconds — CI runs it on every push to catch bit-rot in the bench code
-/// and drift in the BENCH_*.json schema, not to measure anything.
+/// Process-wide smoke switch (dkb_bench --smoke). Under it every bench
+/// shrinks its sweep grids and rep counts so the whole suite finishes in
+/// seconds — ctest runs it on every build to catch bit-rot in the bench
+/// code, not to measure anything.
 inline bool& SmokeMode() {
   static bool smoke = false;
   return smoke;
 }
 
-/// Parses the flags shared by every bench binary (currently just --smoke).
-inline void ParseBenchArgs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") SmokeMode() = true;
-  }
+/// dkb_bench --connect HOST:PORT: the dkb_server the net bench drives.
+/// Empty means the net bench serves itself from an in-process server.
+inline std::string& ConnectTarget() {
+  static std::string target;
+  return target;
 }
 
 /// Rep count: the full number when measuring, a token count under --smoke.
@@ -74,298 +62,23 @@ T Unwrap(Result<T> result, const char* what) {
   return std::move(result).value();
 }
 
+/// The result of the run with the median `key` among `reps` runs of `body`.
+/// A breakdown (phase times, shares) read from one run stays consistent
+/// with that run's total, which per-field medians would not.
+template <typename F, typename K>
+auto MedianRun(int reps, F&& body, K&& key) {
+  std::vector<decltype(body())> runs;
+  runs.reserve(reps);
+  for (int i = 0; i < reps; ++i) runs.push_back(body());
+  std::sort(runs.begin(), runs.end(),
+            [&](const auto& a, const auto& b) { return key(a) < key(b); });
+  return runs[runs.size() / 2];
+}
+
 /// Median of `reps` runs of a timed body returning elapsed microseconds.
 template <typename F>
 int64_t MedianMicros(int reps, F&& body) {
-  std::vector<int64_t> samples;
-  samples.reserve(reps);
-  for (int i = 0; i < reps; ++i) samples.push_back(body());
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
-/// Renders microseconds with adaptive units.
-inline std::string FormatUs(int64_t us) {
-  char buf[64];
-  if (us >= 1000000) {
-    std::snprintf(buf, sizeof(buf), "%.2f s", us / 1e6);
-  } else if (us >= 1000) {
-    std::snprintf(buf, sizeof(buf), "%.2f ms", us / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%lld us", static_cast<long long>(us));
-  }
-  return buf;
-}
-
-inline std::string FormatPct(double fraction) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f%%", fraction * 100.0);
-  return buf;
-}
-
-inline std::string FormatF(double v, int digits = 2) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return buf;
-}
-
-/// Column-aligned ASCII table plus machine-readable CSV echo.
-class TablePrinter {
- public:
-  explicit TablePrinter(std::vector<std::string> headers)
-      : headers_(std::move(headers)) {}
-
-  void AddRow(std::vector<std::string> cells) {
-    rows_.push_back(std::move(cells));
-  }
-
-  void Print() const {
-    std::vector<size_t> widths(headers_.size());
-    for (size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
-    for (const auto& row : rows_) {
-      for (size_t c = 0; c < row.size() && c < widths.size(); ++c) {
-        widths[c] = std::max(widths[c], row[c].size());
-      }
-    }
-    auto print_row = [&](const std::vector<std::string>& row) {
-      for (size_t c = 0; c < row.size(); ++c) {
-        std::printf("%s%-*s", c ? "  " : "  ", static_cast<int>(widths[c]),
-                    row[c].c_str());
-      }
-      std::printf("\n");
-    };
-    print_row(headers_);
-    std::string rule;
-    for (size_t c = 0; c < headers_.size(); ++c) {
-      rule += std::string(widths[c], '-') + "  ";
-    }
-    std::printf("  %s\n", rule.c_str());
-    for (const auto& row : rows_) print_row(row);
-    // CSV echo for plotting.
-    std::printf("\n  csv,");
-    for (size_t c = 0; c < headers_.size(); ++c) {
-      std::printf("%s%s", c ? "," : "", headers_[c].c_str());
-    }
-    std::printf("\n");
-    for (const auto& row : rows_) {
-      std::printf("  csv,");
-      for (size_t c = 0; c < row.size(); ++c) {
-        std::printf("%s%s", c ? "," : "", row[c].c_str());
-      }
-      std::printf("\n");
-    }
-  }
-
- private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
-};
-
-/// Builds a BENCH_*.json object with a schema-versioned header identifying
-/// the machine and build, so result files are comparable across PRs. All
-/// string values go through JsonEscape — no hand-rolled printf JSON.
-///
-///   BenchJson json("concurrency");
-///   json.Add("workload", "ancestor tree depth 7");
-///   json.AddRaw("qps", "[{...}]");       // pre-rendered JSON value
-///   CheckOk(json.WriteFile("BENCH_parallel.json"), "write json");
-class BenchJson {
- public:
-  explicit BenchJson(const std::string& bench_name) {
-    Add("schema_version", static_cast<int64_t>(kBenchJsonSchemaVersion));
-    Add("bench", bench_name);
-    Add("hardware_threads",
-        static_cast<int64_t>(std::thread::hardware_concurrency()));
-    Add("pool_threads",
-        static_cast<int64_t>(GlobalThreadPool().num_threads()));
-    const char* env = std::getenv("DKB_THREADS");
-    Add("dkb_threads_env", env == nullptr ? "" : env);
-    Add("git_describe", DKB_GIT_DESCRIBE);
-  }
-
-  void Add(const std::string& key, const std::string& value) {
-    AddRaw(key, "\"" + JsonEscape(value) + "\"");
-  }
-  void Add(const std::string& key, const char* value) {
-    Add(key, std::string(value));
-  }
-  void Add(const std::string& key, int64_t value) {
-    AddRaw(key, std::to_string(value));
-  }
-  void Add(const std::string& key, double value) {
-    AddRaw(key, FormatF(value, 4));
-  }
-  void Add(const std::string& key, bool value) {
-    AddRaw(key, value ? "true" : "false");
-  }
-  /// Attaches an already-rendered JSON value (object/array/number).
-  void AddRaw(const std::string& key, const std::string& json) {
-    fields_.emplace_back(key, json);
-  }
-
-  std::string Render() const {
-    std::string out = "{\n";
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      out += "  \"" + JsonEscape(fields_[i].first) +
-             "\": " + fields_[i].second;
-      out += i + 1 < fields_.size() ? ",\n" : "\n";
-    }
-    out += "}\n";
-    return out;
-  }
-
-  Status WriteFile(const std::string& path) const {
-    FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-      return Status::Internal("cannot open " + path + " for writing");
-    }
-    std::string text = Render();
-    size_t written = std::fwrite(text.data(), 1, text.size(), out);
-    std::fclose(out);
-    if (written != text.size()) {
-      return Status::Internal("short write to " + path);
-    }
-    return Status::OK();
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
-
-/// Minimal JSON syntax checker (objects, arrays, strings with escapes,
-/// numbers, booleans, null). Used by bench smoke modes to validate that the
-/// BENCH_*.json they just wrote actually parses — printf-era escaping bugs
-/// are caught in CI rather than by downstream plotting scripts.
-class JsonValidator {
- public:
-  static bool Validate(const std::string& text, std::string* error) {
-    JsonValidator v(text);
-    v.SkipWs();
-    if (!v.Value()) {
-      if (error != nullptr) {
-        *error = "JSON syntax error near offset " + std::to_string(v.pos_);
-      }
-      return false;
-    }
-    v.SkipWs();
-    if (v.pos_ != text.size()) {
-      if (error != nullptr) {
-        *error = "trailing garbage at offset " + std::to_string(v.pos_);
-      }
-      return false;
-    }
-    return true;
-  }
-
- private:
-  explicit JsonValidator(const std::string& text) : text_(text) {}
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool Eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool Literal(const char* word) {
-    size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-  bool String() {
-    if (!Eat('"')) return false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_++];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) return false;
-            ++pos_;
-          }
-        } else if (std::string("\"\\/bfnrt").find(esc) == std::string::npos) {
-          return false;
-        }
-      }
-    }
-    return false;
-  }
-  bool Number() {
-    size_t start = pos_;
-    if (Eat('-')) {
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start && std::isdigit(static_cast<unsigned char>(text_[pos_ - 1]));
-  }
-  bool Value() {
-    SkipWs();
-    if (pos_ >= text_.size()) return false;
-    char c = text_[pos_];
-    if (c == '{') return Object();
-    if (c == '[') return Array();
-    if (c == '"') return String();
-    if (c == 't') return Literal("true");
-    if (c == 'f') return Literal("false");
-    if (c == 'n') return Literal("null");
-    return Number();
-  }
-  bool Object() {
-    if (!Eat('{')) return false;
-    SkipWs();
-    if (Eat('}')) return true;
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (!Eat(':')) return false;
-      if (!Value()) return false;
-      SkipWs();
-      if (Eat('}')) return true;
-      if (!Eat(',')) return false;
-    }
-  }
-  bool Array() {
-    if (!Eat('[')) return false;
-    SkipWs();
-    if (Eat(']')) return true;
-    while (true) {
-      if (!Value()) return false;
-      SkipWs();
-      if (Eat(']')) return true;
-      if (!Eat(',')) return false;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-/// Section banner matching the paper's test numbering.
-inline void Banner(const char* title, const char* paper_ref,
-                   const char* expectation) {
-  std::printf("\n=============================================================\n");
-  std::printf("%s\n", title);
-  std::printf("Paper reference: %s\n", paper_ref);
-  std::printf("Paper-shape expectation: %s\n", expectation);
-  std::printf("=============================================================\n\n");
+  return MedianRun(reps, body, [](int64_t us) { return us; });
 }
 
 }  // namespace dkb::bench

@@ -9,14 +9,14 @@
 // ~50x larger database. Epoch-pinned sessions are O(metadata), so the two
 // columns should be close; before this design the open cloned the whole
 // database and scaled with its size.
-//
-// Writes BENCH_wal.json (folded into BENCH_paper.json under "wal").
 
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench_setup.h"
@@ -31,12 +31,18 @@ int64_t NowUs() {
       .count();
 }
 
-/// A scratch wal_dir wiped of any previous run's log and checkpoint.
+/// Deletes a scratch wal_dir and everything in it, if it exists.
+void RemoveWalDir(const std::string& dir) {
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+}
+
+/// A scratch wal_dir wiped of any previous run's log and checkpoint. The
+/// caller removes it once the testbed using it has closed.
 std::string FreshWalDir(const std::string& tag) {
   std::string dir = "/tmp/dkb_bench_wal_" + tag + "_" +
                     std::to_string(static_cast<long long>(::getpid()));
-  std::remove((dir + "/dkb.wal").c_str());
-  std::remove((dir + "/dkb.ckpt").c_str());
+  RemoveWalDir(dir);
   return dir;
 }
 
@@ -48,7 +54,7 @@ std::unique_ptr<testbed::Testbed> MakeWriteTarget(
   return tb;
 }
 
-void RunCommitLatency(BenchJson* json) {
+void RunCommitLatency(Report* report) {
   struct Config {
     const char* name;
     bool wal;
@@ -63,13 +69,13 @@ void RunCommitLatency(BenchJson* json) {
   };
   const int kReps = Reps(200, 10);
 
-  TablePrinter table({"config", "commit_p50", "commits"});
-  std::string results = "[";
-  int n = 0;
+  Table table({Text("config"), Micros("commit_p50"), Count("commits")});
   for (const Config& cfg : kConfigs) {
     testbed::TestbedOptions options;
+    std::string wal_dir;
     if (cfg.wal) {
-      options.WithWalDir(FreshWalDir(cfg.name))
+      wal_dir = FreshWalDir(cfg.name);
+      options.WithWalDir(wal_dir)
           .WithWalFsync(cfg.fsync)
           .WithWalGroupCommit(cfg.group_commit);
     }
@@ -81,17 +87,14 @@ void RunCommitLatency(BenchJson* json) {
       CheckOk(tb->AddFacts("parent", {{Value(who), Value("c")}}), "AddFacts");
       return NowUs() - start;
     });
-    table.AddRow({cfg.name, FormatUs(p50), std::to_string(kReps)});
-    results += std::string(n ? ", " : "") + "{\"config\": \"" + cfg.name +
-               "\", \"commit_p50_us\": " + std::to_string(p50) + "}";
-    ++n;
+    tb.reset();  // closes the WAL before its directory goes
+    if (!wal_dir.empty()) RemoveWalDir(wal_dir);
+    table.Row({cfg.name, p50, kReps});
   }
-  table.Print();
-  results += "]";
-  json->AddRaw("commit_latency", results);
+  report->Add(std::move(table));
 }
 
-void RunSessionOpen(BenchJson* json) {
+void RunSessionOpen(Report* report) {
   const int kSmallDepth = 6;                    // 62 edges
   const int kBigDepth = SmokeSize(12, 7);       // 4094 edges full-size
   const int kReps = Reps(25, 5);
@@ -125,51 +128,30 @@ void RunSessionOpen(BenchJson* json) {
   int64_t small_oq = open_cost(small.get());
   int64_t big_oq = open_cost(big.get());
 
-  TablePrinter table({"database", "edges", "open_p50", "open_plus_query"});
-  table.AddRow({"small", std::to_string((1 << kSmallDepth) - 2),
-                FormatUs(small_open), FormatUs(small_oq)});
-  table.AddRow({"big", std::to_string((1 << kBigDepth) - 2),
-                FormatUs(big_open), FormatUs(big_oq)});
-  table.Print();
-  const double ratio = small_open > 0
-                           ? static_cast<double>(big_open) / small_open
-                           : 0.0;
-  std::printf("\nopen ratio big/small = %s (O(1) open => ~1.0; O(database) "
-              "would track the ~%dx data ratio)\n",
-              FormatF(ratio, 2).c_str(),
-              ((1 << kBigDepth) - 2) / ((1 << kSmallDepth) - 2));
-
-  json->AddRaw(
-      "session_open",
-      std::string("{\"small_edges\": ") +
-          std::to_string((1 << kSmallDepth) - 2) +
-          ", \"big_edges\": " + std::to_string((1 << kBigDepth) - 2) +
-          ", \"small_open_us\": " + std::to_string(small_open) +
-          ", \"big_open_us\": " + std::to_string(big_open) +
-          ", \"small_open_query_us\": " + std::to_string(small_oq) +
-          ", \"big_open_query_us\": " + std::to_string(big_oq) +
-          ", \"open_ratio\": " + FormatF(ratio, 4) + "}");
-}
-
-void Run() {
-  Banner("WAL & MVCC - durable commit latency and epoch session open",
-         "durability extension to the SIGMOD'88 testbed: WAL group commit, "
-         "columnar checkpoints, epoch-pinned sessions",
-         "group commit amortizes the fsync floor across writers; session "
-         "open is O(metadata), independent of database size");
-
-  BenchJson json("wal");
-  RunCommitLatency(&json);
-  std::printf("\n");
-  RunSessionOpen(&json);
-  CheckOk(json.WriteFile("BENCH_wal.json"), "write BENCH_wal.json");
+  const int small_edges = (1 << kSmallDepth) - 2;
+  const int big_edges = (1 << kBigDepth) - 2;
+  Table table({Text("database"), Count("edges"), Micros("open_p50"),
+               Micros("open_plus_query")});
+  table.Row({"small", small_edges, small_open, small_oq});
+  table.Row({"big", big_edges, big_open, big_oq});
+  report->Add(std::move(table));
+  // O(1) open reads ~1.0; an O(database) open would track the data ratio.
+  report->Value(Ratio("open_ratio"),
+                static_cast<double>(big_open) / small_open);
+  report->Value(Ratio("data_ratio", 0),
+                static_cast<double>(big_edges) / small_edges);
 }
 
 }  // namespace
-}  // namespace dkb::bench
 
-int main(int argc, char** argv) {
-  dkb::bench::ParseBenchArgs(argc, argv);
-  dkb::bench::Run();
-  return 0;
+void Wal(Report* report) {
+  report->Banner("WAL & MVCC - durable commit latency and epoch session open",
+                 "durability extension to the SIGMOD'88 testbed: WAL group "
+                 "commit, columnar checkpoints, epoch-pinned sessions",
+                 "group commit amortizes the fsync floor across writers; "
+                 "session open is O(metadata), independent of database size");
+  RunCommitLatency(report);
+  RunSessionOpen(report);
 }
+
+}  // namespace dkb::bench

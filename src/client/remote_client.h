@@ -17,7 +17,7 @@ namespace dkb {
 /// server-side COW session.
 ///
 /// The blocking Client methods are one round trip each. For pipelining —
-/// the bench_net hot path — use SendQueryBatch/ReceiveResultSets: any
+/// the `dkb_bench net` hot path — use SendQueryBatch/ReceiveResultSets: any
 /// number of batches may be in flight, and responses may be collected in
 /// any order (frames for other request ids are parked until asked for).
 ///

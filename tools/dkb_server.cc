@@ -4,7 +4,7 @@
 //   dkb_server --host 0.0.0.0 -p 7070  # reachable from other machines
 //
 // Clients: any dkb::RemoteClient — `dkb_repl --connect host:port`,
-// `dkb_profile --connect host:port`, `bench_net --connect host:port`.
+// `dkb_profile --connect host:port`, `dkb_bench --connect host:port net`.
 // Protocol: length-prefixed binary frames (src/net/wire.h); DESIGN.md
 // "Network layer & client API" documents the format and lifecycle.
 
