@@ -80,6 +80,13 @@ class RowBatch {
       cols_[c].push_back(std::move(row[c]));
     }
   }
+  /// Appends visible row `i` of `other`, which has the same column count.
+  void AppendRowOf(const RowBatch& other, size_t i) {
+    const size_t p = other.PhysicalIndex(i);
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      cols_[c].push_back(other.cols_[c][p]);
+    }
+  }
   /// Appends the concatenation of `left` and visible row `i` of `right`
   /// (hash/index join output).
   void AppendConcat(const Tuple& left, const RowBatch& right, size_t i) {

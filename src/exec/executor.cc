@@ -178,39 +178,61 @@ Result<QueryResult> Executor::ExecuteCreateIndex(
   return QueryResult{};
 }
 
+Result<PlannedInsert> PlannedInsert::Plan(const sql::InsertStmt& stmt,
+                                          const Catalog& catalog,
+                                          ExecStats* stats,
+                                          const std::vector<Value>* params,
+                                          const NamedSources* sources) {
+  DKB_RETURN_IF_ERROR(RejectSystemTable(stmt.table, "INSERT"));
+  if (stmt.select == nullptr) {
+    return Status::InvalidArgument("INSERT into " + stmt.table +
+                                   " has no SELECT to plan");
+  }
+  PlannedInsert planned;
+  DKB_ASSIGN_OR_RETURN(planned.target_, catalog.GetSource(stmt.table));
+  DKB_ASSIGN_OR_RETURN(planned.plan_, PlanSelect(*stmt.select, catalog, stats,
+                                                 params, sources));
+  if (planned.plan_->output_schema().num_columns() !=
+      planned.target_->schema().num_columns()) {
+    return Status::InvalidArgument("INSERT SELECT arity mismatch for table " +
+                                   stmt.table);
+  }
+  planned.stats_ = stats;
+  return planned;
+}
+
+Result<int64_t> PlannedInsert::Run() {
+  int64_t rows = 0;
+  size_t filled = 0;
+  DKB_RETURN_IF_ERROR(plan_->Open());
+  while (true) {
+    if (filled == buffered_.size()) buffered_.emplace_back();
+    RowBatch& batch = buffered_[filled];
+    DKB_ASSIGN_OR_RETURN(bool more, plan_->NextBatch(&batch));
+    if (!more) break;
+    StatAdd(stats_->batches);
+    rows += static_cast<int64_t>(batch.size());
+    ++filled;
+  }
+  plan_->Close();
+  for (size_t i = 0; i < filled; ++i) {
+    DKB_RETURN_IF_ERROR(target_->AppendBatch(buffered_[i]));
+    buffered_[i].Reset(buffered_[i].num_columns());
+  }
+  return rows;
+}
+
 Result<QueryResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
                                             const std::vector<Value>* params) {
-  DKB_RETURN_IF_ERROR(RejectSystemTable(stmt.table, "INSERT"));
-  DKB_ASSIGN_OR_RETURN(ScanSource * table, catalog_->GetSource(stmt.table));
   QueryResult result;
   if (stmt.select != nullptr) {
-    // Materialize the SELECT fully before inserting so that
-    // `INSERT INTO t SELECT ... FROM t ...` cannot chase its own inserts.
-    DKB_ASSIGN_OR_RETURN(PlanNodePtr plan,
-                         PlanSelect(*stmt.select, *catalog_, stats_, params));
-    if (plan->output_schema().num_columns() !=
-        table->schema().num_columns()) {
-      return Status::InvalidArgument(
-          "INSERT SELECT arity mismatch for table " + stmt.table);
-    }
-    std::vector<RowBatch> buffered;
-    int64_t buffered_rows = 0;
-    DKB_RETURN_IF_ERROR(plan->Open());
-    while (true) {
-      RowBatch batch;
-      DKB_ASSIGN_OR_RETURN(bool more, plan->NextBatch(&batch));
-      if (!more) break;
-      StatAdd(stats_->batches);
-      buffered_rows += static_cast<int64_t>(batch.size());
-      buffered.push_back(std::move(batch));
-    }
-    plan->Close();
-    for (const RowBatch& batch : buffered) {
-      DKB_RETURN_IF_ERROR(table->AppendBatch(batch));
-    }
-    result.rows_affected = buffered_rows;
+    DKB_ASSIGN_OR_RETURN(PlannedInsert planned,
+                         PlannedInsert::Plan(stmt, *catalog_, stats_, params));
+    DKB_ASSIGN_OR_RETURN(result.rows_affected, planned.Run());
     return result;
   }
+  DKB_RETURN_IF_ERROR(RejectSystemTable(stmt.table, "INSERT"));
+  DKB_ASSIGN_OR_RETURN(ScanSource * table, catalog_->GetSource(stmt.table));
   if (!stmt.param_cells.empty()) {
     // Substitute bound values into a copy of the VALUES matrix.
     std::vector<std::vector<Value>> rows = stmt.rows;

@@ -7,6 +7,7 @@
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "exec/plan.h"
+#include "exec/planner.h"
 #include "sql/ast.h"
 
 namespace dkb::exec {
@@ -25,6 +26,37 @@ struct QueryResult {
 /// operators that carry a Profile (EnableProfiling + execution) are
 /// annotated with rows, time, and morsel counts (EXPLAIN ANALYZE).
 std::string RenderPlan(const PlanNode& root, bool with_stats = false);
+
+/// An INSERT ... SELECT bound and planned once and runnable many times.
+/// Every Run re-opens the plan, so it reads the current contents of the
+/// relations (and windows) it names; the planner decides access paths from
+/// indexes and FROM order only, never from table sizes, so a plan stays the
+/// one a fresh planning call would build. Executor::ExecuteInsert runs each
+/// INSERT ... SELECT through one of these, and the semi-naive LFP keeps one
+/// per variant statement for a clique's whole fixpoint run.
+class PlannedInsert {
+ public:
+  PlannedInsert() = default;  // invalid; assign from Plan
+
+  /// Binds and plans `stmt`, which must have a SELECT source. `sources`
+  /// binds FROM-list names ahead of the catalog (see PlanSelect); the
+  /// target table always comes from the catalog.
+  static Result<PlannedInsert> Plan(const sql::InsertStmt& stmt,
+                                    const Catalog& catalog, ExecStats* stats,
+                                    const std::vector<Value>* params = nullptr,
+                                    const NamedSources* sources = nullptr);
+
+  /// Runs the SELECT to completion, then appends its rows to the target
+  /// (fully materialized first, so `INSERT INTO t SELECT ... FROM t` cannot
+  /// chase its own inserts). Returns the number of rows inserted.
+  Result<int64_t> Run();
+
+ private:
+  ScanSource* target_ = nullptr;
+  PlanNodePtr plan_;
+  ExecStats* stats_ = nullptr;
+  std::vector<RowBatch> buffered_;  // kept across runs for their capacity
+};
 
 /// Executes parsed statements against a catalog.
 class Executor {

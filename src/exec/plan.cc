@@ -83,7 +83,7 @@ Status SeqScanNode::OpenImpl() {
   const size_t nshards = source_->shard_count();
   size_t total_slots = 0;
   for (size_t sh = 0; sh < nshards; ++sh) {
-    total_slots += source_->shard(sh).num_slots();
+    total_slots += source_->ScanEnd(sh) - source_->ScanBegin(sh);
   }
   ThreadPool& pool = GlobalThreadPool();
   if (total_slots < tuning.seq_scan_min_rows || pool.num_threads() == 0) {
@@ -102,13 +102,13 @@ Status SeqScanNode::OpenImpl() {
   };
   std::vector<Cell> grid;
   for (size_t sh = 0; sh < nshards; ++sh) {
-    const Table& shard = source_->shard(sh);
-    const size_t n = shard.num_slots();
-    const size_t cells = (n + morsel - 1) / morsel;
-    if (cells > 0) shard.NoteMorsels(cells);
+    const RowId begin = source_->ScanBegin(sh);
+    const RowId end = source_->ScanEnd(sh);
+    const size_t cells = (end - begin + morsel - 1) / morsel;
+    if (cells > 0) source_->shard(sh).NoteMorsels(cells);
     for (size_t m = 0; m < cells; ++m) {
-      grid.push_back(Cell{sh, static_cast<RowId>(m * morsel),
-                          static_cast<RowId>(std::min(n, (m + 1) * morsel))});
+      grid.push_back(Cell{sh, begin + m * morsel,
+                          std::min<RowId>(end, begin + (m + 1) * morsel)});
     }
   }
   StatAdd(stats_->morsels, static_cast<int64_t>(grid.size()));

@@ -207,10 +207,12 @@ class PlanNode {
 
 using PlanNodePtr = std::unique_ptr<PlanNode>;
 
-/// Full-table scan over a ScanSource with optional pushed-down filter,
-/// batched straight off ScanSource::ScanBatch with the filter applied as a
-/// selection vector. Shards scan in order, so output order is deterministic
-/// for a given shard count.
+/// Sequential scan of every shard's scan range (the whole table, or a
+/// SlotWindow's slots) with optional pushed-down filter, batched straight
+/// off ScanSource::ScanBatch with the filter applied as a selection vector.
+/// Shards scan in order, so output order is deterministic for a given shard
+/// count. A re-opened plan over a moved window scans the window's current
+/// range.
 ///
 /// Sources with at least ParallelismPolicy::seq_scan_min_rows total slots
 /// are scanned as a shard × morsel work grid on GlobalThreadPool at Open

@@ -45,8 +45,8 @@ BoundExprPtr AndCombine(std::vector<BoundExprPtr> exprs) {
 class Planner {
  public:
   Planner(const Catalog& catalog, ExecStats* stats,
-          const std::vector<Value>* params)
-      : catalog_(catalog), stats_(stats), params_(params) {}
+          const std::vector<Value>* params, const NamedSources* sources)
+      : catalog_(catalog), stats_(stats), params_(params), sources_(sources) {}
 
   Result<PlanNodePtr> PlanStmt(const sql::SelectStmt& stmt);
 
@@ -60,16 +60,32 @@ class Planner {
   /// (marks consumed conjuncts used). Slots are table-local.
   Result<PlanNodePtr> PlanAccessPath(const Scope& scope, size_t binding,
                                      std::vector<ConjunctInfo*> conjuncts);
+  /// A FROM-list name: a named source if one is bound, else the catalog's.
+  Result<ResolvedSource> Resolve(const std::string& name) const;
 
   const Catalog& catalog_;
   ExecStats* stats_;
   const std::vector<Value>* params_;  // bound `?` values; may be null
+  const NamedSources* sources_;       // may be null
 
  public:
   /// Virtual-table snapshots materialized while planning; the caller pins
   /// them to the plan root so they outlive planning.
   std::vector<std::shared_ptr<const ScanSource>> pinned_;
 };
+
+Result<ResolvedSource> Planner::Resolve(const std::string& name) const {
+  if (sources_ != nullptr) {
+    auto it = sources_->find(AsciiLower(name));
+    if (it != sources_->end()) {
+      ResolvedSource resolved;
+      resolved.source = it->second;
+      resolved.read_epoch = catalog_.read_epoch();
+      return resolved;
+    }
+  }
+  return catalog_.ResolveScanSource(name);
+}
 
 Result<ConjunctInfo> Planner::Classify(const sql::Expr* expr,
                                        const Scope& scope) {
@@ -238,8 +254,7 @@ Result<PlanNodePtr> Planner::PlanCore(const sql::SelectCore& core) {
 
   Scope scope;
   for (const sql::TableRef& ref : core.from) {
-    DKB_ASSIGN_OR_RETURN(ResolvedSource resolved,
-                         catalog_.ResolveScanSource(ref.table));
+    DKB_ASSIGN_OR_RETURN(ResolvedSource resolved, Resolve(ref.table));
     if (resolved.owned != nullptr) pinned_.push_back(resolved.owned);
     DKB_RETURN_IF_ERROR(scope.AddTable(ref.EffectiveName(), resolved.source,
                                        resolved.read_epoch));
@@ -634,8 +649,9 @@ Result<PlanNodePtr> Planner::PlanStmt(const sql::SelectStmt& stmt) {
 
 Result<PlanNodePtr> PlanSelect(const sql::SelectStmt& stmt,
                                const Catalog& catalog, ExecStats* stats,
-                               const std::vector<Value>* params) {
-  Planner planner(catalog, stats, params);
+                               const std::vector<Value>* params,
+                               const NamedSources* sources) {
+  Planner planner(catalog, stats, params, sources);
   DKB_ASSIGN_OR_RETURN(PlanNodePtr plan, planner.PlanStmt(stmt));
   for (std::shared_ptr<const ScanSource>& source : planner.pinned_) {
     plan->PinSource(std::move(source));

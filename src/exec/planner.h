@@ -2,6 +2,8 @@
 #define DKB_EXEC_PLANNER_H_
 
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -10,6 +12,12 @@
 #include "sql/ast.h"
 
 namespace dkb::exec {
+
+/// Relations bound by name for one planning call, ahead of the catalog; the
+/// semi-naive LFP binds the names its variant SQL reads the delta and the
+/// previous relation by to SlotWindows over the IDB tables. Keys are
+/// lower-case (names resolve case-insensitively, as in the catalog).
+using NamedSources = std::unordered_map<std::string, const ScanSource*>;
 
 /// Compiles a SELECT statement into a physical operator tree.
 ///
@@ -24,9 +32,12 @@ namespace dkb::exec {
 /// `params` supplies bound values for `?` placeholders; they participate in
 /// access-path selection exactly like literals (a fresh plan is built per
 /// execution, so a parameterized key predicate still gets an index scan).
+/// `sources`, when set, binds FROM-list names ahead of the catalog (read at
+/// the catalog's read epoch).
 Result<PlanNodePtr> PlanSelect(const sql::SelectStmt& stmt,
                                const Catalog& catalog, ExecStats* stats,
-                               const std::vector<Value>* params = nullptr);
+                               const std::vector<Value>* params = nullptr,
+                               const NamedSources* sources = nullptr);
 
 }  // namespace dkb::exec
 

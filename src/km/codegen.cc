@@ -1,5 +1,7 @@
 #include "km/codegen.h"
 
+#include <set>
+
 #include "km/naming.h"
 
 namespace dkb::km {
@@ -30,6 +32,52 @@ std::string CreateTableSql(const PredicateBinding& b) {
   return ddl;
 }
 
+/// Fills node->variants: for every recursive rule of the clique `node`
+/// (the program's node `node_index`) and every clique member in its body,
+/// the variant reading the delta at that position. Negated atoms are never
+/// clique members (stratification), so they keep their stored relation.
+Status GenerateVariants(const QueryProgram& program, size_t node_index,
+                        ProgramNode* node) {
+  const std::set<std::string> members(node->predicates.begin(),
+                                      node->predicates.end());
+  const std::string prefix = "#n" + std::to_string(node_index) + "sr";
+  for (size_t r = 0; r < node->recursive_rules.size(); ++r) {
+    const datalog::Rule& rule = node->recursive_rules[r];
+    for (size_t delta_pos = 0; delta_pos < rule.body.size(); ++delta_pos) {
+      const datalog::Atom& atom = rule.body[delta_pos];
+      if (atom.negated || members.count(atom.predicate) == 0) continue;
+      BindingResolver resolver =
+          [&program, &members, delta_pos](
+              const datalog::Atom& a,
+              size_t body_index) -> Result<RelationBinding> {
+        auto it = program.bindings.find(a.predicate);
+        if (it == program.bindings.end()) {
+          return Status::Internal("no binding for " + a.predicate);
+        }
+        RelationBinding binding = it->second.AsRelation();
+        if (members.count(a.predicate) == 0) return binding;
+        if (body_index == delta_pos) {
+          binding.table = DeltaTableName(a.predicate);
+        } else if (body_index > delta_pos) {
+          binding.table = PrevTableName(a.predicate);
+        }
+        // body_index < delta_pos keeps the current full relation.
+        return binding;
+      };
+      RuleVariant variant;
+      variant.rule = r;
+      variant.delta_pos = delta_pos;
+      DKB_ASSIGN_OR_RETURN(
+          variant.sql,
+          RuleToSqlProgram(rule, resolver, NewTableName(rule.head.predicate),
+                           prefix + std::to_string(r + 1) + "_" +
+                               std::to_string(delta_pos)));
+      node->variants.push_back(std::move(variant));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::vector<std::string> QueryProgram::AllSqlTexts() const {
@@ -38,6 +86,10 @@ std::vector<std::string> QueryProgram::AllSqlTexts() const {
   for (const ProgramNode& node : nodes) {
     for (const CompiledRule& cr : node.exit_rules) {
       if (!cr.select_sql.empty()) out.push_back(cr.select_sql);
+    }
+    for (const RuleVariant& variant : node.variants) {
+      out.insert(out.end(), variant.sql.statements.begin(),
+                 variant.sql.statements.end());
     }
   }
   if (!final_select.empty()) out.push_back(final_select);
@@ -123,6 +175,10 @@ Result<QueryProgram> GenerateProgram(
         DKB_ASSIGN_OR_RETURN(cr.select_sql, RuleToSelect(rule, canonical));
       }
       node.exit_rules.push_back(std::move(cr));
+    }
+    if (node.is_clique) {
+      DKB_RETURN_IF_ERROR(
+          GenerateVariants(program, program.nodes.size(), &node));
     }
     program.nodes.push_back(std::move(node));
   }

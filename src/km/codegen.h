@@ -32,15 +32,32 @@ struct CompiledRule {
   std::string select_sql;
 };
 
+/// One semi-naive variant of a recursive rule (paper §3.3/§4(i)): body
+/// position `delta_pos` reads the last iteration's delta, earlier clique
+/// members the current relation, later ones the relation before the last
+/// delta. `sql` inserts the variant's rows into the head's #p_new; it reads
+/// the delta and the previous relation by the names DeltaTableName and
+/// PrevTableName, which the run time library binds to windows over the IDB
+/// tables.
+struct RuleVariant {
+  size_t rule = 0;       // index into ProgramNode::recursive_rules
+  size_t delta_pos = 0;  // body position that reads the delta
+  RuleSqlProgram sql;
+};
+
 /// One entry of the generated program, mirroring the evaluation order list.
 struct ProgramNode {
   bool is_clique = false;
   std::vector<std::string> predicates;
   /// Non-recursive nodes: all defining rules. Cliques: exit rules only.
   std::vector<CompiledRule> exit_rules;
-  /// Cliques: recursive rules (their delta-variant SQL is generated by the
-  /// run time library per iteration, as in the paper).
+  /// Cliques: recursive rules, as the naive and native evaluators read them.
   std::vector<datalog::Rule> recursive_rules;
+  /// Cliques: every recursive rule's semi-naive variants, in rule order and
+  /// then body order. Their SQL is generated here, once per program, as the
+  /// paper's preprocessor compiled the embedded SQL once per query; the run
+  /// time library binds and plans each statement once per run.
+  std::vector<RuleVariant> variants;
 };
 
 /// The "object program" the Knowledge Manager hands to the run time library

@@ -10,7 +10,11 @@ namespace dkb::km {
 ///
 /// Base (EDB) predicate p   -> table  edb_p   (columns c0..c{k-1})
 /// Derived (IDB) predicate p -> table idb_p   (columns c0..c{k-1})
-/// Run-time temporaries      -> #p_delta / #p_prev / #p_new / #p_diff
+/// Run-time temporaries      -> #p_new (both SQL strategies) and #p_diff
+///                              (naive's termination check)
+/// Semi-naive windows        -> #p_delta / #p_prev: names the variant SQL
+///                              reads; the run time library binds them to
+///                              slot windows over idb_p, not to tables
 
 inline std::string EdbTableName(const std::string& pred) {
   return "edb_" + pred;

@@ -1,24 +1,11 @@
 #include "lfp/eval_context.h"
 
-#include <unordered_set>
-
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "km/naming.h"
 
 namespace dkb::lfp {
 
 namespace {
-
-/// True when two sources have identical sharding layouts: same shard count
-/// and same partition column. Because ShardOf is a pure function of the key
-/// value, aligned sources place identical tuples in the same shard index —
-/// which makes per-shard set operations (diff, copy) exact with no
-/// cross-shard exchange.
-bool Aligned(const ScanSource& a, const ScanSource& b) {
-  return a.shard_count() == b.shard_count() &&
-         a.partition_column() == b.partition_column();
-}
 
 /// Seed-fact INSERT ... VALUES text for an empty-body rule.
 std::string SeedInsertSql(const datalog::Rule& seed,
@@ -49,6 +36,17 @@ Status EvalContext::Temp(const std::string& sql) {
 Status EvalContext::Rhs(const std::string& sql) {
   ScopedAccumulator acc(&stats_->t_rhs_us);
   return db_->Execute(sql).status();
+}
+
+Result<PlannedStatement> EvalContext::Plan(const std::string& sql,
+                                           const exec::NamedSources* sources) {
+  ScopedAccumulator acc(&stats_->t_rhs_us);
+  return db_->Plan(sql, sources);
+}
+
+Status EvalContext::Rhs(PlannedStatement* statement) {
+  ScopedAccumulator acc(&stats_->t_rhs_us);
+  return statement->Run().status();
 }
 
 Status EvalContext::Term(const std::string& sql) {
@@ -146,177 +144,6 @@ Status EvalContext::Clear(const std::string& name) {
 
 Status EvalContext::Copy(const std::string& dst, const std::string& src) {
   return Temp("INSERT INTO " + dst + " SELECT * FROM " + src);
-}
-
-Status EvalContext::ClearTable(const std::string& name) {
-  ScopedAccumulator acc(&stats_->t_temp_us);
-  DKB_ASSIGN_OR_RETURN(ScanSource * table, db_->catalog().GetSource(name));
-  table->Clear();
-  return Status::OK();
-}
-
-Status EvalContext::CopyTable(const std::string& dst, const std::string& src) {
-  ScopedAccumulator acc(&stats_->t_temp_us);
-  DKB_ASSIGN_OR_RETURN(ScanSource * d, db_->catalog().GetSource(dst));
-  DKB_ASSIGN_OR_RETURN(ScanSource * s, db_->catalog().GetSource(src));
-  // Sessions read base tables at their pinned epoch; temps are unversioned
-  // (visible at every epoch), so one epoch covers both source kinds.
-  const Epoch at = db_->catalog().read_epoch();
-
-  ThreadPool& pool = GlobalThreadPool();
-  if (Aligned(*d, *s) && d->shard_count() > 1 && pool.num_threads() > 0) {
-    // Aligned sources: shard i of src holds exactly the rows that belong in
-    // shard i of dst, so shards copy independently — no routing, no locks
-    // (distinct shards are mutable by distinct threads).
-    std::vector<Status> statuses(d->shard_count());
-    pool.ParallelFor(0, d->shard_count(), [&](size_t sh) {
-      Table& to = d->shard(sh);
-      const Table& from = s->shard(sh);
-      RowBatch batch;
-      RowId cursor = 0;
-      while (true) {
-        cursor = from.ScanBatch(cursor, &batch, at);
-        if (batch.empty()) break;
-        statuses[sh] = to.AppendBatch(batch);
-        if (!statuses[sh].ok()) break;
-      }
-    });
-    for (const Status& st : statuses) DKB_RETURN_IF_ERROR(st);
-    return Status::OK();
-  }
-
-  // Serial / unaligned fallback: scan shard-major and let the destination's
-  // AppendBatch hash-repartition rows to their home shards.
-  RowBatch batch;
-  for (size_t sh = 0; sh < s->shard_count(); ++sh) {
-    RowId cursor = 0;
-    while (true) {
-      cursor = s->ScanBatch(sh, cursor, &batch, at);
-      if (batch.empty()) break;
-      DKB_RETURN_IF_ERROR(d->AppendBatch(batch));
-    }
-  }
-  return Status::OK();
-}
-
-Result<int64_t> EvalContext::DiffInto(const std::string& diff,
-                                      const std::string& new_table,
-                                      const std::string& full) {
-  ScopedAccumulator acc(&stats_->t_term_us);
-  DKB_ASSIGN_OR_RETURN(ScanSource * dst, db_->catalog().GetSource(diff));
-  DKB_ASSIGN_OR_RETURN(ScanSource * src_new,
-                       db_->catalog().GetSource(new_table));
-  DKB_ASSIGN_OR_RETURN(ScanSource * src_full,
-                       db_->catalog().GetSource(full));
-  const Epoch at = db_->catalog().read_epoch();
-
-  // One shard's diff: dedups new-rows of shard `sh` against full-rows of
-  // shard `sh`, appending survivors to dst's shard `sh`.
-  auto diff_shard = [&](size_t sh, int64_t* appended) -> Status {
-    const Table& full_shard = src_full->shard(sh);
-    const Table& new_shard = src_new->shard(sh);
-    Table& dst_shard = dst->shard(sh);
-
-    // Seed the dedup set with the accumulated relation; stored tuples carry
-    // interned VARCHARs, so hashing and equality are O(1) per value.
-    std::unordered_set<Tuple, TupleHash> seen;
-    seen.reserve(full_shard.num_tuples() + new_shard.num_tuples());
-    RowBatch batch;
-    RowId cursor = 0;
-    while (true) {
-      cursor = full_shard.ScanBatch(cursor, &batch, at);
-      if (batch.empty()) break;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        seen.insert(batch.MaterializeTuple(i));
-      }
-    }
-
-    RowBatch out;
-    out.Reset(dst_shard.schema().num_columns());
-    cursor = 0;
-    while (true) {
-      cursor = new_shard.ScanBatch(cursor, &batch, at);
-      if (batch.empty()) break;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        Tuple t = batch.MaterializeTuple(i);
-        if (seen.count(t) > 0) continue;
-        out.AppendRow(t);
-        seen.insert(std::move(t));
-        ++*appended;
-        if (out.full()) {
-          DKB_RETURN_IF_ERROR(dst_shard.AppendBatch(out));
-          out.Reset(dst_shard.schema().num_columns());
-        }
-      }
-    }
-    if (!out.empty()) DKB_RETURN_IF_ERROR(dst_shard.AppendBatch(out));
-    return Status::OK();
-  };
-
-  const size_t nshards = dst->shard_count();
-  ThreadPool& pool = GlobalThreadPool();
-  if (nshards > 1 && Aligned(*dst, *src_new) && Aligned(*dst, *src_full)) {
-    // Aligned layout means identical tuples land in the same shard index
-    // everywhere, so each shard's diff is exact on its own — this is the
-    // shard-parallel termination diff at the heart of the semi-naive loop.
-    std::vector<int64_t> counts(nshards, 0);
-    std::vector<Status> statuses(nshards);
-    if (pool.num_threads() > 0) {
-      pool.ParallelFor(0, nshards, [&](size_t sh) {
-        statuses[sh] = diff_shard(sh, &counts[sh]);
-      });
-    } else {
-      for (size_t sh = 0; sh < nshards; ++sh) {
-        statuses[sh] = diff_shard(sh, &counts[sh]);
-      }
-    }
-    int64_t appended = 0;
-    for (size_t sh = 0; sh < nshards; ++sh) {
-      DKB_RETURN_IF_ERROR(statuses[sh]);
-      appended += counts[sh];
-    }
-    return appended;
-  }
-  if (nshards == 1 && src_new->shard_count() == 1 &&
-      src_full->shard_count() == 1) {
-    int64_t appended = 0;
-    DKB_RETURN_IF_ERROR(diff_shard(0, &appended));
-    return appended;
-  }
-
-  // Unaligned fallback: global dedup set over all shards of full, then
-  // route survivors through dst's AppendBatch (hash repartitioning).
-  std::unordered_set<Tuple, TupleHash> seen;
-  seen.reserve(src_full->num_tuples() + src_new->num_tuples());
-  RowBatch batch;
-  src_full->Scan([&](RowId, const Tuple& t) { seen.insert(t); }, at);
-  int64_t appended = 0;
-  RowBatch out;
-  out.Reset(dst->schema().num_columns());
-  Status append_status = Status::OK();
-  for (size_t sh = 0; sh < src_new->shard_count() && append_status.ok();
-       ++sh) {
-    RowId cursor = 0;
-    while (append_status.ok()) {
-      cursor = src_new->ScanBatch(sh, cursor, &batch, at);
-      if (batch.empty()) break;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        Tuple t = batch.MaterializeTuple(i);
-        if (seen.count(t) > 0) continue;
-        out.AppendRow(t);
-        seen.insert(std::move(t));
-        ++appended;
-        if (out.full()) {
-          append_status = dst->AppendBatch(out);
-          if (!append_status.ok()) break;
-          out.Reset(dst->schema().num_columns());
-        }
-      }
-    }
-  }
-  DKB_RETURN_IF_ERROR(append_status);
-  if (!out.empty()) DKB_RETURN_IF_ERROR(dst->AppendBatch(out));
-  return appended;
 }
 
 Status EvalContext::Drop(const std::string& name) {

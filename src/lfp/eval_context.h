@@ -27,15 +27,26 @@ class EvalContext {
   trace::TraceSpan* span() const { return span_; }
   void set_span(trace::TraceSpan* span) { span_ = span; }
 
-  /// Per-iteration new-tuple counts recorded by the clique evaluators,
-  /// harvested into NodeStats::delta_sizes after each node.
+  /// Per-iteration counts recorded by the clique evaluators, harvested into
+  /// NodeStats::delta_sizes / new_sizes / driver_rows after each node.
   std::vector<int64_t>& delta_sizes() { return delta_sizes_; }
+  std::vector<int64_t>& new_sizes() { return new_sizes_; }
+  std::vector<int64_t>& driver_rows() { return driver_rows_; }
 
   /// Temp-table management: CREATE/DROP/DELETE-all and table copies.
   Status Temp(const std::string& sql);
 
   /// Rule-body (or differential) evaluation.
   Status Rhs(const std::string& sql);
+
+  /// Binds and plans a rule-body statement for repeated runs (RHS bucket:
+  /// the planning every execution of the statement used to repeat).
+  /// `sources` binds FROM-list names ahead of the catalog.
+  Result<PlannedStatement> Plan(const std::string& sql,
+                                const exec::NamedSources* sources);
+
+  /// Runs a planned rule-body statement.
+  Status Rhs(PlannedStatement* statement);
 
   /// Termination-check work (set differences and counts).
   Status Term(const std::string& sql);
@@ -78,24 +89,6 @@ class EvalContext {
   /// INSERT INTO `dst` SELECT * FROM `src` (a full table copy).
   Status Copy(const std::string& dst, const std::string& src);
 
-  /// Batch-native variant of Clear: truncates the table directly without a
-  /// SQL round-trip (temp-management bucket).
-  Status ClearTable(const std::string& name);
-
-  /// Batch-native variant of Copy: streams `src` into `dst` with
-  /// Table::ScanBatch/AppendBatch (temp-management bucket).
-  Status CopyTable(const std::string& dst, const std::string& src);
-
-  /// Batch-native semi-naive termination step: appends to `diff` every
-  /// distinct row of `new_table` not already in `full` and returns how many
-  /// were appended. Dedup runs over a hash set keyed on interned values —
-  /// the O(1)-hash replacement for the prepared
-  /// `INSERT INTO diff (SELECT * FROM new) EXCEPT (SELECT * FROM full)`
-  /// + COUNT(*) statement pair (termination bucket).
-  Result<int64_t> DiffInto(const std::string& diff,
-                           const std::string& new_table,
-                           const std::string& full);
-
   Status Drop(const std::string& name);
 
   /// Live rows of a table, read from storage without a SQL statement (not
@@ -108,6 +101,8 @@ class EvalContext {
   ExecutionStats* stats_;
   trace::TraceSpan* span_ = nullptr;
   std::vector<int64_t> delta_sizes_;
+  std::vector<int64_t> new_sizes_;
+  std::vector<int64_t> driver_rows_;
 };
 
 }  // namespace dkb::lfp

@@ -55,6 +55,8 @@ Status RunOneNode(EvalContext* ctx, const km::QueryProgram& program,
   ns.is_clique = node.is_clique;
   ns.iterations = iterations;
   ns.delta_sizes = std::move(ctx->delta_sizes());
+  ns.new_sizes = std::move(ctx->new_sizes());
+  ns.driver_rows = std::move(ctx->driver_rows());
   ctx->set_span(nullptr);
   for (const std::string& p : node.predicates) {
     DKB_ASSIGN_OR_RETURN(int64_t n,

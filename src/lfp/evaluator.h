@@ -56,6 +56,14 @@ struct NodeStats {
   /// predicates (the semi-naive delta cardinality; EXPLAIN ANALYZE shows
   /// these). Empty for non-clique nodes.
   std::vector<int64_t> delta_sizes;
+  /// Semi-naive only, one entry per iteration like delta_sizes: the rows
+  /// the variants wrote to #p_new, and the rows the driver touched outside
+  /// SQL statements (rows of #p_new read and probed, dedup-index inserts,
+  /// rows appended to the IDB table, temporary rows cleared). Exact counts,
+  /// so per-delta work is checkable without timing. Empty for the other
+  /// strategies.
+  std::vector<int64_t> new_sizes;
+  std::vector<int64_t> driver_rows;
 };
 
 /// D/KB query execution breakdown (paper §5.3.1.2, Tables 5-6).

@@ -1,125 +1,232 @@
 #include "lfp/seminaive.h"
 
-#include <set>
+#include <memory>
 
+#include "common/str_util.h"
+#include "common/thread_pool.h"
+#include "common/timer.h"
 #include "km/naming.h"
-#include "km/rule_sql.h"
+#include "lfp/dedup_index.h"
 
 namespace dkb::lfp {
 
-Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
-                                        const km::QueryProgram& program,
-                                        const km::ProgramNode& node,
-                                        size_t node_index) {
-  const std::set<std::string> members(node.predicates.begin(),
-                                      node.predicates.end());
-  const std::string np = "#n" + std::to_string(node_index);
+namespace {
 
-  // Temp tables per member: delta, prev (value before the last delta was
-  // merged), new (variant union), diff (new delta / termination check).
-  for (const std::string& p : node.predicates) {
+/// One clique member while the clique iterates. Its IDB table only grows
+/// until the fixpoint, so the relation before the last iteration and the
+/// last iteration's delta are slot windows over it, and its dedup index
+/// holds exactly the table's distinct rows.
+struct Member {
+  ScanSource* full = nullptr;   // idb_p
+  ScanSource* fresh = nullptr;  // #p_new, written by the variants
+  std::unique_ptr<SlotWindow> prev;   // [0, w_prev) of every shard
+  std::unique_ptr<SlotWindow> delta;  // [w_prev, w_full)
+  std::vector<DedupIndex> seen;       // one per shard of `full`
+};
+
+/// What one shard of #p_new contributed to a termination step.
+struct ShardCounts {
+  int64_t read = 0;      // rows scanned, each probed once
+  int64_t appended = 0;  // rows new to the relation: inserted and appended
+};
+
+/// The work of one iteration outside SQL statements (NodeStats::new_sizes
+/// and NodeStats::driver_rows).
+struct IterationWork {
+  int64_t fresh = 0;   // rows the variants wrote to #p_new
+  int64_t driver = 0;  // rows read, probed, inserted, appended or cleared
+};
+
+/// Probes the rows of shard `sh` of m->fresh against the dedup index of
+/// their home shard in m->full and appends the new ones there. When the two
+/// layouts are aligned every row's home shard is `sh`, so distinct shards
+/// may run concurrently.
+Status AbsorbShard(Member* m, size_t sh, ShardCounts* counts) {
+  const Table& from = m->fresh->shard(sh);
+  const size_t homes = m->full->shard_count();
+  const size_t pc = m->full->partition_column();
+  const size_t width = m->full->schema().num_columns();
+  std::vector<RowBatch> out(homes);
+  for (RowBatch& b : out) b.Reset(width);
+  RowBatch batch;
+  RowId cursor = 0;
+  while (true) {
+    cursor = from.ScanBatch(cursor, &batch);
+    if (batch.empty()) break;
+    counts->read += static_cast<int64_t>(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const size_t home =
+          homes == 1 ? 0 : m->full->ShardOfValue(batch.At(i, pc));
+      if (!m->seen[home].Insert(batch, i)) continue;
+      ++counts->appended;
+      out[home].AppendRowOf(batch, i);
+      if (out[home].full()) {
+        DKB_RETURN_IF_ERROR(m->full->shard(home).AppendBatch(out[home]));
+        out[home].Reset(width);
+      }
+    }
+  }
+  for (size_t home = 0; home < homes; ++home) {
+    if (!out[home].empty()) {
+      DKB_RETURN_IF_ERROR(m->full->shard(home).AppendBatch(out[home]));
+    }
+  }
+  return Status::OK();
+}
+
+/// A member's part of the termination step: appends the rows of #p_new that
+/// are new to the relation, then moves the windows so the next iteration's
+/// delta is exactly those rows and its previous relation everything before
+/// them. Returns the number of rows appended.
+Result<int64_t> Absorb(Member* m, IterationWork* work) {
+  const size_t shards = m->full->shard_count();
+  std::vector<RowId> before(shards);
+  for (size_t s = 0; s < shards; ++s) before[s] = m->full->shard(s).num_slots();
+
+  const size_t sources = m->fresh->shard_count();
+  std::vector<ShardCounts> counts(sources);
+  std::vector<Status> statuses(sources);
+  ThreadPool& pool = GlobalThreadPool();
+  const bool aligned = sources == shards &&
+                       m->fresh->partition_column() ==
+                           m->full->partition_column();
+  if (aligned && shards > 1 && pool.num_threads() > 0) {
+    pool.ParallelFor(0, shards, [&](size_t sh) {
+      statuses[sh] = AbsorbShard(m, sh, &counts[sh]);
+    });
+  } else {
+    for (size_t sh = 0; sh < sources && statuses[sh].ok(); ++sh) {
+      statuses[sh] = AbsorbShard(m, sh, &counts[sh]);
+    }
+  }
+  int64_t appended = 0;
+  for (size_t sh = 0; sh < sources; ++sh) {
+    DKB_RETURN_IF_ERROR(statuses[sh]);
+    work->fresh += counts[sh].read;
+    work->driver += 2 * counts[sh].read + 2 * counts[sh].appended;
+    appended += counts[sh].appended;
+  }
+  for (size_t s = 0; s < shards; ++s) {
+    m->prev->Set(s, 0, before[s]);
+    m->delta->Set(s, before[s], m->full->shard(s).num_slots());
+  }
+  return appended;
+}
+
+/// The termination step (paper §3.3): every member absorbs its #p_new into
+/// its relation, and the temporaries are emptied for the next iteration.
+/// Returns the number of rows new to the relations, the next delta.
+Result<int64_t> Terminate(EvalContext* ctx, std::vector<Member>* members,
+                          const std::vector<ScanSource*>& bind_tables,
+                          IterationWork* work) {
+  int64_t delta = 0;
+  {
+    ScopedAccumulator acc(&ctx->stats()->t_term_us);
+    for (Member& m : *members) {
+      DKB_ASSIGN_OR_RETURN(int64_t appended, Absorb(&m, work));
+      delta += appended;
+    }
+  }
+  ScopedAccumulator acc(&ctx->stats()->t_temp_us);
+  for (Member& m : *members) {
+    work->driver += static_cast<int64_t>(m.fresh->num_tuples());
+    m.fresh->Clear();
+  }
+  for (ScanSource* table : bind_tables) {
+    work->driver += static_cast<int64_t>(table->num_tuples());
+    table->Clear();
+  }
+  return delta;
+}
+
+/// Sets up the clique's temporaries, windows, indexes and plans, then
+/// iterates to the fixpoint; returns the number of iterations.
+Result<int64_t> Iterate(EvalContext* ctx, const km::QueryProgram& program,
+                        const km::ProgramNode& node, size_t node_index) {
+  Catalog& catalog = ctx->db()->catalog();
+
+  // Per member: the #p_new temporary, the windows the variant SQL reads as
+  // #p_delta and #p_prev, and the dedup index.
+  std::vector<Member> members(node.predicates.size());
+  exec::NamedSources windows;
+  for (size_t k = 0; k < node.predicates.size(); ++k) {
+    const std::string& p = node.predicates[k];
     const km::PredicateBinding& b = program.bindings.at(p);
-    DKB_RETURN_IF_ERROR(ctx->CreateLike(km::DeltaTableName(p), b));
-    DKB_RETURN_IF_ERROR(ctx->CreateLike(km::PrevTableName(p), b));
+    Member& m = members[k];
     DKB_RETURN_IF_ERROR(ctx->CreateLike(km::NewTableName(p), b));
-    DKB_RETURN_IF_ERROR(ctx->CreateLike(km::DiffTableName(p), b));
+    DKB_ASSIGN_OR_RETURN(m.full, catalog.GetSource(b.table));
+    DKB_ASSIGN_OR_RETURN(m.fresh, catalog.GetSource(km::NewTableName(p)));
+    m.prev = std::make_unique<SlotWindow>(km::PrevTableName(p), m.full);
+    m.delta = std::make_unique<SlotWindow>(km::DeltaTableName(p), m.full);
+    m.seen.assign(m.full->shard_count(), DedupIndex(b.columns.size()));
+    windows[AsciiLower(km::PrevTableName(p))] = m.prev.get();
+    windows[AsciiLower(km::DeltaTableName(p))] = m.delta.get();
   }
 
-  // p^(0): exit rules.
-  DKB_RETURN_IF_ERROR(ctx->EvalExitRules(program, node, node_index));
-  // delta^(0) = p^(0); prev = p^(-1) = empty.
-  for (const std::string& p : node.predicates) {
-    DKB_RETURN_IF_ERROR(
-        ctx->CopyTable(km::DeltaTableName(p), program.bindings.at(p).table));
+  // The variants' binding tables (rules with negation), then every variant
+  // statement bound and planned once for the whole run.
+  std::vector<ScanSource*> bind_tables;
+  for (const km::RuleVariant& variant : node.variants) {
+    for (const km::RuleSqlProgram::BindTable& bind : variant.sql.bind_tables) {
+      DKB_RETURN_IF_ERROR(ctx->CreateWithSchema(bind.name, bind.schema));
+      DKB_ASSIGN_OR_RETURN(ScanSource * table, catalog.GetSource(bind.name));
+      bind_tables.push_back(table);
+    }
+  }
+  std::vector<PlannedStatement> plans;
+  for (const km::RuleVariant& variant : node.variants) {
+    for (const std::string& sql : variant.sql.statements) {
+      DKB_ASSIGN_OR_RETURN(PlannedStatement planned, ctx->Plan(sql, &windows));
+      plans.push_back(std::move(planned));
+    }
   }
 
-  // The per-iteration termination step (diff := new - full, plus its count)
-  // runs batch-native through EvalContext::DiffInto — a hash-set difference
-  // keyed on interned values — instead of the prepared
-  // INSERT ... EXCEPT + COUNT(*) statement pair of the SQL-driven engine.
+  // p^(0): the exit rules' rows, absorbed like any iteration's, become the
+  // first delta (the previous relation starts empty).
+  DKB_RETURN_IF_ERROR(
+      ctx->EvalExitRules(program, node, node_index, /*into_new=*/true));
+  IterationWork seed_work;
+  DKB_RETURN_IF_ERROR(
+      Terminate(ctx, &members, bind_tables, &seed_work).status());
 
   int64_t iterations = 0;
   while (true) {
     ++iterations;
     trace::ScopedSpan iter_span(ctx->span(), "iteration");
     iter_span.Tag("iter", iterations);
-    for (const std::string& p : node.predicates) {
-      DKB_RETURN_IF_ERROR(ctx->ClearTable(km::NewTableName(p)));
+    for (PlannedStatement& planned : plans) {
+      DKB_RETURN_IF_ERROR(ctx->Rhs(&planned));
     }
+    IterationWork work;
+    DKB_ASSIGN_OR_RETURN(int64_t delta,
+                         Terminate(ctx, &members, bind_tables, &work));
+    ctx->delta_sizes().push_back(delta);
+    ctx->new_sizes().push_back(work.fresh);
+    ctx->driver_rows().push_back(work.driver);
+    iter_span.Tag("delta", delta);
+    if (delta == 0) break;
+  }
+  return iterations;
+}
 
-    // Differential variants of each recursive rule. Negated atoms are
-    // never clique members (stratification), so they are unaffected by the
-    // delta substitution.
-    size_t rule_counter = 0;
-    for (const datalog::Rule& rule : node.recursive_rules) {
-      ++rule_counter;
-      std::vector<size_t> member_positions;
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (!rule.body[i].negated &&
-            members.count(rule.body[i].predicate) > 0) {
-          member_positions.push_back(i);
-        }
-      }
-      for (size_t delta_pos : member_positions) {
-        km::BindingResolver resolver =
-            [&program, &members, delta_pos](
-                const datalog::Atom& atom,
-                size_t body_index) -> Result<km::RelationBinding> {
-          auto it = program.bindings.find(atom.predicate);
-          if (it == program.bindings.end()) {
-            return Status::Internal("no binding for " + atom.predicate);
-          }
-          km::RelationBinding binding = it->second.AsRelation();
-          if (members.count(atom.predicate) == 0) return binding;
-          if (body_index == delta_pos) {
-            binding.table = km::DeltaTableName(atom.predicate);
-          } else if (body_index > delta_pos) {
-            binding.table = km::PrevTableName(atom.predicate);
-          }
-          // body_index < delta_pos keeps the current full relation.
-          return binding;
-        };
-        DKB_RETURN_IF_ERROR(ctx->EvalRuleInto(
-            rule, resolver, km::NewTableName(rule.head.predicate),
-            np + "sr" + std::to_string(rule_counter) + "_" +
-                std::to_string(delta_pos)));
-      }
-    }
+}  // namespace
 
-    // New delta + termination check: diff = new - accumulated.
-    bool changed = false;
-    int64_t delta_total = 0;
-    for (const std::string& p : node.predicates) {
-      DKB_RETURN_IF_ERROR(ctx->ClearTable(km::DiffTableName(p)));
-      DKB_ASSIGN_OR_RETURN(
-          int64_t cnt,
-          ctx->DiffInto(km::DiffTableName(p), km::NewTableName(p),
-                        program.bindings.at(p).table));
-      if (cnt > 0) changed = true;
-      delta_total += cnt;
-    }
-    ctx->delta_sizes().push_back(delta_total);
-    iter_span.Tag("delta", delta_total);
-    if (!changed) break;
-
-    // prev := full; full += diff; delta := diff.
-    for (const std::string& p : node.predicates) {
-      const km::PredicateBinding& b = program.bindings.at(p);
-      DKB_RETURN_IF_ERROR(ctx->ClearTable(km::PrevTableName(p)));
-      DKB_RETURN_IF_ERROR(ctx->CopyTable(km::PrevTableName(p), b.table));
-      DKB_RETURN_IF_ERROR(ctx->CopyTable(b.table, km::DiffTableName(p)));
-      DKB_RETURN_IF_ERROR(ctx->ClearTable(km::DeltaTableName(p)));
-      DKB_RETURN_IF_ERROR(
-          ctx->CopyTable(km::DeltaTableName(p), km::DiffTableName(p)));
+Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
+                                        const km::QueryProgram& program,
+                                        const km::ProgramNode& node,
+                                        size_t node_index) {
+  Result<int64_t> iterations = Iterate(ctx, program, node, node_index);
+  // Drop the temporaries win or lose, so a failed run leaves none behind.
+  auto drop = [&](const std::string& name) {
+    Status status = ctx->Drop(name);
+    if (iterations.ok() && !status.ok()) iterations = status;
+  };
+  for (const km::RuleVariant& variant : node.variants) {
+    for (const km::RuleSqlProgram::BindTable& bind : variant.sql.bind_tables) {
+      drop(bind.name);
     }
   }
-
-  for (const std::string& p : node.predicates) {
-    DKB_RETURN_IF_ERROR(ctx->Drop(km::DeltaTableName(p)));
-    DKB_RETURN_IF_ERROR(ctx->Drop(km::PrevTableName(p)));
-    DKB_RETURN_IF_ERROR(ctx->Drop(km::NewTableName(p)));
-    DKB_RETURN_IF_ERROR(ctx->Drop(km::DiffTableName(p)));
-  }
+  for (const std::string& p : node.predicates) drop(km::NewTableName(p));
   return iterations;
 }
 

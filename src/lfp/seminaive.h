@@ -14,11 +14,21 @@ namespace dkb::lfp {
 ///   occurrence i  -> last delta
 ///   suffix(j > i) -> previous full relation
 ///
-/// unions the variants, subtracts the accumulated relation to obtain the
-/// new delta, and terminates when all deltas are empty.
+/// unions the variants into #p_new, keeps the rows new to the accumulated
+/// relation as the next delta, and terminates when all deltas are empty.
 ///
-/// Returns the number of iterations. `node_index` namespaces the binding
-/// pipeline's temp tables so independent nodes can evaluate concurrently.
+/// Every iteration works in proportion to its delta. The variants are the
+/// program's precompiled RuleVariants, bound and planned once per run and
+/// re-opened each iteration. Each IDB table only grows during the run, so
+/// the delta and the previous relation are SlotWindows over it, not
+/// tables; the termination step probes only the rows #p_new holds against
+/// the relation's dedup index and appends the survivors to the IDB table.
+/// #p_new (plus the binding tables of rules with negation) is the only
+/// temporary.
+///
+/// Returns the number of iterations. `node_index` must be the node's
+/// position in `program` (the variants' binding-table names carry it, so
+/// independent nodes can evaluate concurrently).
 Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
                                         const km::QueryProgram& program,
                                         const km::ProgramNode& node,

@@ -55,6 +55,24 @@ Result<QueryResult> PreparedStatement::Execute() {
 }
 
 // ---------------------------------------------------------------------------
+// PlannedStatement
+// ---------------------------------------------------------------------------
+
+Result<int64_t> PlannedStatement::Run() {
+  if (db_ == nullptr) {
+    return Status::InvalidArgument("Run on an invalid PlannedStatement");
+  }
+  exec::StatAdd(db_->stats_.statements);
+  Result<int64_t> rows = insert_.Run();
+  if (!rows.ok()) {
+    return Status(rows.status().code(), rows.status().message() +
+                                            " [while executing: " + text_ +
+                                            "]");
+  }
+  return rows;
+}
+
+// ---------------------------------------------------------------------------
 // Database
 // ---------------------------------------------------------------------------
 
@@ -114,6 +132,25 @@ Result<PreparedStatement> Database::Prepare(const std::string& sql) {
   DKB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::Statement> stmt,
                        ParseCached(sql));
   return PreparedStatement(this, std::move(stmt));
+}
+
+Result<PlannedStatement> Database::Plan(const std::string& sql,
+                                       const exec::NamedSources* sources) {
+  DKB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::Statement> stmt,
+                       ParseCached(sql));
+  if (stmt->kind != sql::StatementKind::kInsert || stmt->param_count > 0) {
+    return Status::InvalidArgument(
+        "only a parameterless INSERT ... SELECT can be planned: " + sql);
+  }
+  Result<exec::PlannedInsert> insert = exec::PlannedInsert::Plan(
+      static_cast<const sql::InsertStmt&>(*stmt), catalog_, &stats_,
+      /*params=*/nullptr, sources);
+  if (!insert.ok()) {
+    return Status(insert.status().code(), insert.status().message() +
+                                              " [while planning: " + sql +
+                                              "]");
+  }
+  return PlannedStatement(this, sql, std::move(*insert));
 }
 
 Result<QueryResult> Database::Execute(const std::string& sql) {

@@ -59,6 +59,30 @@ class PreparedStatement {
   std::vector<bool> bound_;
 };
 
+/// An INSERT ... SELECT parsed, bound and planned once by Database::Plan,
+/// then run any number of times: the run time library's embedded SQL as the
+/// paper's preprocessor compiled it, once per query. Each Run re-opens the
+/// plan against the current contents of the relations it names and counts
+/// as one executed statement. A handle must not outlive the Database that
+/// planned it or its target table; it shares ownership of the tables its
+/// SELECT reads.
+class PlannedStatement {
+ public:
+  PlannedStatement() = default;  // invalid; assign from Database::Plan
+
+  /// Runs the statement; returns the number of rows inserted.
+  Result<int64_t> Run();
+
+ private:
+  friend class Database;
+  PlannedStatement(Database* db, std::string text, exec::PlannedInsert insert)
+      : db_(db), text_(std::move(text)), insert_(std::move(insert)) {}
+
+  Database* db_ = nullptr;
+  std::string text_;  // for error messages
+  exec::PlannedInsert insert_;
+};
+
 /// The relational DBMS layer of the testbed.
 ///
 /// Stands in for the commercial SQL DBMS of the paper: it stores both the
@@ -87,6 +111,14 @@ class Database {
   /// Parses and executes a single parameterless SQL statement.
   Result<QueryResult> Execute(const std::string& sql);
 
+  /// Parses (through the statement cache), binds and plans one
+  /// parameterless INSERT ... SELECT for repeated runs. `sources` binds
+  /// FROM-list names ahead of the catalog (exec::PlanSelect); every table
+  /// the statement names must exist now. A sys.* view is materialized once,
+  /// here, so every run reads that snapshot.
+  Result<PlannedStatement> Plan(const std::string& sql,
+                                const exec::NamedSources* sources = nullptr);
+
   /// Disables/enables the parsed-statement cache (ablations).
   void set_statement_cache_enabled(bool enabled);
   bool statement_cache_enabled() const;
@@ -107,6 +139,7 @@ class Database {
 
  private:
   friend class PreparedStatement;
+  friend class PlannedStatement;
 
   /// Returns the parsed form of `sql`, from cache when possible.
   Result<std::shared_ptr<const sql::Statement>> ParseCached(

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/str_util.h"
@@ -65,6 +66,22 @@ Status Parser::ErrorHere(const std::string& message) const {
   std::string got = (tok.type == TokenType::kEnd) ? "<end>" : tok.text;
   return Status::InvalidArgument(message + " but got '" + got +
                                  "' at offset " + std::to_string(tok.offset));
+}
+
+Status Parser::Nest() {
+  if (++nesting_ > kMaxExpressionDepth) {
+    return ErrorHere("NOTs and parentheses nested deeper than " +
+                     std::to_string(kMaxExpressionDepth));
+  }
+  return Status::OK();
+}
+
+Status Parser::CheckHeight(size_t height) const {
+  if (height > kMaxExpressionDepth) {
+    return ErrorHere("expression deeper than " +
+                     std::to_string(kMaxExpressionDepth) + " levels");
+  }
+  return Status::OK();
 }
 
 bool Parser::IsBareAggregateName() const {
@@ -322,8 +339,10 @@ Result<std::unique_ptr<SelectStmt>> Parser::ParseSelectStmt() {
 Result<std::unique_ptr<SelectCore>> Parser::ParseSelectCore() {
   auto core = std::make_unique<SelectCore>();
   if (MatchSymbol("(")) {
+    DKB_RETURN_IF_ERROR(Nest());
     DKB_ASSIGN_OR_RETURN(core->sub_select, ParseSelectStmt());
     DKB_RETURN_IF_ERROR(ExpectSymbol(")"));
+    --nesting_;
     return core;
   }
   DKB_RETURN_IF_ERROR(ExpectKeyword("SELECT"));
@@ -403,27 +422,38 @@ Result<SelectItem> Parser::ParseSelectItem() {
 
 Result<ExprPtr> Parser::ParseCondition() {
   DKB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAndChain());
+  size_t height = height_;
   while (MatchKeyword("OR")) {
     DKB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAndChain());
+    height = std::max(height, height_) + 1;
+    DKB_RETURN_IF_ERROR(CheckHeight(height));
     lhs = std::make_unique<LogicalExpr>(LogicalOp::kOr, std::move(lhs),
                                         std::move(rhs));
   }
+  height_ = height;
   return lhs;
 }
 
 Result<ExprPtr> Parser::ParseAndChain() {
   DKB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNotExpr());
+  size_t height = height_;
   while (MatchKeyword("AND")) {
     DKB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNotExpr());
+    height = std::max(height, height_) + 1;
+    DKB_RETURN_IF_ERROR(CheckHeight(height));
     lhs = std::make_unique<LogicalExpr>(LogicalOp::kAnd, std::move(lhs),
                                         std::move(rhs));
   }
+  height_ = height;
   return lhs;
 }
 
 Result<ExprPtr> Parser::ParseNotExpr() {
   if (MatchKeyword("NOT")) {
+    DKB_RETURN_IF_ERROR(Nest());
     DKB_ASSIGN_OR_RETURN(ExprPtr child, ParseNotExpr());
+    --nesting_;
+    DKB_RETURN_IF_ERROR(CheckHeight(++height_));
     return ExprPtr(std::make_unique<NotExpr>(std::move(child)));
   }
   return ParsePrimaryCondition();
@@ -431,10 +461,13 @@ Result<ExprPtr> Parser::ParseNotExpr() {
 
 Result<ExprPtr> Parser::ParsePrimaryCondition() {
   if (MatchSymbol("(")) {
+    DKB_RETURN_IF_ERROR(Nest());
     DKB_ASSIGN_OR_RETURN(ExprPtr inner, ParseCondition());
     DKB_RETURN_IF_ERROR(ExpectSymbol(")"));
+    --nesting_;
     return inner;
   }
+  height_ = 2;  // a comparison or IN over leaf operands
   DKB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseOperand());
   if (MatchKeyword("IN")) {
     DKB_RETURN_IF_ERROR(ExpectSymbol("("));

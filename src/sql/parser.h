@@ -11,6 +11,15 @@
 
 namespace dkb::sql {
 
+/// The deepest expression the parser accepts. It bounds, along any path,
+/// the NOTs and parentheses (the parser recurses once per each) and the
+/// height of the expression tree, to which every link of an AND/OR chain
+/// adds one level (later passes recurse over that left-deep tree). Deeper
+/// input is rejected with InvalidArgument before anything recurses past
+/// it. The Knowledge Manager's deepest WHERE has one conjunct per join
+/// column, constant and comparison of a rule body: far below this.
+inline constexpr size_t kMaxExpressionDepth = 1000;
+
 /// Parses one SQL statement (a trailing ';' is allowed).
 Result<StatementPtr> ParseStatement(const std::string& input);
 
@@ -38,6 +47,11 @@ class Parser {
   Status ExpectKeyword(const char* kw);
   Status ExpectSymbol(const char* sym);
   Status ErrorHere(const std::string& message) const;
+  /// Opens one NOT/parenthesis level (closed with --nesting_ on success;
+  /// a failed parse is abandoned whole, so error paths need not close).
+  Status Nest();
+  /// Rejects an expression tree taller than kMaxExpressionDepth.
+  Status CheckHeight(size_t height) const;
 
   Result<StatementPtr> ParseCreate();
   Result<StatementPtr> ParseDrop();
@@ -65,6 +79,8 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   size_t param_count_ = 0;  // `?` placeholders seen in the current statement
+  size_t nesting_ = 0;      // NOTs and parentheses open at the current token
+  size_t height_ = 0;       // tree height of the last condition parsed
 };
 
 }  // namespace dkb::sql

@@ -1,5 +1,6 @@
 #include "storage/scan_source.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "storage/table.h"
@@ -16,9 +17,12 @@ void ScanSource::Clear() {
   for (size_t s = 0; s < shard_count(); ++s) shard(s).Clear();
 }
 
+RowId ScanSource::ScanEnd(size_t s) const { return shard(s).num_slots(); }
+
 RowId ScanSource::ScanBatch(size_t s, RowId cursor, RowBatch* out,
                             Epoch at) const {
-  return shard(s).ScanBatch(cursor, out, at);
+  return shard(s).ScanRange(std::max(cursor, ScanBegin(s)), ScanEnd(s), out,
+                            at);
 }
 
 void ScanSource::EnableVersioning(const EpochSource* epochs) {
@@ -79,6 +83,18 @@ Status ScanSource::AddIndexSpec(const std::string& index_name,
 const Index* ScanSource::FindIndexOn(
     const std::vector<size_t>& key_columns) const {
   return shard(0).FindIndexOn(key_columns);
+}
+
+SlotWindow::SlotWindow(std::string name, ScanSource* base)
+    : name_(std::move(name)),
+      base_(base),
+      begin_(base->shard_count(), 0),
+      end_(base->shard_count(), 0) {}
+
+size_t SlotWindow::num_tuples() const {
+  size_t total = 0;
+  for (size_t s = 0; s < begin_.size(); ++s) total += end_[s] - begin_[s];
+  return total;
 }
 
 }  // namespace dkb

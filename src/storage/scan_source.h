@@ -26,8 +26,8 @@ class Table;
 /// Invariants every implementation maintains:
 ///  - `ShardOf` is a pure function of the tuple (hash of the key column),
 ///    so identical tuples always land in the same shard. Per-shard set
-///    operations (LFP's DiffInto) are therefore exact when two sources
-///    share a shard count.
+///    operations (the LFP's dedup of new rows against an IDB relation) are
+///    therefore exact when two sources share a shard count.
 ///  - All shards share one schema and identical index definitions
 ///    (AddIndexSpec applies to every shard).
 ///  - RowIds are shard-local; (shard, RowId) addresses a row.
@@ -74,10 +74,16 @@ class ScanSource {
   /// Clears every shard (index definitions survive, contents reset).
   virtual void Clear();
 
+  /// The slots of shard `s` that scans of this source read:
+  /// [ScanBegin(s), ScanEnd(s)). Stored sources read every slot; a
+  /// SlotWindow narrows the range.
+  virtual RowId ScanBegin(size_t) const { return 0; }
+  virtual RowId ScanEnd(size_t s) const;
+
   /// Batch scan of one shard: fills `out` with up to RowBatch::kCapacity
-  /// rows visible at epoch `at` starting at slot `cursor` of shard `s`,
-  /// returning the cursor for the next call. An empty result batch means
-  /// that shard is done.
+  /// rows visible at epoch `at` starting at slot `cursor` of shard `s`
+  /// (clamped to the shard's scan range), returning the cursor for the next
+  /// call. An empty result batch means that shard is done.
   RowId ScanBatch(size_t s, RowId cursor, RowBatch* out,
                   Epoch at = kLatestEpoch) const;
 
@@ -99,7 +105,8 @@ class ScanSource {
   /// Index on shard 0 matching `key_columns`, or nullptr. Because index
   /// definitions are uniform across shards, the planner can use shard 0 as
   /// the template and execution re-resolves per shard by the same columns.
-  const Index* FindIndexOn(const std::vector<size_t>& key_columns) const;
+  virtual const Index* FindIndexOn(
+      const std::vector<size_t>& key_columns) const;
 
   /// Attaches the epoch counter to every shard (see Table::EnableVersioning).
   void EnableVersioning(const EpochSource* epochs);
@@ -109,6 +116,59 @@ class ScanSource {
   /// shard-local. Defined in table.h, where Table is complete.
   template <typename Fn>
   void Scan(Fn&& fn, Epoch at = kLatestEpoch) const;
+};
+
+/// A read-only window over the slots of another source: shard `s` of the
+/// window reads slots [begin, end) of shard `s` of the base. Batch scans
+/// (ScanBatch, and so every SeqScan plan) honour the window; it offers no
+/// index, so plans over it always scan. A window is no catalog entry and
+/// is never handed to a mutation path.
+///
+/// The semi-naive LFP keeps each IDB table append-only while a clique
+/// iterates, so "the relation before the last iteration" is the slot
+/// prefix [0, w_prev) of every shard and "the last iteration's delta" the
+/// range [w_prev, w_full): two windows the driver moves forward each
+/// iteration instead of copying rows into temporaries.
+class SlotWindow : public ScanSource {
+ public:
+  /// An empty window on every shard of `base`, which must outlive it.
+  SlotWindow(std::string name, ScanSource* base);
+
+  const std::string& name() const override { return name_; }
+  const Schema& schema() const override { return base_->schema(); }
+  size_t shard_count() const override { return base_->shard_count(); }
+  const Table& shard(size_t s) const override { return base_->shard(s); }
+  Table& shard(size_t s) override { return base_->shard(s); }
+  size_t partition_column() const override {
+    return base_->partition_column();
+  }
+  size_t ShardOfValue(const Value& v) const override {
+    return base_->ShardOfValue(v);
+  }
+
+  RowId ScanBegin(size_t s) const override { return begin_[s]; }
+  RowId ScanEnd(size_t s) const override { return end_[s]; }
+
+  /// Slots inside the window; the live-row count when the base only ever
+  /// grows by appends (the LFP's case).
+  size_t num_tuples() const override;
+
+  const Index* FindIndexOn(const std::vector<size_t>&) const override {
+    return nullptr;
+  }
+
+  /// Moves shard `s`'s window to [begin, end); end must not exceed the
+  /// shard's slot count.
+  void Set(size_t s, RowId begin, RowId end) {
+    begin_[s] = begin;
+    end_[s] = end;
+  }
+
+ private:
+  std::string name_;
+  ScanSource* base_;
+  std::vector<RowId> begin_;
+  std::vector<RowId> end_;
 };
 
 }  // namespace dkb

@@ -20,8 +20,8 @@ namespace dkb {
 /// never on arrival order, so: (a) re-appending rows scanned from any
 /// source reproduces the layout (snapshot load, COW clones); (b) two
 /// sources with equal shard counts and key column are *aligned* — identical
-/// tuples occupy the same shard index in both, which is what makes
-/// per-shard set difference (EvalContext::DiffInto) exact.
+/// tuples occupy the same shard index in both, which is what makes the
+/// semi-naive termination step's per-shard dedup exact.
 class ShardedTable : public ScanSource {
  public:
   /// `shard_count` must be ≥ 1; `key_column` is the partitioning column

@@ -127,9 +127,10 @@ Status Table::AppendBatch(const RowBatch& batch) {
   return Status::OK();
 }
 
-RowId Table::ScanBatch(RowId cursor, RowBatch* out, Epoch at) const {
+RowId Table::ScanRange(RowId cursor, RowId end, RowBatch* out,
+                       Epoch at) const {
   out->Reset(schema_.num_columns());
-  const RowId n = num_slots();
+  const RowId n = std::min(end, num_slots());
   while (cursor < n && !out->full()) {
     const Slot& slot = SlotRef(cursor);
     if (EpochVisible(slot.begin.load(std::memory_order_relaxed),

@@ -97,7 +97,14 @@ class Table : public ScanSource {
   /// `out` is reset to the schema arity; an empty result batch means the
   /// scan is exhausted (invisible windows are skipped, not surfaced as
   /// empty batches).
-  RowId ScanBatch(RowId cursor, RowBatch* out, Epoch at = kLatestEpoch) const;
+  RowId ScanBatch(RowId cursor, RowBatch* out, Epoch at = kLatestEpoch) const {
+    return ScanRange(cursor, num_slots(), out, at);
+  }
+
+  /// ScanBatch that stops at slot `end` (clamped to num_slots()): the
+  /// bounded scan behind ScanSource::ScanBatch and SlotWindow.
+  RowId ScanRange(RowId cursor, RowId end, RowBatch* out,
+                  Epoch at = kLatestEpoch) const;
 
   /// End-stamps the row if visible at latest; returns false if already
   /// dead. Versioned tables keep the row's index entries until Vacuum;
@@ -180,7 +187,8 @@ class Table : public ScanSource {
   /// nullptr if none. Used by the planner for index-scan and index-join
   /// selection. Takes the index lock shared on versioned tables (a
   /// concurrent CREATE INDEX may be growing the list).
-  const Index* FindIndexOn(const std::vector<size_t>& key_columns) const;
+  const Index* FindIndexOn(
+      const std::vector<size_t>& key_columns) const override;
 
   /// Equality probe through the per-table index lock (a no-op lock for
   /// unversioned tables). Hits must still be filtered with VisibleAt —

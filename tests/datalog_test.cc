@@ -109,5 +109,49 @@ TEST(DatalogAstTest, ZeroArityAtomParses) {
   EXPECT_EQ(rule->head.arity(), 0u);
 }
 
+TEST(DatalogParserTest, ClauseSpansCarryLineNumbers) {
+  const std::string text =
+      "% header comment\n"
+      "\n"
+      "p(X) :- q(X).\n"
+      "q(a). q(b).\n"
+      "?- p(W).\n"
+      "r(X) :-\n"
+      "    q(X),\n"
+      "    not p(X).\n";
+  auto program = ParseProgram(text);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ASSERT_EQ(program->rules.size(), 2u);
+  ASSERT_EQ(program->facts.size(), 2u);
+  EXPECT_EQ(program->rules[0].span.line, 3);
+  EXPECT_EQ(program->facts[0].span.line, 4);
+  EXPECT_EQ(program->facts[1].span.line, 4);
+  EXPECT_EQ(program->rules[1].span.line, 6);
+  const SourceSpan& span = program->rules[1].span;
+  EXPECT_EQ(text.substr(span.begin, span.end - span.begin),
+            "r(X) :-\n    q(X),\n    not p(X).");
+}
+
+TEST(DatalogParserTest, ClausesDeepInALongProgramKeepTheirLines) {
+  // One clause per line, with a blank line after every 100th: clause k
+  // (0-based) starts on line k + 1 + k / 100.
+  std::string text;
+  constexpr int kClauses = 5000;
+  for (int k = 0; k < kClauses; ++k) {
+    text += "edge(n" + std::to_string(k) + ", n" + std::to_string(k + 1) +
+            ").\n";
+    if (k % 100 == 99) text += "\n";
+  }
+  text += "path(X, Y) :- edge(X, Y).\n";
+  auto program = ParseProgram(text);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ASSERT_EQ(program->facts.size(), static_cast<size_t>(kClauses));
+  for (int k : {0, 99, 100, 2500, kClauses - 1}) {
+    EXPECT_EQ(program->facts[k].span.line, k + 1 + k / 100) << "clause " << k;
+  }
+  ASSERT_EQ(program->rules.size(), 1u);
+  EXPECT_EQ(program->rules[0].span.line, kClauses + 1 + kClauses / 100);
+}
+
 }  // namespace
 }  // namespace dkb::datalog

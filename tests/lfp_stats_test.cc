@@ -151,5 +151,51 @@ TEST(LfpStatsTest, MutualRecursionIterationsCoupled) {
   EXPECT_EQ(outcome.result.rows.size(), 2u);  // n1, n3
 }
 
+/// Semi-naive's promise, checked with exact counts: in every iteration the
+/// rows the driver touches outside SQL statements (dedup probes and
+/// inserts, rows appended, copied, cleared or read by its own scans) stay
+/// within a constant factor of that iteration's delta plus the rows its
+/// variants derived. Work proportional to the accumulated relation breaks
+/// the bound once the relation outgrows the delta.
+void ExpectDriverWorkBoundedByDelta(const workload::EdgeSet& edges,
+                                    size_t expected_answers) {
+  constexpr int64_t kRowsPerDeltaRow = 4;
+  auto tb_or = testbed::Testbed::Create();
+  ASSERT_TRUE(tb_or.ok());
+  auto tb = std::move(*tb_or);
+  ASSERT_TRUE(tb->Consult(workload::AncestorRules()).ok());
+  ASSERT_TRUE(
+      tb->DefineBase("parent", {DataType::kVarchar, DataType::kVarchar})
+          .ok());
+  ASSERT_TRUE(tb->AddFacts("parent", edges.ToTuples()).ok());
+  auto outcome =
+      RunQuery(tb.get(), "?- ancestor(X, Y).", LfpStrategy::kSemiNaive);
+  ASSERT_EQ(outcome.result.rows.size(), expected_answers);
+  ASSERT_EQ(outcome.report.exec.nodes.size(), 1u);
+  const NodeStats& ns = outcome.report.exec.nodes[0];
+  const size_t iterations = static_cast<size_t>(ns.iterations);
+  ASSERT_EQ(ns.delta_sizes.size(), iterations);
+  ASSERT_EQ(ns.new_sizes.size(), iterations);
+  ASSERT_EQ(ns.driver_rows.size(), iterations);
+  for (size_t i = 0; i < iterations; ++i) {
+    EXPECT_LE(ns.delta_sizes[i], ns.new_sizes[i]) << "iteration " << i + 1;
+    EXPECT_LE(ns.driver_rows[i],
+              kRowsPerDeltaRow * (ns.delta_sizes[i] + ns.new_sizes[i]))
+        << "iteration " << i + 1 << " of " << iterations
+        << ": delta=" << ns.delta_sizes[i] << " new=" << ns.new_sizes[i];
+  }
+}
+
+TEST(LfpStatsTest, DriverWorkIsBoundedByDeltaOnTree) {
+  // One full binary tree with 4,094 edges (11 levels below the root).
+  ExpectDriverWorkBoundedByDelta(workload::MakeFullBinaryTrees(1, 12),
+                                 40962u);
+}
+
+TEST(LfpStatsTest, DriverWorkIsBoundedByDeltaOnChain) {
+  // A 200-node chain: 199 iterations, 19,900 answers.
+  ExpectDriverWorkBoundedByDelta(workload::MakeLists(1, 200), 19900u);
+}
+
 }  // namespace
 }  // namespace dkb::lfp

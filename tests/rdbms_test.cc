@@ -448,5 +448,51 @@ TEST_F(RdbmsTest, DifferentialQueryShape) {
   EXPECT_EQ(r.rows[0][1], Value("c"));
 }
 
+// A planned INSERT ... SELECT re-reads its relations on every run and
+// reads the names bound as sources instead of the catalog's tables.
+TEST_F(RdbmsTest, PlannedStatementRerunsAgainstCurrentContents) {
+  Exec("CREATE TABLE edge (src INT, dst INT)");
+  Exec("INSERT INTO edge VALUES (1, 2), (2, 3)");
+  Exec("CREATE TABLE reach (src INT, dst INT)");
+  Exec("INSERT INTO reach VALUES (1, 2), (2, 3)");
+  Exec("CREATE TABLE #out (src INT, dst INT)");
+  auto source = db_.catalog().GetSource("reach");
+  ASSERT_TRUE(source.ok());
+  SlotWindow recent("#recent", *source);
+  recent.Set(0, 1, 2);  // only (2, 3)
+  exec::NamedSources sources{{"#recent", &recent}};
+  auto planned = db_.Plan(
+      "INSERT INTO #out (SELECT DISTINCT e.src, r.dst FROM edge e, #recent r "
+      "WHERE e.dst = r.src) EXCEPT (SELECT * FROM #out)",
+      &sources);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  auto first = planned->Run();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(*first, 1);  // (1, 3)
+  Exec("INSERT INTO reach VALUES (3, 4)");
+  recent.Set(0, 2, 3);  // only (3, 4)
+  const int64_t statements = db_.stats().statements.load();
+  auto second = planned->Run();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*second, 1);  // (2, 4)
+  EXPECT_EQ(db_.stats().statements.load(), statements + 1);
+  EXPECT_EQ(Query("SELECT * FROM #out ORDER BY 1").rows.size(), 2u);
+}
+
+TEST_F(RdbmsTest, PlanRejectsWhatItCannotPlanAhead) {
+  Exec("CREATE TABLE t (c0 INT)");
+  EXPECT_EQ(db_.Plan("SELECT * FROM t").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db_.Plan("INSERT INTO t VALUES (1)").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db_.Plan("INSERT INTO t SELECT c0 FROM t WHERE c0 = ?")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db_.Plan("INSERT INTO t SELECT * FROM missing").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(PlannedStatement().Run().ok());
+}
+
 }  // namespace
 }  // namespace dkb

@@ -5,8 +5,10 @@
 
 #include <string>
 
+#include "client/remote_client.h"
 #include "common/rng.h"
 #include "datalog/parser.h"
+#include "net/server.h"
 #include "rdbms/database.h"
 #include "sql/parser.h"
 #include "testbed/testbed.h"
@@ -115,6 +117,86 @@ TEST(RobustnessTest, TestbedUsableAfterQueryErrors) {
     EXPECT_EQ(name.find('#'), std::string::npos) << name;
     EXPECT_NE(name, "idb_anc");
   }
+}
+
+/// `SELECT c0 FROM <table> WHERE NOT NOT ... c0 = 1` with `nots` NOTs.
+std::string DeepNotSql(const std::string& table, size_t nots) {
+  std::string sql = "SELECT c0 FROM " + table + " WHERE ";
+  for (size_t i = 0; i < nots; ++i) sql += "NOT ";
+  return sql + "c0 = 1";
+}
+
+/// `SELECT c0 FROM t WHERE c0 = 1 AND c0 = 1 ...` with `terms` conjuncts.
+std::string AndChainSql(size_t terms) {
+  std::string sql = "SELECT c0 FROM t WHERE c0 = 1";
+  for (size_t i = 1; i < terms; ++i) sql += " AND c0 = 1";
+  return sql;
+}
+
+TEST(RobustnessTest, DeepNotNestingIsRejectedAtParse) {
+  // 50,000 NOTs (200 KB) used to overflow the parser's stack.
+  auto parsed = sql::ParseStatement(DeepNotSql("t", 50000));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RobustnessTest, LongAndChainIsRejectedAtParse) {
+  // A 200,000-term chain parsed, then overflowed the passes that recurse
+  // over its left-deep tree.
+  auto parsed = sql::ParseStatement(AndChainSql(200000));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  std::string parens = "SELECT c0 FROM t WHERE ";
+  parens += std::string(50000, '(') + "c0 = 1" + std::string(50000, ')');
+  EXPECT_EQ(sql::ParseStatement(parens).status().code(),
+            StatusCode::kInvalidArgument);
+  std::string selects = std::string(50000, '(') + "SELECT c0 FROM t" +
+                        std::string(50000, ')');
+  EXPECT_EQ(sql::ParseStatement(selects).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(RobustnessTest, ExpressionsWithinTheDepthLimitRun) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (c0 INT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1), (2)").ok());
+  auto chain = db.Execute(AndChainSql(sql::kMaxExpressionDepth - 1));
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  EXPECT_EQ(chain->rows.size(), 1u);
+  // An even number of NOTs keeps the predicate's meaning.
+  auto nots = db.Execute(DeepNotSql("t", sql::kMaxExpressionDepth - 4));
+  ASSERT_TRUE(nots.ok()) << nots.status().ToString();
+  EXPECT_EQ(nots->rows.size(), 1u);
+  const size_t depth = sql::kMaxExpressionDepth;
+  std::string parens = "SELECT c0 FROM t WHERE ";
+  parens += std::string(depth, '(') + "c0 = 2" + std::string(depth, ')');
+  auto nested = db.Execute(parens);
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  EXPECT_EQ(nested->rows.size(), 1u);
+  EXPECT_FALSE(db.Execute(AndChainSql(sql::kMaxExpressionDepth + 1)).ok());
+}
+
+TEST(RobustnessTest, ServerRejectsDeepNestingAndKeepsServing) {
+  auto tb_or = testbed::Testbed::Create();
+  ASSERT_TRUE(tb_or.ok());
+  auto tb = std::move(*tb_or);
+  ASSERT_TRUE(tb->Consult("p(1).\np(2).\n").ok());
+  net::Server server;
+  ASSERT_TRUE(server.Start(tb.get(), net::ServerOptions{}).ok());
+  const std::string target = "127.0.0.1:" + std::to_string(server.port());
+  {
+    auto client = RemoteClient::Connect(target);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto deep = (*client)->ExecuteSql(DeepNotSql("edb_p", 50000));
+    ASSERT_FALSE(deep.ok());
+    EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto other = RemoteClient::Connect(target);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  auto shallow = (*other)->ExecuteSql(DeepNotSql("edb_p", 2));
+  ASSERT_TRUE(shallow.ok()) << shallow.status().ToString();
+  EXPECT_EQ(shallow->rows.size(), 1u);
+  server.Stop();
 }
 
 TEST(RobustnessTest, RetractRule) {

@@ -5,6 +5,7 @@
 #include "catalog/catalog.h"
 #include "storage/index.h"
 #include "storage/schema.h"
+#include "storage/sharded_table.h"
 #include "storage/table.h"
 
 namespace dkb {
@@ -226,6 +227,53 @@ TEST(CatalogTest, CreateIndexValidatesColumns) {
             StatusCode::kNotFound);
   EXPECT_EQ(cat.CreateIndex("missing", "ix3", {"src"}, false).code(),
             StatusCode::kNotFound);
+}
+
+// ---------------------------------------------------------------------------
+// SlotWindow
+// ---------------------------------------------------------------------------
+
+/// Every row a batch scan of `source` returns, shard-major.
+std::vector<Tuple> ScanAll(const ScanSource& source) {
+  std::vector<Tuple> rows;
+  RowBatch batch;
+  for (size_t s = 0; s < source.shard_count(); ++s) {
+    RowId cursor = 0;
+    while (true) {
+      cursor = source.ScanBatch(s, cursor, &batch);
+      if (batch.empty()) break;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        rows.push_back(batch.MaterializeTuple(i));
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(SlotWindowTest, ScansOnlyItsRangeOfEveryShard) {
+  ShardedTable table("t", TwoColSchema(), 3);
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(
+        table.Insert(Row(("a" + std::to_string(i)).c_str(), "b")).ok());
+  }
+  SlotWindow window("#w", &table);
+  EXPECT_TRUE(ScanAll(window).empty());
+  size_t expected = 0;
+  for (size_t s = 0; s < 3; ++s) {
+    const RowId n = table.shard(s).num_slots();
+    window.Set(s, n / 4, n / 2);
+    expected += n / 2 - n / 4;
+  }
+  const std::vector<Tuple> rows = ScanAll(window);
+  EXPECT_EQ(rows.size(), expected);
+  EXPECT_EQ(window.num_tuples(), expected);
+  // Row i of the window's first shard is slot n/4 + i of the base shard.
+  const RowId first = table.shard(0).num_slots() / 4;
+  EXPECT_EQ(rows[0], table.shard(0).Get(first));
+  // A window never offers an index, so plans over it scan.
+  ASSERT_TRUE(table.AddIndexSpec("ix", {0}, false).ok());
+  EXPECT_NE(table.FindIndexOn({0}), nullptr);
+  EXPECT_EQ(window.FindIndexOn({0}), nullptr);
 }
 
 TEST(CatalogTest, TableNames) {
