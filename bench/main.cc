@@ -42,6 +42,7 @@ void Concurrency(Report* report);
 void Net(Report* report);
 void Shard(Report* report);
 void Wal(Report* report);
+void Micro(Report* report);
 
 namespace {
 
@@ -51,7 +52,8 @@ struct Bench {
 };
 
 /// The suite: the paper's tests in paper order, its conclusion ablations
-/// and data characterization, then the benches of the extensions.
+/// and data characterization, the benches of the extensions, then the
+/// engine's primitives.
 constexpr Bench kBenches[] = {
     {"fig07_extract", Fig07Extract},
     {"fig08_extract_rrs", Fig08ExtractRrs},
@@ -73,6 +75,7 @@ constexpr Bench kBenches[] = {
     {"net", Net},
     {"shard", Shard},
     {"wal", Wal},
+    {"micro", Micro},
 };
 
 int Usage(const std::string& problem) {

@@ -22,55 +22,33 @@ Result<ScanSource*> Catalog::CreateTable(const std::string& name,
   if (IsSystemTableName(name)) {
     return Status::InvalidArgument("schema 'sys' is reserved for system views");
   }
-  const bool temp = !name.empty() && name[0] == '#';
-  // Overlays see the union of their own names and the base's, so a CREATE
-  // of an existing base name must collide the same way it did when sessions
-  // held a full clone. Checked before taking our lock (never both locks).
-  // km-internal idb_<pred> scratch tables are exempt: the base testbed may
-  // be transiently mid-query with its own idb_<pred>, and the overlay's copy
-  // shadows it (own-first resolution), exactly as a clone's private copy
-  // would have.
-  const bool km_scratch = StartsWith(Key(name), "idb_");
-  if (base_ != nullptr && !temp && !km_scratch && base_->HasTable(name)) {
-    return Status::AlreadyExists("table " + name + " already exists");
+  if (base_ != nullptr) {
+    return Status::FailedPrecondition("cannot create table " + name +
+                                      " in a read-only session overlay");
   }
   std::string key = Key(name);
   WriterLock lock(mu_);
   if (tables_.count(key) > 0) {
     return Status::AlreadyExists("table " + name + " already exists");
   }
-  std::shared_ptr<ScanSource> table;
-  if (shard_count > 1) {
-    table = std::make_shared<ShardedTable>(name, std::move(schema),
-                                           shard_count);
-  } else {
-    table = std::make_shared<Table>(name, std::move(schema));
-  }
-  // Stored tables stamp commit epochs; '#' temporaries stay unversioned
-  // (physical Clear each LFP iteration, no vacuum debt).
-  if (epochs_ != nullptr && !temp) table->EnableVersioning(epochs_);
+  std::shared_ptr<ScanSource> table =
+      MakeSource(name, std::move(schema), shard_count);
+  if (epochs_ != nullptr) table->EnableVersioning(epochs_);
   ScanSource* raw = table.get();
   tables_.emplace(std::move(key), std::move(table));
   return raw;
 }
 
 Status Catalog::DropTable(const std::string& name) {
-  {
-    WriterLock lock(mu_);
-    auto it = tables_.find(Key(name));
-    if (it != tables_.end()) {
-      // Shared ownership: running plans and overlay pins keep the storage
-      // alive; the name is gone immediately.
-      tables_.erase(it);
-      return Status::OK();
-    }
+  WriterLock lock(mu_);
+  auto it = tables_.find(Key(name));
+  if (it == tables_.end()) {
+    return Status::NotFound("table " + name + " does not exist");
   }
-  if (base_ != nullptr && !name.empty() && name[0] != '#' &&
-      base_->HasTable(name)) {
-    return Status::InvalidArgument("cannot drop base table " + name +
-                                   " from a session");
-  }
-  return Status::NotFound("table " + name + " does not exist");
+  // Shared ownership: running plans and overlay pins keep the storage
+  // alive; the name is gone immediately.
+  tables_.erase(it);
+  return Status::OK();
 }
 
 Result<ScanSource*> Catalog::GetSource(const std::string& name) const {
@@ -82,7 +60,7 @@ Result<ScanSource*> Catalog::GetSource(const std::string& name) const {
     auto pit = pinned_bases_.find(key);
     if (pit != pinned_bases_.end()) return pit->second.get();
   }
-  if (base_ != nullptr && !name.empty() && name[0] != '#') {
+  if (base_ != nullptr) {
     DKB_ASSIGN_OR_RETURN(std::shared_ptr<ScanSource> src,
                          base_->GetSourceShared(name));
     ScanSource* raw = src.get();
@@ -121,8 +99,7 @@ bool Catalog::HasTable(const std::string& name) const {
     ReaderLock lock(mu_);
     if (tables_.count(Key(name)) > 0) return true;
   }
-  return base_ != nullptr && !name.empty() && name[0] != '#' &&
-         base_->HasTable(name);
+  return base_ != nullptr && base_->HasTable(name);
 }
 
 Status Catalog::RegisterVirtualTable(const std::string& name, Schema schema,
@@ -191,7 +168,7 @@ Result<ResolvedSource> Catalog::ResolveScanSource(
     source.owned = std::move(snapshot);
     return source;
   }
-  if (base_ != nullptr && !name.empty() && name[0] != '#') {
+  if (base_ != nullptr) {
     DKB_ASSIGN_OR_RETURN(ResolvedSource source,
                          base_->ResolveScanSource(name));
     // Stored base tables must be read at the session's pinned epoch.
@@ -222,29 +199,16 @@ Status Catalog::CreateIndex(const std::string& table_name,
 }
 
 std::vector<std::string> Catalog::TableNames() const {
+  if (base_ != nullptr) return base_->TableNames();  // overlays hold none
+  ReaderLock lock(mu_);
   std::vector<std::string> names;
-  {
-    ReaderLock lock(mu_);
-    names.reserve(tables_.size());
-    for (const auto& [key, table] : tables_) names.push_back(table->name());
-  }
-  if (base_ != nullptr) {
-    // Overlays see the union: base stored names, minus any shadowed by an
-    // overlay-local name ('#' temps never shadow — they can't collide).
-    for (std::string& base_name : base_->TableNames()) {
-      bool shadowed = false;
-      {
-        ReaderLock lock(mu_);
-        shadowed = tables_.count(Key(base_name)) > 0;
-      }
-      if (!shadowed) names.push_back(std::move(base_name));
-    }
-  }
+  names.reserve(tables_.size());
+  for (const auto& [key, table] : tables_) names.push_back(table->name());
   return names;
 }
 
 size_t Catalog::num_tables() const {
-  if (base_ != nullptr) return TableNames().size();
+  if (base_ != nullptr) return base_->num_tables();
   ReaderLock lock(mu_);
   return tables_.size();
 }

@@ -37,17 +37,14 @@ struct ResolvedSource {
 /// Catalog of tables and their indexes, keyed by case-insensitive name.
 /// Stored entries are ScanSources: a plain Table, or a ShardedTable when the
 /// catalog-wide default shard count is > 1 (set once at testbed startup, so
-/// base tables and the LFP's `#` temporaries all shard identically and stay
-/// aligned for per-shard set operations).
-///
-/// Table names beginning with '#' are session-temporary by convention; the
-/// LFP run time library creates and drops them each iteration exactly as the
-/// paper's embedded-SQL programs did with the commercial DBMS.
+/// stored tables and the relations each LFP run builds shard identically
+/// and stay aligned for per-shard set operations). No name is reserved: an
+/// LFP run creates no entry here (its relations are lfp::RunRelations).
 ///
 /// The name map is guarded by a reader-writer lock so concurrent sessions can
-/// resolve tables while another session creates or drops its own temporaries.
-/// The lock covers only the map — table contents are protected by the
-/// session-level reader-writer protocol (writers are serialized by Testbed).
+/// resolve tables while the testbed creates or drops its own. The lock
+/// covers only the map — table contents are protected by the session-level
+/// reader-writer protocol (writers are serialized by Testbed).
 class Catalog {
  public:
   Catalog() = default;
@@ -62,17 +59,15 @@ class Catalog {
   size_t default_shards() const { return default_shards_; }
 
   /// MVCC: tables created from here on are attached to `epochs` and stamp
-  /// rows with commit epochs — except `#`-temporaries, which stay
-  /// unversioned (session-local scratch with physical Clear). The testbed
-  /// enables this on its base catalog before creating any stored table;
-  /// standalone Databases never do, and keep pre-MVCC behavior throughout.
+  /// rows with commit epochs. The testbed enables this on its base catalog
+  /// before creating any stored table; standalone Databases never do, and
+  /// keep pre-MVCC behavior throughout.
   void EnableVersioning(const EpochSource* epochs) { epochs_ = epochs; }
 
-  /// Turns this catalog into a session overlay over `base`: lookups that
-  /// miss here fall through to base's *stored* tables (never to names
-  /// starting with '#', which are strictly catalog-local). Resolved base
-  /// tables are pinned (shared ownership) until ClearPinnedBases so raw
-  /// pointers handed to the LFP survive a concurrent DROP on the base.
+  /// Turns this catalog into a read-only session overlay over `base`: it
+  /// holds no tables of its own and resolves every name in base. Resolved
+  /// base tables are pinned (shared ownership) until ClearPinnedBases so
+  /// raw pointers handed to the LFP survive a concurrent DROP on the base.
   void SetBase(const Catalog* base) { base_ = base; }
 
   /// The read epoch stamped onto resolutions of stored tables: kLatestEpoch
@@ -87,8 +82,8 @@ class Catalog {
   }
 
   /// Creates an empty table with the catalog's default shard count. Fails
-  /// with AlreadyExists on name collision and with InvalidArgument for names
-  /// in the reserved `sys.` schema.
+  /// with AlreadyExists on name collision, InvalidArgument for names in the
+  /// reserved `sys.` schema and FailedPrecondition on an overlay.
   Result<ScanSource*> CreateTable(const std::string& name, Schema schema)
       DKB_EXCLUDES(mu_);
 

@@ -123,11 +123,25 @@ Status RejectSystemTable(const std::string& name, const char* op) {
   return Status::OK();
 }
 
+/// The relation statement `op` writes: the source bound to `name`, else the
+/// catalog's stored table.
+Result<ScanSource*> ResolveTarget(const std::string& name, const char* op,
+                                  const Catalog& catalog,
+                                  const NamedSources* sources) {
+  DKB_RETURN_IF_ERROR(RejectSystemTable(name, op));
+  if (sources != nullptr) {
+    auto it = sources->find(AsciiLower(name));
+    if (it != sources->end()) return it->second;
+  }
+  return catalog.GetSource(name);
+}
+
 }  // namespace
 
 Result<QueryResult> Executor::ExecuteExplain(const sql::ExplainStmt& stmt) {
-  DKB_ASSIGN_OR_RETURN(PlanNodePtr plan,
-                       PlanSelect(*stmt.select, *catalog_, stats_));
+  DKB_ASSIGN_OR_RETURN(
+      PlanNodePtr plan,
+      PlanSelect(*stmt.select, *catalog_, stats_, nullptr, sources_));
   if (stmt.analyze) {
     // EXPLAIN ANALYZE: run the query for real (discarding its rows) with
     // per-operator profiling on, then render the annotated plan.
@@ -183,13 +197,13 @@ Result<PlannedInsert> PlannedInsert::Plan(const sql::InsertStmt& stmt,
                                           ExecStats* stats,
                                           const std::vector<Value>* params,
                                           const NamedSources* sources) {
-  DKB_RETURN_IF_ERROR(RejectSystemTable(stmt.table, "INSERT"));
   if (stmt.select == nullptr) {
     return Status::InvalidArgument("INSERT into " + stmt.table +
                                    " has no SELECT to plan");
   }
   PlannedInsert planned;
-  DKB_ASSIGN_OR_RETURN(planned.target_, catalog.GetSource(stmt.table));
+  DKB_ASSIGN_OR_RETURN(planned.target_,
+                       ResolveTarget(stmt.table, "INSERT", catalog, sources));
   DKB_ASSIGN_OR_RETURN(planned.plan_, PlanSelect(*stmt.select, catalog, stats,
                                                  params, sources));
   if (planned.plan_->output_schema().num_columns() !=
@@ -226,13 +240,15 @@ Result<QueryResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
                                             const std::vector<Value>* params) {
   QueryResult result;
   if (stmt.select != nullptr) {
-    DKB_ASSIGN_OR_RETURN(PlannedInsert planned,
-                         PlannedInsert::Plan(stmt, *catalog_, stats_, params));
+    DKB_ASSIGN_OR_RETURN(
+        PlannedInsert planned,
+        PlannedInsert::Plan(stmt, *catalog_, stats_, params, sources_));
     DKB_ASSIGN_OR_RETURN(result.rows_affected, planned.Run());
     return result;
   }
-  DKB_RETURN_IF_ERROR(RejectSystemTable(stmt.table, "INSERT"));
-  DKB_ASSIGN_OR_RETURN(ScanSource * table, catalog_->GetSource(stmt.table));
+  DKB_ASSIGN_OR_RETURN(
+      ScanSource * table,
+      ResolveTarget(stmt.table, "INSERT", *catalog_, sources_));
   if (!stmt.param_cells.empty()) {
     // Substitute bound values into a copy of the VALUES matrix.
     std::vector<std::vector<Value>> rows = stmt.rows;
@@ -256,8 +272,9 @@ Result<QueryResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
 
 Result<QueryResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt,
                                             const std::vector<Value>* params) {
-  DKB_RETURN_IF_ERROR(RejectSystemTable(stmt.table, "DELETE"));
-  DKB_ASSIGN_OR_RETURN(ScanSource * table, catalog_->GetSource(stmt.table));
+  DKB_ASSIGN_OR_RETURN(
+      ScanSource * table,
+      ResolveTarget(stmt.table, "DELETE", *catalog_, sources_));
   QueryResult result;
   if (stmt.where == nullptr) {
     result.rows_affected = static_cast<int64_t>(table->num_tuples());
@@ -287,7 +304,7 @@ Result<QueryResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt,
 Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStmt& stmt,
                                             const std::vector<Value>* params) {
   DKB_ASSIGN_OR_RETURN(PlanNodePtr plan,
-                       PlanSelect(stmt, *catalog_, stats_, params));
+                       PlanSelect(stmt, *catalog_, stats_, params, sources_));
   QueryResult result;
   result.schema = plan->output_schema();
   DKB_RETURN_IF_ERROR(plan->Open());

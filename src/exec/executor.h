@@ -39,8 +39,7 @@ class PlannedInsert {
   PlannedInsert() = default;  // invalid; assign from Plan
 
   /// Binds and plans `stmt`, which must have a SELECT source. `sources`
-  /// binds FROM-list names ahead of the catalog (see PlanSelect); the
-  /// target table always comes from the catalog.
+  /// binds the target and FROM-list names ahead of the catalog.
   static Result<PlannedInsert> Plan(const sql::InsertStmt& stmt,
                                     const Catalog& catalog, ExecStats* stats,
                                     const std::vector<Value>* params = nullptr,
@@ -58,11 +57,13 @@ class PlannedInsert {
   std::vector<RowBatch> buffered_;  // kept across runs for their capacity
 };
 
-/// Executes parsed statements against a catalog.
+/// Executes parsed statements against a catalog; `sources` (may be null)
+/// binds FROM-list, INSERT and DELETE names ahead of it.
 class Executor {
  public:
-  Executor(Catalog* catalog, ExecStats* stats)
-      : catalog_(catalog), stats_(stats) {}
+  Executor(Catalog* catalog, ExecStats* stats,
+           const NamedSources* sources = nullptr)
+      : catalog_(catalog), stats_(stats), sources_(sources) {}
 
   /// `params` supplies values for the statement's `?` placeholders; required
   /// (and checked) when stmt.param_count > 0.
@@ -83,6 +84,7 @@ class Executor {
 
   Catalog* catalog_;
   ExecStats* stats_;
+  const NamedSources* sources_;
 };
 
 }  // namespace dkb::exec

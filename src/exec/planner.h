@@ -13,11 +13,11 @@
 
 namespace dkb::exec {
 
-/// Relations bound by name for one planning call, ahead of the catalog; the
-/// semi-naive LFP binds the names its variant SQL reads the delta and the
-/// previous relation by to SlotWindows over the IDB tables. Keys are
-/// lower-case (names resolve case-insensitively, as in the catalog).
-using NamedSources = std::unordered_map<std::string, const ScanSource*>;
+/// Relations bound by name for one statement, ahead of the catalog (FROM
+/// lists, INSERT and DELETE targets); the LFP run binds the relations it
+/// owns this way. Keys are lower-case (names resolve case-insensitively,
+/// as in the catalog).
+using NamedSources = std::unordered_map<std::string, ScanSource*>;
 
 /// Compiles a SELECT statement into a physical operator tree.
 ///

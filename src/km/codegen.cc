@@ -21,17 +21,6 @@ PredicateBinding MakeBinding(const std::string& pred,
   return b;
 }
 
-std::string CreateTableSql(const PredicateBinding& b) {
-  std::string ddl = "CREATE TABLE " + b.table + " (";
-  for (size_t i = 0; i < b.columns.size(); ++i) {
-    if (i > 0) ddl += ", ";
-    ddl += b.columns[i];
-    ddl += b.types[i] == DataType::kInteger ? " INT" : " VARCHAR";
-  }
-  ddl += ")";
-  return ddl;
-}
-
 /// Fills node->variants: for every recursive rule of the clique `node`
 /// (the program's node `node_index`) and every clique member in its body,
 /// the variant reading the delta at that position. Negated atoms are never
@@ -80,9 +69,17 @@ Status GenerateVariants(const QueryProgram& program, size_t node_index,
 
 }  // namespace
 
+Schema PredicateBinding::RelationSchema() const {
+  std::vector<Column> out;
+  out.reserve(columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    out.push_back({columns[i], types[i]});
+  }
+  return Schema(std::move(out));
+}
+
 std::vector<std::string> QueryProgram::AllSqlTexts() const {
   std::vector<std::string> out;
-  out.insert(out.end(), create_statements.begin(), create_statements.end());
   for (const ProgramNode& node : nodes) {
     for (const CompiledRule& cr : node.exit_rules) {
       if (!cr.select_sql.empty()) out.push_back(cr.select_sql);
@@ -121,10 +118,7 @@ Result<QueryProgram> GenerateProgram(
       return Status::Internal("no inferred types for derived predicate " +
                               pred);
     }
-    PredicateBinding b = MakeBinding(pred, it->second, false);
-    program.create_statements.push_back(CreateTableSql(b));
-    program.drop_statements.push_back("DROP TABLE IF EXISTS " + b.table);
-    program.bindings.emplace(pred, std::move(b));
+    program.bindings.emplace(pred, MakeBinding(pred, it->second, false));
   }
   if (program.bindings.count(query.predicate) == 0) {
     auto it = base_types.find(query.predicate);

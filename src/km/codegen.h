@@ -13,7 +13,7 @@
 
 namespace dkb::km {
 
-/// How a predicate maps to its stored relation (name, columns, types).
+/// How a predicate maps to its relation: a stored edb_ table or a run's idb_.
 struct PredicateBinding {
   std::string pred;
   std::string table;
@@ -22,6 +22,8 @@ struct PredicateBinding {
   bool is_base = false;
 
   RelationBinding AsRelation() const { return {table, columns, types}; }
+
+  Schema RelationSchema() const;  // one typed column per argument
 };
 
 /// A rule plus its pre-generated body SELECT. Seed facts (empty body) and
@@ -63,13 +65,11 @@ struct ProgramNode {
 /// The "object program" the Knowledge Manager hands to the run time library
 /// (the analogue of the paper's generated-C code fragment; see DESIGN.md
 /// substitution #2). Contains everything needed to evaluate the query:
-/// relation bindings, table DDL, per-node rules with generated SQL, and the
-/// final answer query.
+/// relation bindings, per-node rules with generated SQL, and the final
+/// answer query.
 struct QueryProgram {
   datalog::Atom query;  // effective query atom (adorned when magic is used)
   std::map<std::string, PredicateBinding> bindings;
-  std::vector<std::string> create_statements;  // CREATE TABLE idb_* ...
-  std::vector<std::string> drop_statements;    // DROP TABLE idb_* ...
   std::vector<ProgramNode> nodes;
   std::string final_select;
   std::vector<std::string> answer_columns;  // query variable names, in order

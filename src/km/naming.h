@@ -5,16 +5,17 @@
 
 namespace dkb::km {
 
-/// Table-naming conventions shared by the Stored DKB manager, the code
+/// Relation-naming conventions shared by the Stored DKB manager, the code
 /// generator, and the run time library.
 ///
-/// Base (EDB) predicate p   -> table  edb_p   (columns c0..c{k-1})
-/// Derived (IDB) predicate p -> table idb_p   (columns c0..c{k-1})
+/// Base (EDB) predicate p   -> catalog table edb_p (columns c0..c{k-1})
+/// Derived (IDB) predicate p -> idb_p (columns c0..c{k-1})
 /// Run-time temporaries      -> #p_new (both SQL strategies) and #p_diff
 ///                              (naive's termination check)
-/// Semi-naive windows        -> #p_delta / #p_prev: names the variant SQL
-///                              reads; the run time library binds them to
-///                              slot windows over idb_p, not to tables
+/// Semi-naive windows        -> #p_delta / #p_prev: slot windows over idb_p
+///
+/// Only edb_p names a catalog table; the rest name relations an LFP run
+/// owns and binds ahead of the catalog (lfp::RunRelations).
 
 inline std::string EdbTableName(const std::string& pred) {
   return "edb_" + pred;

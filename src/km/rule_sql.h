@@ -52,8 +52,8 @@ Result<std::string> RuleToSelect(const datalog::Rule& rule,
 ///   target += SELECT DISTINCT <head projection> FROM bind_last
 ///             EXCEPT (SELECT * FROM target)
 ///
-/// The caller must create `bind_tables` before running `statements` (in
-/// order) and drop them afterwards. Rules without negation produce no bind
+/// The caller must provide `bind_tables`, empty, before running
+/// `statements` (in order). Rules without negation produce no bind
 /// tables and a single statement. The final statement always dedups against
 /// the current contents of `target_table`.
 struct RuleSqlProgram {

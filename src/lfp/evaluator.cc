@@ -59,9 +59,9 @@ Status RunOneNode(EvalContext* ctx, const km::QueryProgram& program,
   ns.driver_rows = std::move(ctx->driver_rows());
   ctx->set_span(nullptr);
   for (const std::string& p : node.predicates) {
-    DKB_ASSIGN_OR_RETURN(int64_t n,
-                         ctx->Count(program.bindings.at(p).table));
-    ns.tuples += n;
+    DKB_ASSIGN_OR_RETURN(ScanSource * relation,
+                         ctx->Source(program.bindings.at(p).table));
+    ns.tuples += static_cast<int64_t>(relation->num_tuples());
   }
   ns.t_us = node_timer.ElapsedMicros();
   if (node_span != nullptr) {
@@ -78,15 +78,16 @@ Status RunOneNode(EvalContext* ctx, const km::QueryProgram& program,
 /// scheduler where node j waits on node i iff a rule of j mentions a
 /// predicate i defines. With a null `pool` each wave runs inline on the
 /// caller (width 1, the serial case); otherwise the independent nodes of a
-/// wave evaluate concurrently on the pool — they touch disjoint IDB/temp
-/// tables, and the shared DBMS plumbing (catalog map, statement cache,
-/// counters) is thread-safe. Each node accumulates into private
-/// ExecutionStats and a detached trace span; both merge into `stats` and
-/// `parent` in program order, so the reported breakdown and the span tree
-/// are deterministic whatever the width.
+/// wave evaluate concurrently on the pool — they write disjoint relations
+/// (node i's temporaries live in (*scopes)[i]), and the shared DBMS
+/// plumbing (catalog map, statement cache, counters) is thread-safe. Each
+/// node accumulates into private ExecutionStats and a detached trace span;
+/// both merge into `stats` and `parent` in program order, so the reported
+/// breakdown and the span tree are deterministic whatever the width.
 Status RunNodes(Database* db, const km::QueryProgram& program,
                 LfpStrategy strategy, ThreadPool* pool,
-                ExecutionStats* stats, trace::TraceSpan* parent) {
+                std::vector<RunRelations>* scopes, ExecutionStats* stats,
+                trace::TraceSpan* parent) {
   const size_t n = program.nodes.size();
   std::map<std::string, size_t> defined_by;
   for (size_t i = 0; i < n; ++i) {
@@ -118,7 +119,7 @@ Status RunNodes(Database* db, const km::QueryProgram& program,
   std::vector<std::unique_ptr<trace::TraceSpan>> node_spans(n);
   std::vector<Status> results(n, Status::OK());
   auto run_node = [&](size_t i) {
-    EvalContext node_ctx(db, &locals[i]);
+    EvalContext node_ctx(db, &locals[i], &(*scopes)[i]);
     if (parent != nullptr) {
       node_spans[i] = parent->context()->Detach(
           "node:" + NodeLabel(program.nodes[i]));
@@ -197,14 +198,22 @@ Result<QueryResult> ExecuteProgram(Database* db,
   stats->query_id = options.query_id;
 
   WallTimer total;
-  EvalContext ctx(db, stats);
+  // The run's relations: the IDB relations, shared by the nodes, and one
+  // scope per node for its temporaries.
+  const size_t shards = db->catalog().default_shards();
+  auto relations = std::make_unique<RunRelations>(shards);
+  std::vector<RunRelations> scopes;
   {
     trace::ScopedSpan temp_span(options.span, "temp");
-    for (const std::string& sql : program.drop_statements) {
-      DKB_RETURN_IF_ERROR(ctx.Temp(sql));
+    ScopedAccumulator acc(&stats->t_temp_us);
+    for (const auto& [pred, binding] : program.bindings) {
+      if (binding.is_base) continue;
+      DKB_RETURN_IF_ERROR(
+          relations->Empty(binding.table, binding.RelationSchema()).status());
     }
-    for (const std::string& sql : program.create_statements) {
-      DKB_RETURN_IF_ERROR(ctx.Temp(sql));
+    scopes.reserve(program.nodes.size());
+    for (size_t i = 0; i < program.nodes.size(); ++i) {
+      scopes.emplace_back(shards, relations->names());
     }
   }
 
@@ -222,26 +231,24 @@ Result<QueryResult> ExecuteProgram(Database* db,
       pool = wave_pool.get();
     }
   }
-  Status status = RunNodes(db, program, options.strategy, pool, stats,
-                           options.span);
+  Status status = RunNodes(db, program, options.strategy, pool, &scopes,
+                           stats, options.span);
 
   Result<QueryResult> answer = Status::Internal("unreachable");
   if (status.ok()) {
     ScopedAccumulator acc(&stats->t_final_us);
     trace::ScopedSpan final_span(options.span, "final");
-    answer = db->Execute(program.final_select);
+    answer = db->Execute(program.final_select, &relations->names());
   } else {
     answer = status;
   }
 
-  // Cleanup, win or lose: leftover idb_/temp tables would break the next
-  // query's CREATE statements.
+  // Free the run's relations, win or lose.
   {
     trace::ScopedSpan cleanup_span(options.span, "cleanup");
-    for (const std::string& sql : program.drop_statements) {
-      Status drop = ctx.Temp(sql);
-      (void)drop;
-    }
+    ScopedAccumulator acc(&stats->t_temp_us);
+    scopes.clear();
+    relations.reset();
   }
   if (answer.ok()) {
     stats->answer_tuples = static_cast<int64_t>(answer->rows.size());

@@ -36,7 +36,7 @@ struct EvalOptions {
   /// sequential, so the fixed point reached is identical to a serial run.
   /// Mirrors ParallelismPolicy::lfp_parallelism, which callers resolve.
   int parallelism = 1;
-  /// Parent trace span for this execution; when set, temp-table setup,
+  /// Parent trace span for this execution; when set, relation setup,
   /// every program node (with per-iteration children), and final answer
   /// retrieval become child spans. Per-node spans are detached while their
   /// node runs and adopted in program order, so the tree is deterministic
@@ -70,7 +70,7 @@ struct NodeStats {
 struct ExecutionStats {
   /// Flight-recorder query id (copied from EvalOptions::query_id).
   int64_t query_id = 0;
-  int64_t t_temp_us = 0;   // temp-table create/drop/clear + table copies
+  int64_t t_temp_us = 0;   // run relations built/cleared/freed + copies
   int64_t t_rhs_us = 0;    // evaluating rule bodies (or their differentials)
   int64_t t_term_us = 0;   // termination checks (set difference + count)
   int64_t t_final_us = 0;  // final answer retrieval
@@ -82,9 +82,9 @@ struct ExecutionStats {
 
 /// Runs the generated query program against the DBMS and returns the answer
 /// relation (the run time library of paper §3.3). The one program-level
-/// driver for every strategy: IDB tables are created at the start, the
-/// nodes run in topological waves through the strategy's per-node
-/// evaluator, the answer is selected, and the tables are dropped
+/// driver for every strategy: the run builds its IDB relations (RunRelations,
+/// no DDL), the nodes run in topological waves through the strategy's
+/// per-node evaluator, the answer is selected, and the relations are freed
 /// afterwards, win or lose. Per-node stats are reported in program order
 /// and the t_* buckets sum the per-node work (CPU-time-like accounting,
 /// not wall clock, when nodes run in parallel).

@@ -16,11 +16,12 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
   const km::BindingResolver canonical =
       EvalContext::CanonicalResolver(program);
 
-  // Temp tables: #p_new (recomputed value) and #p_diff (termination check).
+  // Temporaries: #p_new (recomputed value) and #p_diff (termination check).
   for (const std::string& p : node.predicates) {
-    const km::PredicateBinding& b = program.bindings.at(p);
-    DKB_RETURN_IF_ERROR(ctx->CreateLike(km::NewTableName(p), b));
-    DKB_RETURN_IF_ERROR(ctx->CreateLike(km::DiffTableName(p), b));
+    const Schema schema = program.bindings.at(p).RelationSchema();
+    DKB_RETURN_IF_ERROR(ctx->Temporary(km::NewTableName(p), schema).status());
+    DKB_RETURN_IF_ERROR(
+        ctx->Temporary(km::DiffTableName(p), schema).status());
   }
 
   // p^(0): exit rules into the base relations.
@@ -33,7 +34,7 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
     iter_span.Tag("iter", iterations);
     // Recompute every member relation from scratch into #p_new.
     for (const std::string& p : node.predicates) {
-      DKB_RETURN_IF_ERROR(ctx->Clear(km::NewTableName(p)));
+      DKB_RETURN_IF_ERROR(ctx->Temp("DELETE FROM " + km::NewTableName(p)));
     }
     DKB_RETURN_IF_ERROR(
         ctx->EvalExitRules(program, node, node_index, /*into_new=*/true));
@@ -49,7 +50,7 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
     int64_t delta_total = 0;
     for (const std::string& p : node.predicates) {
       const km::PredicateBinding& b = program.bindings.at(p);
-      DKB_RETURN_IF_ERROR(ctx->Clear(km::DiffTableName(p)));
+      DKB_RETURN_IF_ERROR(ctx->Temp("DELETE FROM " + km::DiffTableName(p)));
       DKB_RETURN_IF_ERROR(
           ctx->Term("INSERT INTO " + km::DiffTableName(p) +
                     " (SELECT * FROM " + km::NewTableName(p) +
@@ -67,14 +68,10 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
     // Table copy: idb_p := #p_new.
     for (const std::string& p : node.predicates) {
       const km::PredicateBinding& b = program.bindings.at(p);
-      DKB_RETURN_IF_ERROR(ctx->Clear(b.table));
-      DKB_RETURN_IF_ERROR(ctx->Copy(b.table, km::NewTableName(p)));
+      DKB_RETURN_IF_ERROR(ctx->Temp("DELETE FROM " + b.table));
+      DKB_RETURN_IF_ERROR(ctx->Temp("INSERT INTO " + b.table +
+                                    " SELECT * FROM " + km::NewTableName(p)));
     }
-  }
-
-  for (const std::string& p : node.predicates) {
-    DKB_RETURN_IF_ERROR(ctx->Drop(km::NewTableName(p)));
-    DKB_RETURN_IF_ERROR(ctx->Drop(km::DiffTableName(p)));
   }
   return iterations;
 }

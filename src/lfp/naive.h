@@ -11,8 +11,8 @@ namespace dkb::lfp {
 /// relations, checks termination with a full set difference, and copies the
 /// new relations over the old ones.
 ///
-/// Returns the number of iterations. `node_index` namespaces the binding
-/// pipeline's temp tables so independent nodes can evaluate concurrently.
+/// Returns the number of iterations. `node_index` must be the node's
+/// position in `program` (it prefixes the binding pipeline's temporaries).
 Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
                                     const km::QueryProgram& program,
                                     const km::ProgramNode& node,

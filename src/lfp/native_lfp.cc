@@ -208,7 +208,8 @@ class NativeNode {
  private:
   ExecutionStats* stats() { return ctx_->stats(); }
 
-  /// Relation for `pred`, loading base/stored relations on first use.
+  /// Relation for `pred`, loading it on first use from its stored table or
+  /// from the run's IDB relation of an earlier node.
   Result<NativeRelation*> Rel(const std::string& pred) {
     auto it = relations_.find(pred);
     if (it != relations_.end()) return it->second.get();
@@ -217,12 +218,11 @@ class NativeNode {
     if (binding_it == program_.bindings.end()) {
       return Status::Internal("no binding for " + pred);
     }
-    Catalog& catalog = ctx_->db()->catalog();
     DKB_ASSIGN_OR_RETURN(ScanSource * table,
-                         catalog.GetSource(binding_it->second.table));
+                         ctx_->Source(binding_it->second.table));
     auto rel = std::make_unique<NativeRelation>();
     table->Scan([&rel](RowId, const Tuple& row) { rel->Insert(row); },
-                catalog.read_epoch());
+                ctx_->db()->catalog().read_epoch());
     NativeRelation* raw = rel.get();
     relations_.emplace(pred, std::move(rel));
     return raw;
@@ -353,15 +353,15 @@ class NativeNode {
     return Status::OK();
   }
 
-  /// Appends the node's derived relations to their IDB tables, a batch at a
-  /// time (Table::AppendBatch interns and maintains indexes per batch).
+  /// Appends the node's derived relations to the run's IDB relations, a
+  /// batch at a time (Table::AppendBatch interns and maintains indexes per
+  /// batch).
   Status StoreDerived() {
     ScopedAccumulator acc(&stats()->t_temp_us);
     RowBatch batch;
     for (const std::string& p : node_.predicates) {
       const km::PredicateBinding& b = program_.bindings.at(p);
-      DKB_ASSIGN_OR_RETURN(ScanSource * table,
-                           ctx_->db()->catalog().GetSource(b.table));
+      DKB_ASSIGN_OR_RETURN(ScanSource * table, ctx_->Source(b.table));
       batch.Reset(table->schema().num_columns());
       for (const Tuple& t : relations_.at(p)->rows()) {
         batch.AppendRow(t);

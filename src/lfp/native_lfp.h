@@ -14,8 +14,8 @@ namespace dkb::lfp {
 /// iteration with hash-indexed joins, swaps delta sets by pointer (no table
 /// copies), and checks termination by delta emptiness (no full set
 /// difference). Before returning it appends the node's derived relations to
-/// their IDB tables, so later nodes, the answer query and any downstream
-/// consumers see the same state as under the SQL evaluators.
+/// the run's IDB relations, so later nodes and the answer query see the
+/// same state as under the SQL evaluators.
 ///
 /// Time attribution: relation load/store -> t_temp, join evaluation ->
 /// t_rhs, (trivial) termination checks -> t_term.

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "km/naming.h"
@@ -19,9 +18,9 @@ namespace {
 struct Member {
   ScanSource* full = nullptr;   // idb_p
   ScanSource* fresh = nullptr;  // #p_new, written by the variants
-  std::unique_ptr<SlotWindow> prev;   // [0, w_prev) of every shard
-  std::unique_ptr<SlotWindow> delta;  // [w_prev, w_full)
-  std::vector<DedupIndex> seen;       // one per shard of `full`
+  SlotWindow* prev = nullptr;   // [0, w_prev) of every shard
+  SlotWindow* delta = nullptr;  // [w_prev, w_full)
+  std::vector<DedupIndex> seen;  // one per shard of `full`
 };
 
 /// What one shard of #p_new contributed to a termination step.
@@ -139,28 +138,29 @@ Result<int64_t> Terminate(EvalContext* ctx, std::vector<Member>* members,
   return delta;
 }
 
-/// Sets up the clique's temporaries, windows, indexes and plans, then
-/// iterates to the fixpoint; returns the number of iterations.
-Result<int64_t> Iterate(EvalContext* ctx, const km::QueryProgram& program,
-                        const km::ProgramNode& node, size_t node_index) {
-  Catalog& catalog = ctx->db()->catalog();
+}  // namespace
 
+Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
+                                        const km::QueryProgram& program,
+                                        const km::ProgramNode& node,
+                                        size_t node_index) {
   // Per member: the #p_new temporary, the windows the variant SQL reads as
   // #p_delta and #p_prev, and the dedup index.
   std::vector<Member> members(node.predicates.size());
-  exec::NamedSources windows;
   for (size_t k = 0; k < node.predicates.size(); ++k) {
     const std::string& p = node.predicates[k];
     const km::PredicateBinding& b = program.bindings.at(p);
     Member& m = members[k];
-    DKB_RETURN_IF_ERROR(ctx->CreateLike(km::NewTableName(p), b));
-    DKB_ASSIGN_OR_RETURN(m.full, catalog.GetSource(b.table));
-    DKB_ASSIGN_OR_RETURN(m.fresh, catalog.GetSource(km::NewTableName(p)));
-    m.prev = std::make_unique<SlotWindow>(km::PrevTableName(p), m.full);
-    m.delta = std::make_unique<SlotWindow>(km::DeltaTableName(p), m.full);
+    DKB_ASSIGN_OR_RETURN(m.full, ctx->Source(b.table));
+    DKB_ASSIGN_OR_RETURN(
+        m.fresh, ctx->Temporary(km::NewTableName(p), b.RelationSchema()));
+    auto prev = std::make_unique<SlotWindow>(km::PrevTableName(p), m.full);
+    auto delta = std::make_unique<SlotWindow>(km::DeltaTableName(p), m.full);
+    m.prev = prev.get();
+    m.delta = delta.get();
+    DKB_RETURN_IF_ERROR(ctx->relations().Add(std::move(prev)));
+    DKB_RETURN_IF_ERROR(ctx->relations().Add(std::move(delta)));
     m.seen.assign(m.full->shard_count(), DedupIndex(b.columns.size()));
-    windows[AsciiLower(km::PrevTableName(p))] = m.prev.get();
-    windows[AsciiLower(km::DeltaTableName(p))] = m.delta.get();
   }
 
   // The variants' binding tables (rules with negation), then every variant
@@ -168,15 +168,15 @@ Result<int64_t> Iterate(EvalContext* ctx, const km::QueryProgram& program,
   std::vector<ScanSource*> bind_tables;
   for (const km::RuleVariant& variant : node.variants) {
     for (const km::RuleSqlProgram::BindTable& bind : variant.sql.bind_tables) {
-      DKB_RETURN_IF_ERROR(ctx->CreateWithSchema(bind.name, bind.schema));
-      DKB_ASSIGN_OR_RETURN(ScanSource * table, catalog.GetSource(bind.name));
+      DKB_ASSIGN_OR_RETURN(ScanSource * table,
+                           ctx->Temporary(bind.name, bind.schema));
       bind_tables.push_back(table);
     }
   }
   std::vector<PlannedStatement> plans;
   for (const km::RuleVariant& variant : node.variants) {
     for (const std::string& sql : variant.sql.statements) {
-      DKB_ASSIGN_OR_RETURN(PlannedStatement planned, ctx->Plan(sql, &windows));
+      DKB_ASSIGN_OR_RETURN(PlannedStatement planned, ctx->Plan(sql));
       plans.push_back(std::move(planned));
     }
   }
@@ -206,27 +206,6 @@ Result<int64_t> Iterate(EvalContext* ctx, const km::QueryProgram& program,
     iter_span.Tag("delta", delta);
     if (delta == 0) break;
   }
-  return iterations;
-}
-
-}  // namespace
-
-Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
-                                        const km::QueryProgram& program,
-                                        const km::ProgramNode& node,
-                                        size_t node_index) {
-  Result<int64_t> iterations = Iterate(ctx, program, node, node_index);
-  // Drop the temporaries win or lose, so a failed run leaves none behind.
-  auto drop = [&](const std::string& name) {
-    Status status = ctx->Drop(name);
-    if (iterations.ok() && !status.ok()) iterations = status;
-  };
-  for (const km::RuleVariant& variant : node.variants) {
-    for (const km::RuleSqlProgram::BindTable& bind : variant.sql.bind_tables) {
-      drop(bind.name);
-    }
-  }
-  for (const std::string& p : node.predicates) drop(km::NewTableName(p));
   return iterations;
 }
 

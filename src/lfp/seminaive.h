@@ -24,7 +24,7 @@ namespace dkb::lfp {
 /// tables; the termination step probes only the rows #p_new holds against
 /// the relation's dedup index and appends the survivors to the IDB table.
 /// #p_new (plus the binding tables of rules with negation) is the only
-/// temporary.
+/// temporary; it and the windows are RunRelations of the node.
 ///
 /// Returns the number of iterations. `node_index` must be the node's
 /// position in `program` (the variants' binding-table names carry it, so

@@ -51,7 +51,7 @@ Result<QueryResult> PreparedStatement::Execute() {
     }
   }
   return db_->ExecuteParsed(*stmt_, params_.empty() ? nullptr : &params_,
-                            "<prepared statement>");
+                            "<prepared statement>", nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -117,8 +117,9 @@ bool Database::statement_cache_enabled() const {
 
 Result<QueryResult> Database::ExecuteParsed(const sql::Statement& stmt,
                                             const std::vector<Value>* params,
-                                            const std::string& text) {
-  exec::Executor executor(&catalog_, &stats_);
+                                            const std::string& text,
+                                            const exec::NamedSources* sources) {
+  exec::Executor executor(&catalog_, &stats_, sources);
   auto result = executor.Execute(stmt, params);
   if (!result.ok()) {
     return Status(result.status().code(),
@@ -153,10 +154,11 @@ Result<PlannedStatement> Database::Plan(const std::string& sql,
   return PlannedStatement(this, sql, std::move(*insert));
 }
 
-Result<QueryResult> Database::Execute(const std::string& sql) {
+Result<QueryResult> Database::Execute(const std::string& sql,
+                                      const exec::NamedSources* sources) {
   DKB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::Statement> stmt,
                        ParseCached(sql));
-  return ExecuteParsed(*stmt, nullptr, sql);
+  return ExecuteParsed(*stmt, nullptr, sql, sources);
 }
 
 Status Database::ExecuteAll(const std::string& script) {

@@ -109,12 +109,13 @@ class Database {
   Result<PreparedStatement> Prepare(const std::string& sql);
 
   /// Parses and executes a single parameterless SQL statement.
-  Result<QueryResult> Execute(const std::string& sql);
+  Result<QueryResult> Execute(const std::string& sql,
+                              const exec::NamedSources* sources = nullptr);
 
   /// Parses (through the statement cache), binds and plans one
   /// parameterless INSERT ... SELECT for repeated runs. `sources` binds
-  /// FROM-list names ahead of the catalog (exec::PlanSelect); every table
-  /// the statement names must exist now. A sys.* view is materialized once,
+  /// names ahead of the catalog (exec::PlannedInsert); every relation the
+  /// statement names must exist now. A sys.* view is materialized once,
   /// here, so every run reads that snapshot.
   Result<PlannedStatement> Plan(const std::string& sql,
                                 const exec::NamedSources* sources = nullptr);
@@ -148,7 +149,8 @@ class Database {
   /// Runs a parsed statement with optional bound parameter values.
   Result<QueryResult> ExecuteParsed(const sql::Statement& stmt,
                                     const std::vector<Value>* params,
-                                    const std::string& text);
+                                    const std::string& text,
+                                    const exec::NamedSources* sources);
 
   /// Parsed-statement cache. The enabled flag and the map change together
   /// (disabling clears the map), so both live under one Guarded lock; the

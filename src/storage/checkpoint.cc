@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -229,6 +230,11 @@ Result<CheckpointInfo> ReadCheckpoint(const std::string& path,
     return Status::InvalidArgument("checkpoint: " + path +
                                    " is malformed (truncated payload)");
   };
+  // A count of items needing at least `bytes` each that the rest of the
+  // payload cannot hold is malformed, not a reason to reserve memory.
+  const auto too_many = [&r](uint64_t count, size_t bytes) {
+    return count > r.remaining() / bytes;
+  };
 
   CheckpointInfo info;
   uint32_t nrules = 0;
@@ -243,7 +249,7 @@ Result<CheckpointInfo> ReadCheckpoint(const std::string& path,
   }
 
   uint32_t ndict = 0;
-  if (!r.U32(&ndict)) return malformed();
+  if (!r.U32(&ndict) || too_many(ndict, 4)) return malformed();
   std::vector<Value> dict;
   dict.reserve(ndict);
   for (uint32_t i = 0; i < ndict; ++i) {
@@ -264,7 +270,7 @@ Result<CheckpointInfo> ReadCheckpoint(const std::string& path,
         !r.Cols(&schema)) {
       return malformed();
     }
-    if (shard_count == 0) return malformed();
+    if (shard_count == 0 || too_many(shard_count, 8)) return malformed();
 
     struct IndexSpec {
       std::string name;
@@ -303,7 +309,9 @@ Result<CheckpointInfo> ReadCheckpoint(const std::string& path,
     const size_t ncols = schema.num_columns();
     for (uint32_t s = 0; s < shard_count; ++s) {
       uint64_t nrows = 0;
-      if (!r.U64(&nrows)) return malformed();
+      if (!r.U64(&nrows) || too_many(nrows, std::max<size_t>(ncols, 1))) {
+        return malformed();
+      }
       std::vector<std::vector<Value>> columns(ncols);
       for (size_t c = 0; c < ncols; ++c) {
         columns[c].reserve(nrows);

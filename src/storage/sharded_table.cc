@@ -18,6 +18,15 @@ ShardedTable::ShardedTable(std::string name, Schema schema,
   }
 }
 
+std::unique_ptr<ScanSource> MakeSource(std::string name, Schema schema,
+                                       size_t shard_count) {
+  if (shard_count > 1) {
+    return std::make_unique<ShardedTable>(std::move(name), std::move(schema),
+                                          shard_count);
+  }
+  return std::make_unique<Table>(std::move(name), std::move(schema));
+}
+
 size_t ShardedTable::ShardOfValue(const Value& v) const {
   const size_t n = shards_.size();
   if (n == 1) return 0;

@@ -46,6 +46,11 @@ class ShardedTable : public ScanSource {
   std::vector<std::unique_ptr<Table>> shards_;
 };
 
+/// A new empty, unversioned source with `shard_count` shards: a plain Table
+/// for one, a ShardedTable otherwise.
+std::unique_ptr<ScanSource> MakeSource(std::string name, Schema schema,
+                                       size_t shard_count);
+
 }  // namespace dkb
 
 #endif  // DKB_STORAGE_SHARDED_TABLE_H_

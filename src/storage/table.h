@@ -31,7 +31,7 @@ namespace dkb {
 /// the catalog for the testbed's stored tables) stamps every insert with the
 /// in-flight write epoch and turns deletes into end-stamps, so readers
 /// pinned at an older epoch keep seeing the rows that were visible when they
-/// pinned. Unversioned tables (LFP `#` temporaries, standalone databases)
+/// pinned. Unversioned tables (LFP run relations, standalone databases)
 /// stamp begin = 0 / end = kNever and behave exactly like the pre-MVCC
 /// store: deletes erase index entries eagerly and Clear() resets physically.
 ///

@@ -14,13 +14,12 @@ Status Session::Refresh() {
   ReaderLock lock(testbed_->mu_);
   uint64_t current = testbed_->epoch();
   if (db_ != nullptr && current == epoch()) return Status::OK();
-  // A brand-new overlay per pin: scratch tables, pinned base handles, and
-  // prepared statements from the old epoch all die with the old Database,
-  // so nothing can leak a stale read epoch into the new one.
+  // A brand-new overlay per pin: pinned base handles and prepared
+  // statements from the old epoch all die with the old Database, so
+  // nothing can leak a stale read epoch into the new one.
   auto db = std::make_unique<Database>();
-  // The default matters for the LFP `#` temporaries this session will
-  // create, which must shard identically to the base tables they are
-  // diffed against.
+  // The LFP builds the relations each run owns with this shard count, so
+  // they shard identically to the base tables they are joined with.
   db->catalog().SetDefaultShards(options_.shards);
   db->catalog().SetBase(&testbed_->db_.catalog());
   db->catalog().SetReadEpoch(current);
@@ -48,7 +47,7 @@ Result<QueryOutcome> Session::Query(const datalog::Atom& goal,
   queries_.fetch_add(1, std::memory_order_relaxed);
   DKB_RETURN_IF_ERROR(Refresh());
   // No testbed lock held here: all stored-table reads go through the pinned
-  // epoch, and scratch tables live in the session's own overlay.
+  // epoch, and the LFP's relations belong to the query's run.
   return Testbed::QueryImpl(db_.get(), &workspace_, stored_.get(), &cache_,
                             goal, options, &testbed_->recorder_, id_);
 }

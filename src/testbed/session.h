@@ -28,9 +28,9 @@ namespace dkb::testbed {
 /// testbed's for stored tables, pins the current commit epoch, and rebuilds
 /// only the small stored-DKB dictionary caches plus a copy of the workspace
 /// rules. Row versions below the pin are protected from the vacuum
-/// reclaimer by the session registry. LFP scratch tables (`#` temporaries
-/// and `idb_<pred>` results) are created in the overlay itself, which is
-/// what makes concurrent evaluation possible.
+/// reclaimer by the session registry. A session only reads: the LFP's IDB
+/// relations and temporaries belong to each query's run (lfp::RunRelations),
+/// not to any catalog, which is what makes concurrent evaluation possible.
 ///
 /// The pin is taken lazily: every Query() first compares the session's
 /// epoch against the testbed's (which each committed write advances) and
@@ -75,8 +75,8 @@ class Session {
   explicit Session(Testbed* testbed);
 
   /// Re-pins to the current commit epoch if it moved past ours: builds a
-  /// fresh overlay Database (so leftover scratch state and pinned base
-  /// handles from the old epoch are dropped wholesale), restores the
+  /// fresh overlay Database (so statements and pinned base handles from the
+  /// old epoch are dropped wholesale), restores the
   /// stored-DKB dictionary caches through it, and copies the workspace.
   /// Takes the testbed's lock in shared mode for the duration of the
   /// metadata copy only.

@@ -105,11 +105,11 @@ Testbed::Testbed(TestbedOptions options)
     : options_(options),
       stored_(std::make_unique<km::StoredDkb>(&db_, options.stored)),
       recorder_(options.flight_recorder_capacity) {
-  // Before any table exists: base tables and LFP temporaries created later
-  // all inherit this count, keeping every stored source aligned.
+  // Before any table exists: stored tables and the relations each LFP run
+  // builds all inherit this count, keeping every source aligned.
   db_.catalog().SetDefaultShards(options.shards);
   // MVCC: every stored table the catalog creates stamps row visibility from
-  // the testbed's epoch counter ('#' temporaries stay unversioned).
+  // the testbed's epoch counter.
   db_.catalog().EnableVersioning(&epochs_);
   if (options.slow_query_threshold_us >= 0) {
     SlowQueryLogOptions slow;
@@ -627,10 +627,10 @@ Result<QueryOutcome> Testbed::Query(const std::string& goal_text,
 
 Result<QueryOutcome> Testbed::Query(const datalog::Atom& goal,
                                     const QueryOptions& options) {
-  // Exclusive even though a query is logically a read: LFP evaluation
-  // creates and drops scratch tables in db_. Concurrency comes from
-  // sessions, which run QueryImpl against epoch-pinned overlays with no
-  // testbed lock at all.
+  // Exclusive even though a query is logically a read: compilation uses the
+  // testbed's own workspace, stored-DKB caches and query cache (evaluation
+  // only reads db_). Concurrency comes from sessions, which run QueryImpl
+  // against epoch-pinned overlays with no testbed lock at all.
   WriterLock lock(mu_);
   return QueryImpl(&db_, &workspace_, stored_.get(), &cache_, goal, options,
                    &recorder_, /*session_id=*/0);

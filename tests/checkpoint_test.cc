@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "storage/codec.h"
+#include "storage/sharded_table.h"
 #include "testbed/testbed.h"
 #include "workload/data_gen.h"
 #include "workload/queries.h"
@@ -153,6 +155,86 @@ TEST(CheckpointTest, CorruptFileIsRejected) {
   }
   auto info = PeekCheckpoint(path);
   EXPECT_FALSE(info.ok());
+}
+
+/// Writes a checkpoint file around `payload` with a valid CRC trailer, so
+/// only the decoder stands between the payload and the process.
+std::string CraftCheckpoint(const std::string& name,
+                            const std::string& payload) {
+  codec::Writer trailer;
+  trailer.U32(codec::Crc32(payload));
+  std::string path = TempPath(name);
+  std::ofstream out(path, std::ios::binary);
+  out << "DKBCKPT1" << payload << trailer.str();
+  return path;
+}
+
+/// The header of a crafted payload: lsn, epoch, no rules.
+codec::Writer CraftedHeader() {
+  codec::Writer w;
+  w.U64(1);
+  w.U64(1);
+  w.U32(0);  // nrules
+  return w;
+}
+
+/// Runs ReadCheckpoint on `path` with a factory that records the shard
+/// counts it is asked for; returns the status.
+Status ReadCrafted(const std::string& path, std::vector<size_t>* asked) {
+  std::vector<std::unique_ptr<ScanSource>> tables;
+  TableFactory factory = [&](const std::string& name, const Schema& schema,
+                             size_t shard_count,
+                             size_t) -> Result<ScanSource*> {
+    asked->push_back(shard_count);
+    if (shard_count > 64) return Status::Internal("factory refused");
+    tables.push_back(MakeSource(name, schema, shard_count));
+    return tables.back().get();
+  };
+  return ReadCheckpoint(path, factory, nullptr).status();
+}
+
+// A dictionary count the file cannot hold (36 bytes in all).
+TEST(CheckpointTest, CraftedDictCountIsInvalidArgument) {
+  codec::Writer w = CraftedHeader();
+  w.U32(0xFFFFFFF0u);  // ndict
+  const std::string path = CraftCheckpoint("crafted_ndict.ckpt", w.str());
+  std::vector<size_t> asked;
+  Status s = ReadCrafted(path, &asked);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
+/// One table "t" with one INT column, `shard_count` shards and no indexes.
+codec::Writer CraftedTable(uint32_t shard_count) {
+  codec::Writer w = CraftedHeader();
+  w.U32(0);  // ndict
+  w.U32(1);  // ntables
+  w.Str("t");
+  w.U32(shard_count);
+  w.U32(0);  // partition column
+  w.Cols(Schema({{"c0", DataType::kInteger}}));
+  w.U16(0);  // nindexes
+  return w;
+}
+
+// A shard count the file cannot hold never reaches the table factory.
+TEST(CheckpointTest, CraftedShardCountIsInvalidArgument) {
+  codec::Writer w = CraftedTable(0xFFFFFFFFu);
+  const std::string path = CraftCheckpoint("crafted_shards.ckpt", w.str());
+  std::vector<size_t> asked;
+  Status s = ReadCrafted(path, &asked);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_TRUE(asked.empty());
+}
+
+// A row count the file cannot hold.
+TEST(CheckpointTest, CraftedRowCountIsInvalidArgument) {
+  codec::Writer w = CraftedTable(1);
+  w.U64(uint64_t{1} << 60);  // nrows
+  const std::string path = CraftCheckpoint("crafted_nrows.ckpt", w.str());
+  std::vector<size_t> asked;
+  Status s = ReadCrafted(path, &asked);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_EQ(asked, std::vector<size_t>{1});
 }
 
 }  // namespace

@@ -203,5 +203,55 @@ TEST(RecoveryTest, CleanRestartReplaysClearWorkspace) {
   EXPECT_EQ(q->result.rows.size(), 30u);
 }
 
+/// The rows of `table` as a sorted set, or "missing" if it cannot be read.
+std::set<std::string> TableContents(Testbed* tb, const std::string& table) {
+  auto rows = tb->ExecuteSql("SELECT * FROM " + table);
+  if (!rows.ok()) return {"missing"};
+  return AnswerSet(*rows);
+}
+
+// Queries neither drop nor write user tables named like the LFP's relations
+// (their drops were never logged), so the recovered tables equal the live
+// ones.
+TEST(RecoveryTest, UserTablesOfLfpNamesSurviveQueriesAndRecovery) {
+  std::string dir = FreshDir("recovery_lfp_names");
+  const std::vector<std::string> tables = {"idb_anc", "#anc_new"};
+  std::vector<std::set<std::string>> live;
+  {
+    auto tb = Testbed::Create(TestbedOptions{}.WithWalDir(dir));
+    ASSERT_TRUE(tb.ok()) << tb.status().ToString();
+    ASSERT_TRUE((*tb)->Consult("anc(X, Y) :- par(X, Y).\n"
+                               "anc(X, Y) :- par(X, Z), anc(Z, Y).\n"
+                               "par(a, b).\npar(b, c).\n")
+                    .ok());
+    for (const std::string& table : tables) {
+      ASSERT_TRUE((*tb)->ExecuteSql("CREATE TABLE " + table +
+                                    " (c0 VARCHAR, c1 VARCHAR)")
+                      .ok());
+      ASSERT_TRUE(
+          (*tb)->ExecuteSql("INSERT INTO " + table + " VALUES ('x', 'y')")
+              .ok());
+    }
+    for (lfp::LfpStrategy strategy :
+         {lfp::LfpStrategy::kNaive, lfp::LfpStrategy::kSemiNaive,
+          lfp::LfpStrategy::kNative, lfp::LfpStrategy::kNativeTc}) {
+      auto q = (*tb)->Query("?- anc(a, W).",
+                            QueryOptions{}.WithStrategy(strategy));
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      EXPECT_EQ(q->result.rows.size(), 2u);
+    }
+    for (const std::string& table : tables) {
+      live.push_back(TableContents(tb->get(), table));
+    }
+  }
+  auto recovered = Testbed::Create(TestbedOptions{}.WithWalDir(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  for (size_t i = 0; i < tables.size(); ++i) {
+    SCOPED_TRACE(tables[i]);
+    EXPECT_EQ(live[i], (std::set<std::string>{"x|y|"}));
+    EXPECT_EQ(TableContents(recovered->get(), tables[i]), live[i]);
+  }
+}
+
 }  // namespace
 }  // namespace dkb::testbed

@@ -54,6 +54,26 @@ TEST_F(SessionTest, SessionAgreesWithDirectQuery) {
   EXPECT_EQ(via_session->result.rows.size(), 3u);
 }
 
+// A base table named like the query's IDB relation is an ordinary user
+// table: the session's run keeps its own idb_ancestor and never tries to
+// create or drop one in the overlay.
+TEST_F(SessionTest, QueriesWhileBaseHasTableOfAnLfpName) {
+  ASSERT_TRUE(
+      tb_->ExecuteSql("CREATE TABLE idb_ancestor (c0 VARCHAR, c1 VARCHAR)")
+          .ok());
+  ASSERT_TRUE(
+      tb_->ExecuteSql("INSERT INTO idb_ancestor VALUES ('x', 'y')").ok());
+  auto session = tb_->OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto outcome = (*session)->Query("ancestor(john, W)");
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(AnswerSet(outcome->result),
+            (std::set<std::string>{"mary|", "sue|", "tim|"}));
+  auto rows = tb_->ExecuteSql("SELECT * FROM idb_ancestor");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows.size(), 1u);
+}
+
 TEST_F(SessionTest, ConcurrentSessionsAgreeWithSerial) {
   auto serial = tb_->Query("ancestor(john, W)");
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
