@@ -177,14 +177,26 @@ Result<QueryProgram> GenerateProgram(
     program.nodes.push_back(std::move(node));
   }
 
-  // Final answer query over the query predicate's relation.
-  const PredicateBinding& qb = program.bindings.at(query.predicate);
+  DKB_RETURN_IF_ERROR(GenerateFinalSelect(query, &program));
+  return program;
+}
+
+Status GenerateFinalSelect(const datalog::Atom& query,
+                           QueryProgram* program) {
+  auto binding = program->bindings.find(query.predicate);
+  if (binding == program->bindings.end()) {
+    return Status::Internal("no binding for query predicate " +
+                            query.predicate);
+  }
+  const PredicateBinding& qb = binding->second;
   if (query.arity() != qb.types.size()) {
     return Status::SemanticError(
         "query " + query.ToString() + " has arity " +
         std::to_string(query.arity()) + " but predicate " + query.predicate +
         " has arity " + std::to_string(qb.types.size()));
   }
+  program->answer_columns.clear();
+  program->boolean_query = false;
   std::vector<std::string> projections;
   std::vector<std::string> conjuncts;
   std::map<std::string, std::string> var_cols;  // variable -> first column
@@ -203,14 +215,14 @@ Result<QueryProgram> GenerateProgram(
     auto [it, inserted] = var_cols.emplace(t.var, qb.columns[i]);
     if (inserted) {
       projections.push_back(qb.columns[i] + " AS " + t.var);
-      program.answer_columns.push_back(t.var);
+      program->answer_columns.push_back(t.var);
     } else {
       conjuncts.push_back(qb.columns[i] + " = " + it->second);
     }
   }
   std::string select;
   if (projections.empty()) {
-    program.boolean_query = true;
+    program->boolean_query = true;
     select = "SELECT COUNT(*) FROM " + qb.table;
   } else {
     select = "SELECT DISTINCT ";
@@ -227,8 +239,8 @@ Result<QueryProgram> GenerateProgram(
       select += conjuncts[i];
     }
   }
-  program.final_select = std::move(select);
-  return program;
+  program->final_select = std::move(select);
+  return Status::OK();
 }
 
 }  // namespace dkb::km

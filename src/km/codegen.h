@@ -87,6 +87,14 @@ Result<QueryProgram> GenerateProgram(
     const std::map<std::string, PredicateTypes>& base_types,
     const datalog::Atom& query);
 
+/// Generates the final answer SELECT of `program` for `query` over the
+/// query predicate's binding: one projection per distinct variable (the
+/// answer columns), one conjunct per constant or repeated variable, and
+/// COUNT(*) for a ground query. GenerateProgram ends with it; BindGoal
+/// (km/compiler.h) reruns it to bind a precompiled program to another
+/// goal of the same form.
+Status GenerateFinalSelect(const datalog::Atom& query, QueryProgram* program);
+
 }  // namespace dkb::km
 
 #endif  // DKB_KM_CODEGEN_H_

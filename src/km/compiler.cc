@@ -88,7 +88,69 @@ Result<double> EstimateSelectivity(const Atom& query,
                   static_cast<double>(touched) / static_cast<double>(d_tot));
 }
 
+/// A goal's form: its predicate plus, per argument, the variable's name or
+/// ':' and the constant's type (no variable name starts with ':').
+std::string GoalForm(const Atom& goal) {
+  std::string form = goal.predicate + "(";
+  for (size_t i = 0; i < goal.args.size(); ++i) {
+    const datalog::Term& t = goal.args[i];
+    if (i > 0) form += ",";
+    if (t.is_variable()) {
+      form += t.var;
+    } else {
+      form += ":";
+      form += DataTypeName(t.value.type());
+    }
+  }
+  return form + ")";
+}
+
 }  // namespace
+
+std::string QueryFormKey(const Atom& goal, const CompilerOptions& options) {
+  std::string key;
+  switch (options.magic_mode) {
+    case MagicMode::kOff:
+      key = GoalForm(goal) + "#plain";
+      break;
+    case MagicMode::kOn:
+      key = GoalForm(goal) + "#magic";
+      break;
+    case MagicMode::kAdaptive:
+      key = goal.ToString() + "#adaptive";
+      break;
+  }
+  if (options.magic_variant == magic::MagicVariant::kSupplementary) {
+    key += "#sup";
+  }
+  return key;
+}
+
+Result<CompiledQuery> BindGoal(const CompiledQuery& compiled,
+                               const Atom& goal) {
+  if (GoalForm(goal) != GoalForm(compiled.original_query)) {
+    return Status::InvalidArgument(
+        "cannot bind a program compiled for " +
+        compiled.original_query.ToString() + " to " + goal.ToString() +
+        ": the goals differ in form");
+  }
+  CompiledQuery out = compiled;
+  out.original_query = goal;
+  out.program.query.args = goal.args;
+  // The seed is the only empty-body rule a program holds (the workspace
+  // refuses facts); a program compiled without magic has none.
+  datalog::Rule seed = magic::MagicSeed(goal);
+  for (ProgramNode& node : out.program.nodes) {
+    for (CompiledRule& cr : node.exit_rules) {
+      if (cr.rule.body.empty() &&
+          cr.rule.head.predicate == seed.head.predicate) {
+        cr.rule = seed;
+      }
+    }
+  }
+  DKB_RETURN_IF_ERROR(GenerateFinalSelect(out.program.query, &out.program));
+  return out;
+}
 
 Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
                                              const CompilerOptions& options,
@@ -309,6 +371,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
     }
   }
 
+  out.summary = stats->Summary();
   return out;
 }
 

@@ -42,6 +42,19 @@ struct CompilationStats {
     return t_setup_us + t_extract_us + t_read_us + t_analyze_us + t_opt_us +
            t_eol_us + t_sem_us + t_gen_us + t_comp_us;
   }
+
+  /// The counts and the magic decision without the timings or query id:
+  /// what a precompiled program reports for every query it serves.
+  CompilationStats Summary() const {
+    CompilationStats s;
+    s.rules_relevant = rules_relevant;
+    s.rules_extracted_stored = rules_extracted_stored;
+    s.preds_relevant = preds_relevant;
+    s.rules_pruned = rules_pruned;
+    s.magic_applied = magic_applied;
+    s.estimated_selectivity = estimated_selectivity;
+    return s;
+  }
 };
 
 /// Whether to apply the generalized magic sets rewrite.
@@ -84,9 +97,32 @@ struct CompiledQuery {
   std::vector<datalog::Rule> relevant_rules;  // pre-rewrite relevant rules
   /// Static-analysis output over the relevant rules: diagnostics, strata,
   /// achievable adornments, cardinality annotations, and the pruned rule
-  /// set that was actually compiled (analysis.rules).
+  /// set that was actually compiled (analysis.rules). It depends only on
+  /// the goal's form, but its diagnostics name the goal it was compiled for.
   analysis::AnalysisResult analysis;
+  /// CompilationStats::Summary() of the compilation that built the program.
+  CompilationStats summary;
 };
+
+/// The precompiled-program key of `goal` under `options` (paper conclusion
+/// #3): the goal's form, meaning its predicate plus, per argument, the
+/// variable's name or the constant's type, plus the magic mode and
+/// variant (the other options keep their defaults on every cached
+/// compilation). Variable names are part of the form because they name the
+/// answer columns, and a repeated variable becomes a conjunct. Goals of one
+/// form compile to the same program up to their constants, which BindGoal
+/// rebinds. Adaptive magic keys the whole goal instead: its magic decision
+/// depends on the constants' selectivity.
+std::string QueryFormKey(const datalog::Atom& goal,
+                         const CompilerOptions& options);
+
+/// A copy of `compiled` bound to `goal`, which must have the form of the
+/// goal `compiled` was built for. Every part that carries goal constants is
+/// regenerated from `goal` by the code that first generated it: the magic
+/// seed (magic::MagicSeed), the final SELECT (GenerateFinalSelect),
+/// QueryProgram::query and original_query. `compiled` is not modified.
+Result<CompiledQuery> BindGoal(const CompiledQuery& compiled,
+                               const datalog::Atom& goal);
 
 /// D/KB query compiler implementing the processing algorithm of paper §4.2:
 /// reachability over the union of Workspace and Stored DKBs, relevant-rule

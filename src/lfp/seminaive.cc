@@ -204,6 +204,8 @@ Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
     ctx->new_sizes().push_back(work.fresh);
     ctx->driver_rows().push_back(work.driver);
     iter_span.Tag("delta", delta);
+    iter_span.Tag("new_rows", work.fresh);
+    iter_span.Tag("driver_rows", work.driver);
     if (delta == 0) break;
   }
   return iterations;

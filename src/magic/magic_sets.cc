@@ -112,6 +112,14 @@ bool EmitSupplementaryRule(const Rule& original, const Atom& magic_guard,
 
 }  // namespace
 
+Rule MagicSeed(const Atom& query) {
+  const Adornment adornment = AdornAtom(query, /*bound_vars=*/{});
+  Rule seed;
+  seed.head.predicate = MagicName(query.predicate, adornment);
+  seed.head.args = BoundArgs(query, adornment);
+  return seed;
+}
+
 Result<MagicRewrite> ApplyGeneralizedMagicSets(
     const std::vector<Rule>& rules, const Atom& query,
     const std::set<std::string>& derived, MagicVariant variant,
@@ -280,11 +288,7 @@ Result<MagicRewrite> ApplyGeneralizedMagicSets(
     }
   }
 
-  // Magic seed: m_q^a0(query constants).
-  Rule seed;
-  seed.head.predicate = MagicName(query.predicate, query_adornment);
-  seed.head.args = BoundArgs(query, query_adornment);
-  out.rules.push_back(std::move(seed));
+  out.rules.push_back(MagicSeed(query));
 
   out.adorned_query.predicate =
       AdornedName(query.predicate, query_adornment);

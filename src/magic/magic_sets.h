@@ -56,6 +56,12 @@ struct MagicRewrite {
   std::set<std::string> supplementary_predicates;
 };
 
+/// The magic seed fact of `query`: m_q^a(c1, ..., ck), the query's
+/// constants in argument order under the magic name of its adornment. The
+/// rewrite emits it as its one empty-body rule; a program precompiled for
+/// one goal is rebound to another of the same form by regenerating it.
+datalog::Rule MagicSeed(const datalog::Atom& query);
+
 /// Applies the generalized magic sets transformation with a left-to-right
 /// sideways-information-passing strategy (full SIPS: every evaluated body
 /// atom binds all of its variables for the atoms to its right).

@@ -47,6 +47,8 @@ QueryLogEntry FlightRecorder::MakeEntry(const QueryReport& report,
       it.is_clique = node.is_clique;
       it.iter = static_cast<int64_t>(i) + 1;
       it.delta_rows = node.delta_sizes[i];
+      if (i < node.new_sizes.size()) it.new_rows = node.new_sizes[i];
+      if (i < node.driver_rows.size()) it.driver_rows = node.driver_rows[i];
       entry.lfp_iterations.push_back(std::move(it));
     }
   }

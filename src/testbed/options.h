@@ -118,9 +118,11 @@ struct QueryOptions {
   /// selectivity estimate (paper conclusion #4's dynamic strategy).
   bool adaptive_magic = false;
   lfp::LfpStrategy strategy = lfp::LfpStrategy::kSemiNaive;
-  /// Reuse precompiled programs for repeated queries (paper conclusion #3).
+  /// Reuse precompiled programs for repeated query forms (paper conclusion
+  /// #3): one program per goal form (km::QueryFormKey), bound to each
+  /// query's constants on a hit. Adaptive magic keeps one program per goal.
   /// Cached entries are invalidated when rules defining any predicate the
-  /// program depends on change.
+  /// program depends on change; fact inserts keep them.
   bool use_cache = false;
   /// Full parallelism override for this query. When set it wins over the
   /// process-wide GlobalParallelismPolicy(). WithParallelism(n) is the

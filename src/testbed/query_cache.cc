@@ -5,12 +5,6 @@
 
 namespace dkb::testbed {
 
-std::string QueryCache::MakeKey(const datalog::Atom& goal, bool use_magic,
-                                bool adaptive_magic) {
-  if (adaptive_magic) return goal.ToString() + "#adaptive";
-  return goal.ToString() + (use_magic ? "#magic" : "#plain");
-}
-
 std::shared_ptr<const km::CompiledQuery> QueryCache::Lookup(
     const std::string& key) {
   MutexLock lock(mu_);

@@ -16,10 +16,13 @@ namespace dkb::testbed {
 /// Precompiled-query store (paper conclusion #3).
 ///
 /// Compilation dominates short D/KB interactions, so frequently-issued
-/// queries are worth precompiling. The price the paper identifies is
-/// bookkeeping: each cached program records the predicates it depends on,
-/// and rule-base updates invalidate every program whose dependency set
-/// intersects the updated predicates.
+/// queries are worth precompiling. Applications repeat a few query forms
+/// with new constants, so the testbed keys each program by its goal's form
+/// (km::QueryFormKey) and binds a hit to the new goal's constants
+/// (km::BindGoal); the store itself only maps keys to immutable programs.
+/// The price the paper identifies is bookkeeping: each cached program
+/// records the predicates it depends on, and rule-base updates invalidate
+/// every program whose dependency set intersects the updated predicates.
 class QueryCache {
  public:
   struct Stats {
@@ -27,11 +30,6 @@ class QueryCache {
     int64_t misses = 0;
     int64_t invalidated = 0;  // entries dropped by updates
   };
-
-  /// Cache key: the query text plus the option bits that change the
-  /// compiled program.
-  static std::string MakeKey(const datalog::Atom& goal, bool use_magic,
-                             bool adaptive_magic = false);
 
   /// Returns shared ownership of the cached program, or null on a miss.
   /// The returned program stays valid for as long as the caller holds the
@@ -50,7 +48,8 @@ class QueryCache {
   void InvalidateOn(const std::set<std::string>& updated_preds)
       DKB_EXCLUDES(mu_);
 
-  /// Drops everything (workspace edits change rule visibility wholesale).
+  /// Drops everything (a session re-pinned past a write that may have
+  /// changed any program).
   void Clear() DKB_EXCLUDES(mu_);
 
   Stats stats() const DKB_EXCLUDES(mu_) {

@@ -55,7 +55,9 @@ struct QueryReport {
   /// testbed itself). sys.lfp_iterations joins to sys.query_log on query_id.
   int64_t query_id = 0;
   int64_t session_id = 0;
-  km::CompilationStats compile;  // all zeros on a precompiled-cache hit
+  /// On a precompiled-cache hit, the cached program's summary: its counts
+  /// and magic decision, with every timing zero.
+  km::CompilationStats compile;
   lfp::ExecutionStats exec;      // zeros when only compiled (ExplainMode::kPlan)
   bool from_cache = false;       // compiled program came from the query cache
   bool executed = false;         // false for compile-only (EXPLAIN) queries

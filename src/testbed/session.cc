@@ -31,7 +31,12 @@ Status Session::Refresh() {
   workspace_ = testbed_->workspace_;
   db_ = std::move(db);
   stored_ = std::move(stored);
-  cache_.Clear();
+  // Fact inserts leave every compiled program valid; any other write since
+  // the last pin may not.
+  if (program_epoch_ != testbed_->program_epoch_) {
+    cache_.Clear();
+    program_epoch_ = testbed_->program_epoch_;
+  }
   epoch_.store(current, std::memory_order_release);
   return Status::OK();
 }

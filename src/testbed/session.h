@@ -66,8 +66,8 @@ class Session {
     return queries_.load(std::memory_order_relaxed);
   }
 
-  /// This session's private precompiled-program cache (cleared whenever
-  /// the pin moves).
+  /// This session's private precompiled-program cache. A re-pin clears it
+  /// when any write other than a fact insert happened since the last pin.
   const QueryCache& query_cache() const { return cache_; }
 
  private:
@@ -91,6 +91,8 @@ class Session {
   km::Workspace workspace_;
   std::unique_ptr<km::StoredDkb> stored_;
   QueryCache cache_;
+  /// Testbed::program_epoch_ as of the last cache check.
+  uint64_t program_epoch_ = 0;
 };
 
 }  // namespace dkb::testbed

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -18,6 +19,9 @@ namespace dkb::testbed {
 namespace {
 
 Value IntVal(int64_t v) { return Value(v); }
+Value IntOrNull(const std::optional<int64_t>& v) {
+  return v.has_value() ? Value(*v) : Value::Null();
+}
 Value BoolVal(bool v) { return Value(static_cast<int64_t>(v ? 1 : 0)); }
 
 Schema QueryLogSchema() {
@@ -61,6 +65,8 @@ Schema LfpIterationsSchema() {
       {"is_clique", DataType::kInteger},
       {"iter", DataType::kInteger},
       {"delta_rows", DataType::kInteger},
+      {"new_rows", DataType::kInteger},
+      {"driver_rows", DataType::kInteger},
   });
 }
 
@@ -190,7 +196,8 @@ Result<std::shared_ptr<const Table>> LfpIterationsProvider(Testbed* tb) {
     for (const QueryLogEntry::LfpIteration& it : e.lfp_iterations) {
       rows.push_back(Tuple{IntVal(e.query_id), Value(it.node),
                            BoolVal(it.is_clique), IntVal(it.iter),
-                           IntVal(it.delta_rows)});
+                           IntVal(it.delta_rows), IntOrNull(it.new_rows),
+                           IntOrNull(it.driver_rows)});
     }
   }
   return Materialize("sys.lfp_iterations", LfpIterationsSchema(),
@@ -347,7 +354,8 @@ const std::vector<SystemViewDef>& SystemViewDefs() {
           {"sys.query_log", QueryLogSchema(),
            "flight-recorder ring of completed queries (newest last)"},
           {"sys.lfp_iterations", LfpIterationsSchema(),
-           "per-node per-iteration semi-naive delta cardinalities"},
+           "per-node per-iteration delta cardinalities; semi-naive also "
+           "counts new and driver rows"},
           {"sys.metrics", MetricsSchema(),
            "live snapshot of the global metrics registry"},
           {"sys.sessions", SessionsSchema(),

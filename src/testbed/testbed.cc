@@ -45,6 +45,18 @@ std::string NodeLabel(const km::ProgramNode& node) {
   return label;
 }
 
+/// The compiler options a query's options select.
+km::CompilerOptions CompilerOptionsFor(const QueryOptions& options) {
+  km::CompilerOptions copts;
+  copts.magic_mode = options.adaptive_magic ? km::MagicMode::kAdaptive
+                     : options.use_magic   ? km::MagicMode::kOn
+                                           : km::MagicMode::kOff;
+  copts.magic_variant = options.supplementary
+                            ? magic::MagicVariant::kSupplementary
+                            : magic::MagicVariant::kGeneralized;
+  return copts;
+}
+
 /// A QueryResult whose rows are the lines of `text`, one VARCHAR column —
 /// what EXPLAIN / EXPLAIN ANALYZE queries return instead of answers.
 QueryResult TextResult(const std::string& text) {
@@ -556,7 +568,7 @@ Status Testbed::AddFacts(const std::string& pred,
   Status applied;
   {
     WriterLock lock(mu_);
-    EpochBump bump([this]() { BumpEpoch(); });
+    EpochBump bump([this]() { BumpEpoch(/*programs_may_change=*/false); });
     DKB_ASSIGN_OR_RETURN(
         lsn, LogWal(WalRecordKind::kAddFacts, AddFactsPayload(pred, rows)));
     applied = stored_->InsertFacts(pred, rows);
@@ -572,8 +584,8 @@ void Testbed::ClearWorkspace() {
     EpochBump bump([this]() { BumpEpoch(); });
     auto logged = LogWal(WalRecordKind::kClearWorkspace, {});
     if (logged.ok()) lsn = *logged;
+    cache_.InvalidateOn(HeadsOf(workspace_.rules()));
     workspace_.Clear();
-    cache_.Clear();
   }
   (void)WaitWal(lsn);
 }
@@ -663,13 +675,15 @@ Result<QueryOutcome> Testbed::QueryImpl(Database* db,
   const exec::ExecStatsSnapshot before =
       exec::ExecStatsSnapshot::Take(db->stats());
 
-  std::string key = QueryCache::MakeKey(goal, options.use_magic,
-                                        options.adaptive_magic);
-  if (options.supplementary) key += "#sup";
+  // One cached program per goal form: a hit is bound to this goal's
+  // constants and reports the summary of the compilation that built it.
+  std::string key;
   if (options.use_cache) {
+    key = km::QueryFormKey(goal, CompilerOptionsFor(options));
     std::shared_ptr<const km::CompiledQuery> cached = cache->Lookup(key);
     if (cached != nullptr) {
-      outcome.compiled = *cached;
+      DKB_ASSIGN_OR_RETURN(outcome.compiled, km::BindGoal(*cached, goal));
+      report.compile = cached->summary;
       report.from_cache = true;
     }
   }
@@ -775,14 +789,8 @@ Result<km::CompiledQuery> Testbed::CompileImpl(km::Workspace* workspace,
                                                trace::TraceSpan* span,
                                                int64_t query_id) {
   km::QueryCompiler compiler(workspace, stored);
-  km::CompilerOptions copts;
+  km::CompilerOptions copts = CompilerOptionsFor(options);
   copts.query_id = query_id;
-  copts.magic_mode = options.adaptive_magic ? km::MagicMode::kAdaptive
-                     : options.use_magic   ? km::MagicMode::kOn
-                                           : km::MagicMode::kOff;
-  copts.magic_variant = options.supplementary
-                            ? magic::MagicVariant::kSupplementary
-                            : magic::MagicVariant::kGeneralized;
   copts.span = span;
   return compiler.Compile(goal, copts, stats);
 }

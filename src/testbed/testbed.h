@@ -248,7 +248,8 @@ class Testbed {
 
   explicit Testbed(TestbedOptions options);
 
-  /// Predicates whose programs must be invalidated when `rules` are added.
+  /// Predicates whose programs must be invalidated when `rules` are added
+  /// or cleared.
   static std::set<std::string> HeadsOf(
       const std::vector<datalog::Rule>& rules);
 
@@ -274,8 +275,12 @@ class Testbed {
   /// Commits the in-flight write batch: advance under the writer lock so
   /// session pins (shared lock) always pair an epoch with the state it
   /// describes. Rows stamped during the batch carried write_epoch() ==
-  /// committed()+1 and become visible exactly here.
-  void BumpEpoch() { epochs_.Advance(); }
+  /// committed()+1 and become visible exactly here. Every write but a fact
+  /// insert may change a compiled program and also moves program_epoch_.
+  void BumpEpoch(bool programs_may_change = true) {
+    epochs_.Advance();
+    if (programs_may_change) program_epoch_ = epochs_.committed();
+  }
 
   /// Appends one redo record under the writer lock; returns its LSN, or 0
   /// when no WAL is configured or the record is itself being replayed.
@@ -330,6 +335,10 @@ class Testbed {
   /// MVCC epoch counter; stored tables stamp row visibility from it (the
   /// catalog attaches it to every non-temporary table it creates).
   EpochSource epochs_;
+  /// The commit epoch of the last write that may have changed a compiled
+  /// program. Sessions drop their precompiled programs when it moves.
+  /// Written under mu_ exclusive, read under mu_ shared.
+  uint64_t program_epoch_ = 0;
   Database db_;
   km::Workspace workspace_;
   std::unique_ptr<km::StoredDkb> stored_;

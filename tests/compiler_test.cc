@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "datalog/parser.h"
 #include "km/compiler.h"
@@ -181,6 +182,64 @@ TEST_F(CompilerTest, AllSqlTextsParse) {
     EXPECT_FALSE(sql.empty());
   }
   EXPECT_GT(stats_.t_comp_us, 0);
+}
+
+/// Asserts that two programs agree in every part evaluation reads.
+void ExpectSamePrograms(const QueryProgram& a, const QueryProgram& b) {
+  EXPECT_EQ(a.query, b.query);
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (size_t i = 0; i < a.nodes.size(); ++i) {
+    ASSERT_EQ(a.nodes[i].exit_rules.size(), b.nodes[i].exit_rules.size());
+    for (size_t r = 0; r < a.nodes[i].exit_rules.size(); ++r) {
+      EXPECT_EQ(a.nodes[i].exit_rules[r].rule, b.nodes[i].exit_rules[r].rule)
+          << a.nodes[i].exit_rules[r].rule.ToString();
+    }
+    EXPECT_EQ(a.nodes[i].recursive_rules, b.nodes[i].recursive_rules);
+  }
+  EXPECT_EQ(a.AllSqlTexts(), b.AllSqlTexts());
+  EXPECT_EQ(a.answer_columns, b.answer_columns);
+  EXPECT_EQ(a.boolean_query, b.boolean_query);
+}
+
+TEST_F(CompilerTest, BindGoalEqualsCompilingTheGoal) {
+  ASSERT_TRUE(tb_->Consult(workload::SameGenerationRules() +
+                           "flat(g, g).\nup(a, g).\ndown(g, a).\n")
+                  .ok());
+  for (bool magic : {false, true}) {
+    SCOPED_TRACE(magic ? "magic" : "plain");
+    const std::pair<const char*, const char*> goals[] = {
+        {"sg(a, W)", "sg(zz, W)"},
+        {"sg(W, a)", "sg(W, zz)"},
+        {"sg(a, g)", "sg(zz, a)"}};
+    for (const auto& [goal, other] : goals) {
+      SCOPED_TRACE(goal);
+      auto first = Compile(goal, magic);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      auto fresh = Compile(other, magic);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      const CompiledQuery before = *first;
+      auto bound = BindGoal(*first, Goal(other));
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      EXPECT_EQ(bound->original_query, Goal(other));
+      EXPECT_EQ(bound->summary.magic_applied, magic);
+      ExpectSamePrograms(bound->program, fresh->program);
+      // The source program is left as it was.
+      ExpectSamePrograms(first->program, before.program);
+    }
+  }
+}
+
+TEST_F(CompilerTest, BindGoalRefusesAnotherForm) {
+  ASSERT_TRUE(tb_->Consult(workload::AncestorRules() + "parent(a, b).\n")
+                  .ok());
+  auto compiled = Compile("ancestor(a, W)", /*magic=*/true);
+  ASSERT_TRUE(compiled.ok());
+  for (const char* goal : {"ancestor(W, a)", "ancestor(a, V)",
+                           "ancestor(1, W)", "ancestor(a, b)"}) {
+    EXPECT_EQ(BindGoal(*compiled, Goal(goal)).status().code(),
+              StatusCode::kInvalidArgument)
+        << goal;
+  }
 }
 
 TEST_F(CompilerTest, NonCompiledStorageCompilesIdentically) {

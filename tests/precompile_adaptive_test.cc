@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "testbed/testbed.h"
 #include "workload/data_gen.h"
@@ -51,9 +54,12 @@ TEST_F(PrecompileTest, DifferentGoalsAndOptionsMiss) {
   QueryOptions plain = QueryOptions::SemiNaive().WithCache();
   QueryOptions magic = QueryOptions::Magic().WithCache();
   ASSERT_TRUE(tb_->Query("?- ancestor(a, W).", plain).ok());
+  // Another constant is the same form: a hit, bound to b's constant.
   auto other_goal = tb_->Query("?- ancestor(b, W).", plain);
   ASSERT_TRUE(other_goal.ok());
-  EXPECT_FALSE(other_goal->report.from_cache);
+  EXPECT_TRUE(other_goal->report.from_cache);
+  EXPECT_EQ(AnswerSet(other_goal->result),
+            (std::set<std::string>{"c|", "d|"}));
   auto other_opts = tb_->Query("?- ancestor(a, W).", magic);
   ASSERT_TRUE(other_opts.ok());
   EXPECT_FALSE(other_opts->report.from_cache);
@@ -127,6 +133,208 @@ TEST_F(PrecompileTest, FactsDoNotInvalidate) {
   // New facts visible despite the cached program.
   EXPECT_EQ(AnswerSet(after->result),
             (std::set<std::string>{"b|", "c|", "d|", "e|"}));
+}
+
+// ---------------------------------------------------------------------------
+// Query forms: one precompiled program per goal form
+// ---------------------------------------------------------------------------
+
+/// The ancestor program over a small forest: a's descendants {b, c, d, e},
+/// b's {c, d, e}, x's {y}.
+std::unique_ptr<Testbed> MakeFamily() {
+  auto tb = Testbed::Create();
+  EXPECT_TRUE(tb.ok());
+  EXPECT_TRUE((*tb)->Consult(workload::AncestorRules() +
+                             "parent(a, b).\nparent(b, c).\nparent(b, d).\n"
+                             "parent(d, e).\nparent(x, y).\n")
+                  .ok());
+  return std::move(*tb);
+}
+
+TEST(QueryFormTest, OneFormServesManyConstants) {
+  struct Config {
+    std::string name;
+    QueryOptions options;
+  };
+  std::vector<Config> configs;
+  const std::pair<const char*, lfp::LfpStrategy> strategies[] = {
+      {"naive", lfp::LfpStrategy::kNaive},
+      {"seminaive", lfp::LfpStrategy::kSemiNaive},
+      {"native", lfp::LfpStrategy::kNative},
+      {"native-tc", lfp::LfpStrategy::kNativeTc}};
+  for (const auto& [name, strategy] : strategies) {
+    configs.push_back({std::string(name) + "/plain",
+                       QueryOptions::SemiNaive().WithStrategy(strategy)});
+    configs.push_back({std::string(name) + "/magic",
+                       QueryOptions::Magic().WithStrategy(strategy)});
+  }
+  configs.push_back({"supplementary", QueryOptions::SupplementaryMagic()});
+  const std::set<std::string> of_a = {"b|", "c|", "d|", "e|"};
+  const std::set<std::string> of_b = {"c|", "d|", "e|"};
+  for (Config& config : configs) {
+    SCOPED_TRACE(config.name);
+    std::unique_ptr<Testbed> tb = MakeFamily();
+    const QueryOptions opts = config.options.WithCache();
+    auto a = tb->Query("ancestor(a, W)", opts);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_FALSE(a->report.from_cache);
+    EXPECT_EQ(AnswerSet(a->result), of_a);
+    auto b = tb->Query("ancestor(b, W)", opts);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_TRUE(b->report.from_cache);
+    EXPECT_EQ(AnswerSet(b->result), of_b);
+    auto a_again = tb->Query("ancestor(a, W)", opts);
+    ASSERT_TRUE(a_again.ok()) << a_again.status().ToString();
+    EXPECT_TRUE(a_again->report.from_cache);
+    EXPECT_EQ(AnswerSet(a_again->result), of_a);
+    // A constant no fact mentions is still the same form.
+    auto unknown = tb->Query("ancestor(nobody, W)", opts);
+    ASSERT_TRUE(unknown.ok()) << unknown.status().ToString();
+    EXPECT_TRUE(unknown->report.from_cache);
+    EXPECT_TRUE(unknown->result.rows.empty());
+    EXPECT_EQ(tb->query_cache().size(), 1u);
+    EXPECT_EQ(tb->query_cache().stats().misses, 1);
+  }
+}
+
+TEST(QueryFormTest, OtherFormsGetTheirOwnEntries) {
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  ASSERT_TRUE(tb->Consult("num(1, 2).\nnum(2, 3).\n"
+                          "next(X, Y) :- num(X, Y).\n")
+                  .ok());
+  const QueryOptions opts = QueryOptions::Magic().WithCache();
+  auto run = [&](const std::string& goal) {
+    auto outcome = tb->Query(goal, opts);
+    EXPECT_TRUE(outcome.ok()) << goal << ": " << outcome.status().ToString();
+    return outcome.ok() ? std::move(*outcome) : QueryOutcome{};
+  };
+  ASSERT_FALSE(run("ancestor(a, W)").report.from_cache);
+  // Another binding pattern.
+  QueryOutcome up = run("ancestor(W, e)");
+  EXPECT_FALSE(up.report.from_cache);
+  EXPECT_EQ(AnswerSet(up.result), (std::set<std::string>{"a|", "b|", "d|"}));
+  // Another variable name: the answer column is named after it.
+  QueryOutcome renamed = run("ancestor(b, V)");
+  EXPECT_FALSE(renamed.report.from_cache);
+  EXPECT_EQ(renamed.compiled.program.answer_columns,
+            std::vector<std::string>{"V"});
+  EXPECT_EQ(AnswerSet(renamed.result),
+            (std::set<std::string>{"c|", "d|", "e|"}));
+  // A repeated variable is a conjunct: nobody is their own ancestor.
+  QueryOutcome same = run("ancestor(X, X)");
+  EXPECT_FALSE(same.report.from_cache);
+  EXPECT_TRUE(same.result.rows.empty());
+  // Boolean goals are a form of their own, shared by every constant pair.
+  QueryOutcome yes = run("ancestor(a, e)");
+  EXPECT_FALSE(yes.report.from_cache);
+  ASSERT_EQ(yes.result.rows.size(), 1u);
+  EXPECT_GT(yes.result.rows[0][0].as_int(), 0);
+  QueryOutcome no = run("ancestor(e, a)");
+  EXPECT_TRUE(no.report.from_cache);
+  ASSERT_EQ(no.result.rows.size(), 1u);
+  EXPECT_EQ(no.result.rows[0][0].as_int(), 0);
+  EXPECT_EQ(tb->query_cache().size(), 5u);
+  // A constant of another type is another form: next('1', W) is compiled,
+  // and fails its type check, instead of serving next(1, W)'s program.
+  QueryOutcome one = run("next(1, W)");
+  EXPECT_EQ(AnswerSet(one.result), (std::set<std::string>{"2|"}));
+  QueryOutcome two = run("next(2, W)");
+  EXPECT_TRUE(two.report.from_cache);
+  EXPECT_EQ(AnswerSet(two.result), (std::set<std::string>{"3|"}));
+  auto quoted = tb->Query("next('1', W)", opts);
+  EXPECT_FALSE(quoted.ok());
+  EXPECT_EQ(quoted.status().code(), StatusCode::kTypeError);
+}
+
+TEST(QueryFormTest, AdaptiveKeepsOneEntryPerConstant) {
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  const QueryOptions opts = QueryOptions::Adaptive().WithCache();
+  ASSERT_TRUE(tb->Query("ancestor(a, W)", opts).ok());
+  auto same = tb->Query("ancestor(a, W)", opts);
+  ASSERT_TRUE(same.ok());
+  EXPECT_TRUE(same->report.from_cache);
+  auto other = tb->Query("ancestor(b, W)", opts);
+  ASSERT_TRUE(other.ok());
+  EXPECT_FALSE(other->report.from_cache);
+  EXPECT_EQ(AnswerSet(other->result),
+            (std::set<std::string>{"c|", "d|", "e|"}));
+  EXPECT_EQ(tb->query_cache().size(), 2u);
+}
+
+TEST(QueryFormTest, ClearingUnrelatedWorkspaceRuleKeepsStoredProgram) {
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  ASSERT_TRUE(tb->UpdateStoredDkb().ok());
+  tb->ClearWorkspace();
+  const QueryOptions opts = QueryOptions::Magic().WithCache();
+  ASSERT_TRUE(tb->Query("ancestor(a, W)", opts).ok());
+  ASSERT_TRUE(tb->AddRule("unrelated(X, Y) :- parent(X, Y).").ok());
+  tb->ClearWorkspace();
+  EXPECT_EQ(tb->query_cache().size(), 1u);
+  auto hit = tb->Query("ancestor(b, W)", opts);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_TRUE(hit->report.from_cache);
+  EXPECT_EQ(AnswerSet(hit->result),
+            (std::set<std::string>{"c|", "d|", "e|"}));
+}
+
+TEST(QueryFormTest, HitReportsTheCompileSummary) {
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  const QueryOptions opts = QueryOptions::Magic().WithCache();
+  auto miss = tb->Query("ancestor(a, W)", opts);
+  ASSERT_TRUE(miss.ok());
+  auto hit = tb->Query("ancestor(a, W)", opts);
+  ASSERT_TRUE(hit.ok());
+  ASSERT_TRUE(hit->report.from_cache);
+  ASSERT_TRUE(miss->report.plan.magic_applied);
+  const PlanSummary& m = miss->report.plan;
+  const PlanSummary& h = hit->report.plan;
+  EXPECT_EQ(h.magic_applied, m.magic_applied);
+  EXPECT_EQ(h.rules_relevant, m.rules_relevant);
+  EXPECT_EQ(h.rules_pruned, m.rules_pruned);
+  EXPECT_EQ(h.final_select, m.final_select);
+  ASSERT_EQ(h.nodes.size(), m.nodes.size());
+  for (size_t i = 0; i < h.nodes.size(); ++i) {
+    EXPECT_EQ(h.nodes[i].label, m.nodes[i].label);
+    EXPECT_EQ(h.nodes[i].exit_rules, m.nodes[i].exit_rules);
+    EXPECT_EQ(h.nodes[i].recursive_rules, m.nodes[i].recursive_rules);
+  }
+  // The counts come with the program; the timings do not.
+  EXPECT_EQ(hit->report.compile.rules_relevant,
+            miss->report.compile.rules_relevant);
+  EXPECT_EQ(hit->report.compile.total_us(), 0);
+
+  // The EXPLAIN plan text differs only in the cache flag.
+  const QueryOptions explain =
+      QueryOptions(opts).WithExplain(ExplainMode::kPlan);
+  auto plan_text = [&](const std::string& goal) {
+    auto outcome = tb->Query(goal, explain);
+    EXPECT_TRUE(outcome.ok());
+    std::string text;
+    for (const Tuple& row : outcome->result.rows) {
+      const std::string& line = row[0].as_string();
+      // The plan ends where the timings start.
+      if (line.rfind("compile:", 0) == 0 || line.rfind("total:", 0) == 0) {
+        break;
+      }
+      text += line + "\n";
+    }
+    return text;
+  };
+  tb = MakeFamily();
+  std::string miss_text = plan_text("ancestor(a, W)");
+  const std::string hit_text = plan_text("ancestor(a, W)");
+  const size_t flag = miss_text.find("cache: miss");
+  ASSERT_NE(flag, std::string::npos);
+  miss_text.replace(flag, 11, "cache: hit");
+  EXPECT_EQ(hit_text, miss_text);
+  EXPECT_NE(hit_text.find("magic: on"), std::string::npos);
+
+  // sys.query_log records the hit's magic decision too.
+  auto log = tb->ExecuteSql(
+      "SELECT magic FROM sys.query_log WHERE from_cache = 1");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(log->rows.size(), 1u);
+  EXPECT_EQ(log->rows[0][0].as_int(), 1);
 }
 
 // ---------------------------------------------------------------------------

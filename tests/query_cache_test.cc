@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datalog/parser.h"
+#include "km/compiler.h"
 #include "testbed/query_cache.h"
 
 namespace dkb::testbed {
@@ -21,14 +22,37 @@ km::CompiledQuery MakeCompiled(const std::string& marker) {
 }
 
 TEST(QueryCacheTest, KeyEncodesGoalAndOptions) {
-  datalog::Atom goal = Goal("anc(a, W)");
-  EXPECT_NE(QueryCache::MakeKey(goal, false), QueryCache::MakeKey(goal, true));
-  EXPECT_NE(QueryCache::MakeKey(goal, false),
-            QueryCache::MakeKey(goal, false, /*adaptive_magic=*/true));
-  EXPECT_NE(QueryCache::MakeKey(Goal("anc(a, W)"), false),
-            QueryCache::MakeKey(Goal("anc(b, W)"), false));
-  EXPECT_EQ(QueryCache::MakeKey(goal, false),
-            QueryCache::MakeKey(Goal("anc(a, W)"), false));
+  // Entries are keyed by km::QueryFormKey: the goal's form plus the option
+  // bits that change the compiled program.
+  km::CompilerOptions plain;
+  km::CompilerOptions magic;
+  magic.magic_mode = km::MagicMode::kOn;
+  km::CompilerOptions supplementary = magic;
+  supplementary.magic_variant = magic::MagicVariant::kSupplementary;
+  km::CompilerOptions adaptive;
+  adaptive.magic_mode = km::MagicMode::kAdaptive;
+  auto key = [](const std::string& goal, const km::CompilerOptions& o) {
+    return km::QueryFormKey(Goal(goal), o);
+  };
+  EXPECT_NE(key("anc(a, W)", plain), key("anc(a, W)", magic));
+  EXPECT_NE(key("anc(a, W)", plain), key("anc(a, W)", adaptive));
+  EXPECT_NE(key("anc(a, W)", magic), key("anc(a, W)", supplementary));
+  EXPECT_EQ(key("anc(a, W)", plain), key("anc(a, W)", plain));
+  // One form serves every constant of a type...
+  EXPECT_EQ(key("anc(a, W)", plain), key("anc(b, W)", plain));
+  EXPECT_EQ(key("anc(a, W)", magic), key("anc(b, W)", magic));
+  EXPECT_EQ(key("anc(a, b)", magic), key("anc(c, d)", magic));
+  // ...except under adaptive magic, whose decision depends on them.
+  EXPECT_NE(key("anc(a, W)", adaptive), key("anc(b, W)", adaptive));
+  // Binding pattern, variable names, repeated variables, constant types
+  // and groundness each make another form.
+  EXPECT_NE(key("anc(a, W)", magic), key("anc(W, a)", magic));
+  EXPECT_NE(key("anc(a, W)", magic), key("anc(a, V)", magic));
+  EXPECT_NE(key("anc(X, X)", magic), key("anc(X, Y)", magic));
+  EXPECT_NE(key("p(1, W)", magic), key("p('1', W)", magic));
+  EXPECT_NE(key("anc(a, b)", magic), key("anc(a, W)", magic));
+  // No variable name spells a constant's type.
+  EXPECT_NE(key("p(VARCHAR)", plain), key("p(a)", plain));
 }
 
 TEST(QueryCacheTest, LookupMissThenHit) {

@@ -144,6 +144,28 @@ TEST_F(SessionTest, RuleEditsInvalidateSessionCache) {
   EXPECT_EQ(third->result.rows.size(), 4u);  // john himself now included
 }
 
+TEST_F(SessionTest, SessionCacheSurvivesFactCommits) {
+  auto session = tb_->OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  QueryOptions cached = QueryOptions::Magic().WithCache();
+  ASSERT_TRUE((*session)->Query("ancestor(sue, W)", cached).ok());
+  auto hit = (*session)->Query("ancestor(sue, W)", cached);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->report.from_cache);
+
+  // Another writer commits a fact: the pin moves, the programs stay, and
+  // the next hit reads the new fact.
+  const uint64_t epoch_before = (*session)->epoch();
+  ASSERT_TRUE(tb_->AddFacts("parent", {{Value("tim"), Value("ann")}}).ok());
+  auto after = (*session)->Query("ancestor(sue, W)", cached);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_GT((*session)->epoch(), epoch_before);
+  EXPECT_TRUE(after->report.from_cache);
+  EXPECT_EQ(AnswerSet(after->result),
+            (std::set<std::string>{"tim|", "ann|"}));
+  EXPECT_EQ((*session)->query_cache().stats().misses, 1);
+}
+
 TEST_F(SessionTest, WriterSerializesAgainstConcurrentReaders) {
   constexpr int kThreads = 3;
   constexpr int kReps = 6;

@@ -55,7 +55,8 @@ TEST(SysViewsTest, SchemasMatchTheGolden) {
         "t_temp_us", "t_rhs_us", "t_term_us", "t_final_us", "batches",
         "shards", "bytes_sent", "bytes_received", "trace"}},
       {"sys.lfp_iterations",
-       {"query_id", "node", "is_clique", "iter", "delta_rows"}},
+       {"query_id", "node", "is_clique", "iter", "delta_rows", "new_rows",
+        "driver_rows"}},
       {"sys.metrics", {"name", "kind", "value", "sum", "max", "p50", "p99"}},
       {"sys.sessions",
        {"session_id", "epoch", "testbed_epoch", "snapshot_age", "queries"}},
@@ -167,6 +168,39 @@ TEST(SysViewsTest, LfpIterationsJoinToQueryLog) {
   // The fixpoint signature of the chain: strictly shrinking deltas ending
   // in the empty round that proves termination.
   EXPECT_EQ(rows->rows.back()[2].as_int(), 0);
+}
+
+TEST(SysViewsTest, LfpIterationsCountNewAndDriverRows) {
+  auto tb = MakeTestbed();
+  auto seminaive = tb->Query("anc(a, X)");
+  ASSERT_TRUE(seminaive.ok());
+  const lfp::NodeStats* clique = nullptr;
+  for (const auto& node : seminaive->report.exec.nodes) {
+    if (node.is_clique) clique = &node;
+  }
+  ASSERT_NE(clique, nullptr);
+  ASSERT_TRUE(tb->Query("anc(a, X)", QueryOptions::Naive()).ok());
+
+  auto rows = Sql(tb.get(),
+                  "SELECT query_id, new_rows, driver_rows "
+                  "FROM sys.lfp_iterations WHERE is_clique = 1");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  size_t counted = 0;
+  for (const Tuple& row : rows->rows) {
+    if (row[0].as_int() == seminaive->report.query_id) {
+      // Semi-naive's exact per-iteration counts, as NodeStats has them.
+      ASSERT_LT(counted, clique->new_sizes.size());
+      EXPECT_EQ(row[1].as_int(), clique->new_sizes[counted]);
+      EXPECT_EQ(row[2].as_int(), clique->driver_rows[counted]);
+      ++counted;
+    } else {
+      // Naive does not count them.
+      EXPECT_TRUE(row[1].is_null());
+      EXPECT_TRUE(row[2].is_null());
+    }
+  }
+  EXPECT_EQ(counted, clique->new_sizes.size());
+  EXPECT_GT(rows->rows.size(), counted);
 }
 
 TEST(SysViewsTest, DottedNamesResolveByBaseNameQualifier) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,6 +202,37 @@ TEST(QueryTraceTest, CollectTraceBuildsQueryTree) {
     }
   }
   EXPECT_TRUE(found_deltas);
+}
+
+TEST(QueryTraceTest, SemiNaiveIterationSpansTagWorkCounts) {
+  auto tb_or = MakeMultiClique(1, 6);
+  ASSERT_TRUE(tb_or.ok()) << tb_or.status().ToString();
+  auto tb = std::move(tb_or).value();
+  auto outcome =
+      tb->Query("anc0(X, Y)", QueryOptions::SemiNaive().WithTrace());
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const testbed::QueryReport& report = outcome->report;
+  ASSERT_EQ(report.exec.nodes.size(), 1u);
+  const lfp::NodeStats& stats = report.exec.nodes[0];
+
+  const trace::TraceSpan* node = nullptr;
+  for (const auto& child : report.trace->root()->children()) {
+    if (child->name() != "execute") continue;
+    for (const auto& grandchild : child->children()) {
+      if (grandchild->name() == "node:anc0") node = grandchild;
+    }
+  }
+  ASSERT_NE(node, nullptr) << report.trace->RenderText();
+  ASSERT_EQ(node->children().size(), stats.new_sizes.size());
+  // Each iteration span carries the iteration's NodeStats counts.
+  for (size_t i = 0; i < stats.new_sizes.size(); ++i) {
+    std::map<std::string, std::string> tags;
+    for (const trace::TraceTag& tag : node->children()[i]->tags()) {
+      tags[tag.key] = tag.value;
+    }
+    EXPECT_EQ(tags["new_rows"], std::to_string(stats.new_sizes[i]));
+    EXPECT_EQ(tags["driver_rows"], std::to_string(stats.driver_rows[i]));
+  }
 }
 
 TEST(QueryTraceTest, ParallelLfpTraceIsDeterministicProgramOrder) {
