@@ -4,6 +4,15 @@
 
 namespace dkb {
 
+StringDict::~StringDict() {
+  // Chunks are allocated in id order, so the first null ends the list.
+  for (std::atomic<EntryRec*>& chunk : chunks_) {
+    EntryRec* slab = chunk.load(std::memory_order_relaxed);
+    if (slab == nullptr) break;
+    delete[] slab;
+  }
+}
+
 uint32_t StringDict::Intern(std::string_view s) {
   Segment& seg = segments_[SegmentOf(std::hash<std::string_view>{}(s))];
   {

@@ -42,6 +42,7 @@ class StringDict {
   static constexpr size_t kSegments = 16;
 
   StringDict() = default;
+  ~StringDict();
   StringDict(const StringDict&) = delete;
   StringDict& operator=(const StringDict&) = delete;
 

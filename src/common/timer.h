@@ -21,6 +21,13 @@ class WallTimer {
         .count();
   }
 
+  /// Elapsed time since construction or last Reset, in nanoseconds.
+  int64_t ElapsedNanos() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                start_)
+        .count();
+  }
+
   /// Elapsed time in milliseconds (floating point).
   double ElapsedMillis() const {
     return static_cast<double>(ElapsedMicros()) / 1000.0;
@@ -31,13 +38,19 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// Accumulates elapsed time into a counter across many scopes; used by the
-/// LFP evaluators to attribute time to temp-table management, RHS
-/// evaluation, and termination checking (paper Table 5).
+/// Rounds a nanosecond sum to the nearest microsecond.
+inline int64_t NanosToMicros(int64_t nanos) { return (nanos + 500) / 1000; }
+
+/// Accumulates elapsed nanoseconds into a counter across many scopes; used
+/// to attribute time to the cost buckets of the paper's Tables 4, 5 and 8
+/// (for the LFP: temp-table management, RHS evaluation, termination
+/// checking). A bucket sums its scopes in nanoseconds and is rounded to
+/// microseconds once (NanosToMicros), so scopes shorter than a microsecond
+/// still count.
 class ScopedAccumulator {
  public:
-  explicit ScopedAccumulator(int64_t* sink_micros) : sink_(sink_micros) {}
-  ~ScopedAccumulator() { *sink_ += timer_.ElapsedMicros(); }
+  explicit ScopedAccumulator(int64_t* sink_nanos) : sink_(sink_nanos) {}
+  ~ScopedAccumulator() { *sink_ += timer_.ElapsedNanos(); }
 
   ScopedAccumulator(const ScopedAccumulator&) = delete;
   ScopedAccumulator& operator=(const ScopedAccumulator&) = delete;

@@ -192,46 +192,61 @@ Result<QueryResult> Executor::ExecuteCreateIndex(
   return QueryResult{};
 }
 
-Result<PlannedInsert> PlannedInsert::Plan(const sql::InsertStmt& stmt,
-                                          const Catalog& catalog,
-                                          ExecStats* stats,
-                                          const std::vector<Value>* params,
-                                          const NamedSources* sources) {
+Result<PlannedQuery> PlannedQuery::Plan(const sql::InsertStmt& stmt,
+                                        const Catalog& catalog,
+                                        ExecStats* stats,
+                                        const std::vector<Value>* params,
+                                        const NamedSources* sources) {
   if (stmt.select == nullptr) {
     return Status::InvalidArgument("INSERT into " + stmt.table +
                                    " has no SELECT to plan");
   }
-  PlannedInsert planned;
-  DKB_ASSIGN_OR_RETURN(planned.target_,
-                       ResolveTarget(stmt.table, "INSERT", catalog, sources));
-  DKB_ASSIGN_OR_RETURN(planned.plan_, PlanSelect(*stmt.select, catalog, stats,
-                                                 params, sources));
+  DKB_ASSIGN_OR_RETURN(
+      ScanSource * target,
+      ResolveTarget(stmt.table, "INSERT", catalog, sources));
+  DKB_ASSIGN_OR_RETURN(PlannedQuery planned,
+                       Plan(*stmt.select, catalog, stats, params, sources));
   if (planned.plan_->output_schema().num_columns() !=
-      planned.target_->schema().num_columns()) {
+      target->schema().num_columns()) {
     return Status::InvalidArgument("INSERT SELECT arity mismatch for table " +
                                    stmt.table);
   }
+  planned.target_ = target;
+  return planned;
+}
+
+Result<PlannedQuery> PlannedQuery::Plan(const sql::SelectStmt& stmt,
+                                        const Catalog& catalog,
+                                        ExecStats* stats,
+                                        const std::vector<Value>* params,
+                                        const NamedSources* sources) {
+  PlannedQuery planned;
+  DKB_ASSIGN_OR_RETURN(planned.plan_,
+                       PlanSelect(stmt, catalog, stats, params, sources));
   planned.stats_ = stats;
   return planned;
 }
 
-Result<int64_t> PlannedInsert::Run() {
+Result<int64_t> PlannedQuery::Run() {
   int64_t rows = 0;
-  size_t filled = 0;
+  filled_ = 0;
   DKB_RETURN_IF_ERROR(plan_->Open());
   while (true) {
-    if (filled == buffered_.size()) buffered_.emplace_back();
-    RowBatch& batch = buffered_[filled];
+    if (filled_ == buffered_.size()) buffered_.emplace_back();
+    RowBatch& batch = buffered_[filled_];
     DKB_ASSIGN_OR_RETURN(bool more, plan_->NextBatch(&batch));
     if (!more) break;
     StatAdd(stats_->batches);
     rows += static_cast<int64_t>(batch.size());
-    ++filled;
+    ++filled_;
   }
   plan_->Close();
-  for (size_t i = 0; i < filled; ++i) {
-    DKB_RETURN_IF_ERROR(target_->AppendBatch(buffered_[i]));
-    buffered_[i].Reset(buffered_[i].num_columns());
+  if (target_ != nullptr) {
+    for (RowBatch& batch : batches()) {
+      DKB_RETURN_IF_ERROR(target_->AppendBatch(batch));
+      batch.Reset(batch.num_columns());
+    }
+    filled_ = 0;
   }
   return rows;
 }
@@ -241,8 +256,8 @@ Result<QueryResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
   QueryResult result;
   if (stmt.select != nullptr) {
     DKB_ASSIGN_OR_RETURN(
-        PlannedInsert planned,
-        PlannedInsert::Plan(stmt, *catalog_, stats_, params, sources_));
+        PlannedQuery planned,
+        PlannedQuery::Plan(stmt, *catalog_, stats_, params, sources_));
     DKB_ASSIGN_OR_RETURN(result.rows_affected, planned.Run());
     return result;
   }

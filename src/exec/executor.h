@@ -1,6 +1,7 @@
 #ifndef DKB_EXEC_EXECUTOR_H_
 #define DKB_EXEC_EXECUTOR_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,34 +28,46 @@ struct QueryResult {
 /// annotated with rows, time, and morsel counts (EXPLAIN ANALYZE).
 std::string RenderPlan(const PlanNode& root, bool with_stats = false);
 
-/// An INSERT ... SELECT bound and planned once and runnable many times.
-/// Every Run re-opens the plan, so it reads the current contents of the
-/// relations (and windows) it names; the planner decides access paths from
-/// indexes and FROM order only, never from table sizes, so a plan stays the
-/// one a fresh planning call would build. Executor::ExecuteInsert runs each
-/// INSERT ... SELECT through one of these, and the semi-naive LFP keeps one
-/// per variant statement for a clique's whole fixpoint run.
-class PlannedInsert {
+/// An INSERT ... SELECT, or a SELECT, bound and planned once and runnable
+/// many times. Every Run re-opens the plan, so it reads the current contents
+/// of the relations (and windows) it names; the planner decides access paths
+/// from indexes and FROM order only, never from table sizes, so a plan stays
+/// the one a fresh planning call would build. Executor::ExecuteInsert runs
+/// each INSERT ... SELECT through one of these, and the semi-naive LFP keeps
+/// one per variant statement for a clique's whole fixpoint run.
+class PlannedQuery {
  public:
-  PlannedInsert() = default;  // invalid; assign from Plan
+  PlannedQuery() = default;  // invalid; assign from Plan
 
   /// Binds and plans `stmt`, which must have a SELECT source. `sources`
   /// binds the target and FROM-list names ahead of the catalog.
-  static Result<PlannedInsert> Plan(const sql::InsertStmt& stmt,
-                                    const Catalog& catalog, ExecStats* stats,
-                                    const std::vector<Value>* params = nullptr,
-                                    const NamedSources* sources = nullptr);
+  static Result<PlannedQuery> Plan(const sql::InsertStmt& stmt,
+                                   const Catalog& catalog, ExecStats* stats,
+                                   const std::vector<Value>* params = nullptr,
+                                   const NamedSources* sources = nullptr);
 
-  /// Runs the SELECT to completion, then appends its rows to the target
-  /// (fully materialized first, so `INSERT INTO t SELECT ... FROM t` cannot
-  /// chase its own inserts). Returns the number of rows inserted.
+  /// Binds and plans a SELECT, whose Run keeps its rows in batches().
+  static Result<PlannedQuery> Plan(const sql::SelectStmt& stmt,
+                                   const Catalog& catalog, ExecStats* stats,
+                                   const std::vector<Value>* params = nullptr,
+                                   const NamedSources* sources = nullptr);
+
+  /// Runs the SELECT to completion into batches(). An INSERT then appends
+  /// them to its target (fully materialized first, so `INSERT INTO t
+  /// SELECT ... FROM t` cannot chase its own inserts) and empties them.
+  /// Returns the number of rows selected (and inserted).
   Result<int64_t> Run();
 
+  /// A SELECT's rows from the last Run, valid until the next Run. The
+  /// caller may modify them in place.
+  std::span<RowBatch> batches() { return {buffered_.data(), filled_}; }
+
  private:
-  ScanSource* target_ = nullptr;
+  ScanSource* target_ = nullptr;  // null for a SELECT
   PlanNodePtr plan_;
   ExecStats* stats_ = nullptr;
   std::vector<RowBatch> buffered_;  // kept across runs for their capacity
+  size_t filled_ = 0;               // batches of buffered_ the last Run filled
 };
 
 /// Executes parsed statements against a catalog; `sources` (may be null)

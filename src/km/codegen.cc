@@ -58,7 +58,7 @@ Status GenerateVariants(const QueryProgram& program, size_t node_index,
       variant.delta_pos = delta_pos;
       DKB_ASSIGN_OR_RETURN(
           variant.sql,
-          RuleToSqlProgram(rule, resolver, NewTableName(rule.head.predicate),
+          RuleToSqlProgram(rule, resolver, /*target_table=*/"",
                            prefix + std::to_string(r + 1) + "_" +
                                std::to_string(delta_pos)));
       node->variants.push_back(std::move(variant));

@@ -37,10 +37,12 @@ struct CompiledRule {
 /// One semi-naive variant of a recursive rule (paper §3.3/§4(i)): body
 /// position `delta_pos` reads the last iteration's delta, earlier clique
 /// members the current relation, later ones the relation before the last
-/// delta. `sql` inserts the variant's rows into the head's #p_new; it reads
-/// the delta and the previous relation by the names DeltaTableName and
-/// PrevTableName, which the run time library binds to windows over the IDB
-/// tables.
+/// delta. The last statement of `sql` is the SELECT DISTINCT of the
+/// variant's head rows (after the binding-table INSERTs of a rule with
+/// negation); the run time library absorbs its rows into the head's IDB
+/// relation itself. It reads the delta and the previous relation by the
+/// names DeltaTableName and PrevTableName, which the run time library binds
+/// to windows over the IDB relations.
 struct RuleVariant {
   size_t rule = 0;       // index into ProgramNode::recursive_rules
   size_t delta_pos = 0;  // body position that reads the delta

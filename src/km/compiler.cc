@@ -162,12 +162,17 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
 
   CompiledQuery out;
   out.original_query = query;
+  // Each phase's time in nanoseconds, rounded into stats once at the end.
+  struct {
+    int64_t setup = 0, extract = 0, read = 0, analyze = 0, opt = 0, eol = 0,
+            sem = 0, gen = 0, comp = 0;
+  } ns;
 
   // Step 1 (t_setup): reachable set over the Workspace DKB.
   std::vector<Rule> relevant;
   std::set<std::string> reachable;  // P: query predicate + all reachable
   {
-    ScopedAccumulator acc(&stats->t_setup_us);
+    ScopedAccumulator acc(&ns.setup);
     trace::ScopedSpan phase_span(options.span, "setup");
     Pcg ws_pcg;
     ws_pcg.AddNode(query.predicate);
@@ -182,7 +187,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // Steps 1.3-1.5 (t_extract): alternate between Stored-DKB extraction and
   // Workspace closure until the relevant sets stop growing.
   {
-    ScopedAccumulator acc(&stats->t_extract_us);
+    ScopedAccumulator acc(&ns.extract);
     trace::ScopedSpan phase_span(options.span, "extract");
     while (true) {
       size_t before = relevant.size();
@@ -232,7 +237,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   std::map<std::string, PredicateTypes> base_types;
   std::set<std::string> base_preds;
   {
-    ScopedAccumulator acc(&stats->t_read_us);
+    ScopedAccumulator acc(&ns.read);
     trace::ScopedSpan phase_span(options.span, "read");
     for (const std::string& p : reachable) {
       if (derived.count(p) == 0) base_preds.insert(p);
@@ -261,7 +266,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   magic::AdornmentFilter adornment_filter;
   bool have_adornment_filter = false;
   if (options.analyze) {
-    ScopedAccumulator acc(&stats->t_analyze_us);
+    ScopedAccumulator acc(&ns.analyze);
     trace::ScopedSpan phase_span(options.span, "analyze");
     analysis::AnalyzerInput input;
     input.rules = relevant;
@@ -312,7 +317,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   Atom effective_query = query;
   bool apply_magic = options.magic_mode == MagicMode::kOn;
   if (options.magic_mode == MagicMode::kAdaptive) {
-    ScopedAccumulator acc(&stats->t_opt_us);
+    ScopedAccumulator acc(&ns.opt);
     trace::ScopedSpan phase_span(options.span, "opt");
     DKB_ASSIGN_OR_RETURN(
         double selectivity,
@@ -322,7 +327,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
     apply_magic = selectivity < options.adaptive_threshold;
   }
   if (apply_magic) {
-    ScopedAccumulator acc(&stats->t_opt_us);
+    ScopedAccumulator acc(&ns.opt);
     trace::ScopedSpan phase_span(options.span, "opt");
     DKB_ASSIGN_OR_RETURN(
         magic::MagicRewrite rewrite,
@@ -338,7 +343,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // Cliques + evaluation order list (t_eol).
   EvaluationOrder order;
   {
-    ScopedAccumulator acc(&stats->t_eol_us);
+    ScopedAccumulator acc(&ns.eol);
     trace::ScopedSpan phase_span(options.span, "eol");
     DKB_ASSIGN_OR_RETURN(order, BuildEvaluationOrder(eval_rules, derived));
   }
@@ -346,14 +351,14 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // Semantic checks (t_sem): definedness + type inference.
   TypeCheckResult types;
   {
-    ScopedAccumulator acc(&stats->t_sem_us);
+    ScopedAccumulator acc(&ns.sem);
     trace::ScopedSpan phase_span(options.span, "sem");
     DKB_ASSIGN_OR_RETURN(types, TypeCheck(eval_rules, base_types));
   }
 
   // Code generation (t_gen).
   {
-    ScopedAccumulator acc(&stats->t_gen_us);
+    ScopedAccumulator acc(&ns.gen);
     trace::ScopedSpan phase_span(options.span, "gen");
     DKB_ASSIGN_OR_RETURN(
         out.program, GenerateProgram(order, types.derived_types, base_types,
@@ -363,7 +368,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // "Compile & link" (t_comp): parse every generated SQL text, the analogue
   // of compiling the emitted C fragment against the run time library.
   {
-    ScopedAccumulator acc(&stats->t_comp_us);
+    ScopedAccumulator acc(&ns.comp);
     trace::ScopedSpan phase_span(options.span, "comp");
     for (const std::string& sql : out.program.AllSqlTexts()) {
       DKB_ASSIGN_OR_RETURN(sql::StatementPtr stmt, sql::ParseStatement(sql));
@@ -371,6 +376,15 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
     }
   }
 
+  stats->t_setup_us = NanosToMicros(ns.setup);
+  stats->t_extract_us = NanosToMicros(ns.extract);
+  stats->t_read_us = NanosToMicros(ns.read);
+  stats->t_analyze_us = NanosToMicros(ns.analyze);
+  stats->t_opt_us = NanosToMicros(ns.opt);
+  stats->t_eol_us = NanosToMicros(ns.eol);
+  stats->t_sem_us = NanosToMicros(ns.sem);
+  stats->t_gen_us = NanosToMicros(ns.gen);
+  stats->t_comp_us = NanosToMicros(ns.comp);
   out.summary = stats->Summary();
   return out;
 }

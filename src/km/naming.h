@@ -10,8 +10,8 @@ namespace dkb::km {
 ///
 /// Base (EDB) predicate p   -> catalog table edb_p (columns c0..c{k-1})
 /// Derived (IDB) predicate p -> idb_p (columns c0..c{k-1})
-/// Run-time temporaries      -> #p_new (both SQL strategies) and #p_diff
-///                              (naive's termination check)
+/// Naive's temporaries       -> #p_new (the recomputed relation) and
+///                              #p_diff (its termination check)
 /// Semi-naive windows        -> #p_delta / #p_prev: slot windows over idb_p
 ///
 /// Only edb_p names a catalog table; the rest name relations an LFP run

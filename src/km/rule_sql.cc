@@ -162,11 +162,17 @@ Result<RuleSqlProgram> RuleToSqlProgram(const datalog::Rule& rule,
     }
   }
 
+  // The last statement: the rule's distinct head rows, inserted into the
+  // target unless already there, or the bare SELECT without a target.
+  auto into_target = [&target_table](const std::string& select) {
+    if (target_table.empty()) return select;
+    return "INSERT INTO " + target_table + " (" + select +
+           ") EXCEPT (SELECT * FROM " + target_table + ")";
+  };
+
   if (negations.empty()) {
     DKB_ASSIGN_OR_RETURN(std::string select, RuleToSelect(rule, resolver));
-    program.statements.push_back("INSERT INTO " + target_table + " (" +
-                                 select + ") EXCEPT (SELECT * FROM " +
-                                 target_table + ")");
+    program.statements.push_back(into_target(select));
     return program;
   }
 
@@ -268,10 +274,8 @@ Result<RuleSqlProgram> RuleToSqlProgram(const datalog::Rule& rule,
       }
       head += it->second;
     }
-    program.statements.push_back(
-        "INSERT INTO " + target_table + " (SELECT DISTINCT " + head +
-        " FROM " + bind_name(negations.size()) + ") EXCEPT (SELECT * FROM " +
-        target_table + ")");
+    program.statements.push_back(into_target(
+        "SELECT DISTINCT " + head + " FROM " + bind_name(negations.size())));
   }
   return program;
 }

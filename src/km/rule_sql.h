@@ -54,8 +54,10 @@ Result<std::string> RuleToSelect(const datalog::Rule& rule,
 ///
 /// The caller must provide `bind_tables`, empty, before running
 /// `statements` (in order). Rules without negation produce no bind
-/// tables and a single statement. The final statement always dedups against
-/// the current contents of `target_table`.
+/// tables and a single statement. The final statement dedups against the
+/// current contents of `target_table`; with an empty `target_table` it is
+/// the bare SELECT DISTINCT of the head rows instead, for a caller that
+/// absorbs the rows itself (the semi-naive variants).
 struct RuleSqlProgram {
   struct BindTable {
     std::string name;

@@ -10,16 +10,23 @@ namespace dkb::km {
 
 Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
   UpdateStats stats;
+  // Each step's time in nanoseconds, rounded into stats once at the end.
+  struct {
+    int64_t extract = 0, tc = 0, typecheck = 0, dict = 0, store = 0;
+  } ns;
   const std::vector<datalog::Rule>& idb_new = workspace.rules();
 
   if (!stored_->options().compiled_rule_storage) {
     // Without compiled rule-storage structures the update is simply the
     // time to store the source form of the rules (paper Fig 15).
-    ScopedAccumulator acc(&stats.t_store_us);
-    for (const datalog::Rule& rule : idb_new) {
-      DKB_ASSIGN_OR_RETURN(bool added, stored_->StoreRuleSource(rule));
-      if (added) ++stats.rules_stored;
+    {
+      ScopedAccumulator acc(&ns.store);
+      for (const datalog::Rule& rule : idb_new) {
+        DKB_ASSIGN_OR_RETURN(bool added, stored_->StoreRuleSource(rule));
+        if (added) ++stats.rules_stored;
+      }
     }
+    stats.t_store_us = NanosToMicros(ns.store);
     return stats;
   }
 
@@ -37,7 +44,7 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
     }
   };
   {
-    ScopedAccumulator acc(&stats.t_extract_us);
+    ScopedAccumulator acc(&ns.extract);
     std::set<std::string> update_preds;
     for (const datalog::Rule& rule : idb_new) {
       update_preds.insert(rule.head.predicate);
@@ -62,7 +69,7 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
   std::vector<std::pair<std::string, std::string>> closure;
   std::set<std::string> heads;
   {
-    ScopedAccumulator acc(&stats.t_tc_us);
+    ScopedAccumulator acc(&ns.tc);
     for (const datalog::Rule& rule : composite) {
       pcg.AddRule(rule);
       heads.insert(rule.head.predicate);
@@ -77,7 +84,7 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
   // whose defining rules are unaffected by this update).
   TypeCheckResult types;
   {
-    ScopedAccumulator acc(&stats.t_typecheck_us);
+    ScopedAccumulator acc(&ns.typecheck);
     std::set<std::string> external;
     for (const datalog::Rule& rule : composite) {
       for (const datalog::Atom& atom : rule.body) {
@@ -106,7 +113,7 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
   // Steps 5-6 (t_dict): dictionary + compiled-form maintenance. Rule
   // storage is add-only, so reachability is merged monotonically.
   {
-    ScopedAccumulator acc(&stats.t_dict_us);
+    ScopedAccumulator acc(&ns.dict);
     DKB_RETURN_IF_ERROR(
         stored_->UpsertIdbDictionaryBatch(types.derived_types));
     std::map<std::string, std::set<std::string>> by_from;
@@ -118,12 +125,17 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
 
   // Step 7 (t_store): store the source form of the new rules.
   {
-    ScopedAccumulator acc(&stats.t_store_us);
+    ScopedAccumulator acc(&ns.store);
     for (const datalog::Rule& rule : idb_new) {
       DKB_ASSIGN_OR_RETURN(bool added, stored_->StoreRuleSource(rule));
       if (added) ++stats.rules_stored;
     }
   }
+  stats.t_extract_us = NanosToMicros(ns.extract);
+  stats.t_tc_us = NanosToMicros(ns.tc);
+  stats.t_typecheck_us = NanosToMicros(ns.typecheck);
+  stats.t_dict_us = NanosToMicros(ns.dict);
+  stats.t_store_us = NanosToMicros(ns.store);
   return stats;
 }
 

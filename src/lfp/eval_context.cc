@@ -63,32 +63,32 @@ ScanSource* RunRelations::Find(const std::string& name) const {
 }
 
 Status EvalContext::Temp(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_temp_us);
+  ScopedAccumulator acc(&stats_->t_temp_ns);
   return db_->Execute(sql, &relations_->names()).status();
 }
 
 Status EvalContext::Rhs(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_rhs_us);
+  ScopedAccumulator acc(&stats_->t_rhs_ns);
   return db_->Execute(sql, &relations_->names()).status();
 }
 
 Result<PlannedStatement> EvalContext::Plan(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_rhs_us);
+  ScopedAccumulator acc(&stats_->t_rhs_ns);
   return db_->Plan(sql, &relations_->names());
 }
 
 Status EvalContext::Rhs(PlannedStatement* statement) {
-  ScopedAccumulator acc(&stats_->t_rhs_us);
+  ScopedAccumulator acc(&stats_->t_rhs_ns);
   return statement->Run().status();
 }
 
 Status EvalContext::Term(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_term_us);
+  ScopedAccumulator acc(&stats_->t_term_ns);
   return db_->Execute(sql, &relations_->names()).status();
 }
 
 Result<int64_t> EvalContext::TermCount(const std::string& count_sql) {
-  ScopedAccumulator acc(&stats_->t_term_us);
+  ScopedAccumulator acc(&stats_->t_term_ns);
   DKB_ASSIGN_OR_RETURN(QueryResult count,
                        db_->Execute(count_sql, &relations_->names()));
   return count.rows[0][0].as_int();  // COUNT(*) yields exactly one row
@@ -96,7 +96,7 @@ Result<int64_t> EvalContext::TermCount(const std::string& count_sql) {
 
 Result<ScanSource*> EvalContext::Temporary(const std::string& name,
                                            const Schema& schema) {
-  ScopedAccumulator acc(&stats_->t_temp_us);
+  ScopedAccumulator acc(&stats_->t_temp_ns);
   return relations_->Empty(name, schema);
 }
 

@@ -13,11 +13,11 @@
 namespace dkb::lfp {
 
 /// The relations one LFP run writes, owned by the run instead of made in
-/// the catalog by SQL DDL: IDB relations, #p_new, #p_diff, binding tables
-/// and semi-naive's windows, built unversioned with `shards` shards and
-/// freed with this object. Every statement of the run resolves names()
-/// before the catalog, so it never touches a catalog table of the same
-/// name. Each node gets its own set that `inherits` the IDB relations.
+/// the catalog by SQL DDL: IDB relations, naive's #p_new and #p_diff,
+/// binding tables and semi-naive's windows, built unversioned with `shards`
+/// shards and freed with this object. Every statement of the run resolves
+/// names() before the catalog, so it never touches a catalog table of the
+/// same name. Each node gets its own set that `inherits` the IDB relations.
 class RunRelations {
  public:
   explicit RunRelations(size_t shards, exec::NamedSources inherits = {})
@@ -60,11 +60,10 @@ class EvalContext {
   trace::TraceSpan* span() const { return span_; }
   void set_span(trace::TraceSpan* span) { span_ = span; }
 
-  /// Per-iteration counts recorded by the clique evaluators, harvested into
-  /// NodeStats::delta_sizes / new_sizes / driver_rows after each node.
-  std::vector<int64_t>& delta_sizes() { return delta_sizes_; }
-  std::vector<int64_t>& new_sizes() { return new_sizes_; }
-  std::vector<int64_t>& driver_rows() { return driver_rows_; }
+  /// The node's per-iteration record (NodeStats::delta_sizes and the
+  /// semi-naive counts and times), filled by the clique evaluators; the
+  /// driver adds the node's label and totals after the node.
+  NodeStats& node() { return node_; }
 
   /// Temp-table management: DELETE-all and table copies.
   Status Temp(const std::string& sql);
@@ -72,11 +71,13 @@ class EvalContext {
   /// Rule-body (or differential) evaluation.
   Status Rhs(const std::string& sql);
 
-  /// Binds and plans a rule-body statement for repeated runs (RHS bucket:
-  /// the planning every execution of the statement used to repeat).
+  /// Binds and plans a rule-body statement (an INSERT ... SELECT or a
+  /// SELECT) for repeated runs (RHS bucket: the planning every execution of
+  /// the statement used to repeat).
   Result<PlannedStatement> Plan(const std::string& sql);
 
-  /// Runs a planned rule-body statement.
+  /// Runs a planned rule-body statement; a SELECT keeps its rows in the
+  /// statement's batches().
   Status Rhs(PlannedStatement* statement);
 
   /// Termination-check work (set differences and counts).
@@ -109,7 +110,7 @@ class EvalContext {
   /// the compiler produced one, and otherwise the binding-table pipeline
   /// over the canonical relations. Each rule inserts into its head's IDB
   /// relation, or into the head's #p_new temporary when `into_new` is set
-  /// (which the caller must have created).
+  /// (naive's recompute; the caller must have created #p_new).
   Status EvalExitRules(const km::QueryProgram& program,
                        const km::ProgramNode& node, size_t node_index,
                        bool into_new = false);
@@ -119,9 +120,7 @@ class EvalContext {
   ExecutionStats* stats_;
   RunRelations* relations_;
   trace::TraceSpan* span_ = nullptr;
-  std::vector<int64_t> delta_sizes_;
-  std::vector<int64_t> new_sizes_;
-  std::vector<int64_t> driver_rows_;
+  NodeStats node_;
 };
 
 }  // namespace dkb::lfp

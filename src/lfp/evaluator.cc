@@ -50,13 +50,10 @@ Status RunOneNode(EvalContext* ctx, const km::QueryProgram& program,
     DKB_ASSIGN_OR_RETURN(
         iterations, EvaluateCliqueSemiNaive(ctx, program, node, node_index));
   }
-  NodeStats ns;
+  NodeStats ns = std::move(ctx->node());
   ns.label = NodeLabel(node);
   ns.is_clique = node.is_clique;
   ns.iterations = iterations;
-  ns.delta_sizes = std::move(ctx->delta_sizes());
-  ns.new_sizes = std::move(ctx->new_sizes());
-  ns.driver_rows = std::move(ctx->driver_rows());
   ctx->set_span(nullptr);
   for (const std::string& p : node.predicates) {
     DKB_ASSIGN_OR_RETURN(ScanSource * relation,
@@ -160,9 +157,9 @@ Status RunNodes(Database* db, const km::QueryProgram& program,
   }
 
   for (size_t i = 0; i < n; ++i) {
-    stats->t_temp_us += locals[i].t_temp_us;
-    stats->t_rhs_us += locals[i].t_rhs_us;
-    stats->t_term_us += locals[i].t_term_us;
+    stats->t_temp_ns += locals[i].t_temp_ns;
+    stats->t_rhs_ns += locals[i].t_rhs_ns;
+    stats->t_term_ns += locals[i].t_term_ns;
     stats->iterations += locals[i].iterations;
     for (NodeStats& ns : locals[i].nodes) {
       stats->nodes.push_back(std::move(ns));
@@ -205,7 +202,7 @@ Result<QueryResult> ExecuteProgram(Database* db,
   std::vector<RunRelations> scopes;
   {
     trace::ScopedSpan temp_span(options.span, "temp");
-    ScopedAccumulator acc(&stats->t_temp_us);
+    ScopedAccumulator acc(&stats->t_temp_ns);
     for (const auto& [pred, binding] : program.bindings) {
       if (binding.is_base) continue;
       DKB_RETURN_IF_ERROR(
@@ -236,7 +233,7 @@ Result<QueryResult> ExecuteProgram(Database* db,
 
   Result<QueryResult> answer = Status::Internal("unreachable");
   if (status.ok()) {
-    ScopedAccumulator acc(&stats->t_final_us);
+    ScopedAccumulator acc(&stats->t_final_ns);
     trace::ScopedSpan final_span(options.span, "final");
     answer = db->Execute(program.final_select, &relations->names());
   } else {
@@ -246,10 +243,14 @@ Result<QueryResult> ExecuteProgram(Database* db,
   // Free the run's relations, win or lose.
   {
     trace::ScopedSpan cleanup_span(options.span, "cleanup");
-    ScopedAccumulator acc(&stats->t_temp_us);
+    ScopedAccumulator acc(&stats->t_temp_ns);
     scopes.clear();
     relations.reset();
   }
+  stats->t_temp_us = NanosToMicros(stats->t_temp_ns);
+  stats->t_rhs_us = NanosToMicros(stats->t_rhs_ns);
+  stats->t_term_us = NanosToMicros(stats->t_term_ns);
+  stats->t_final_us = NanosToMicros(stats->t_final_ns);
   if (answer.ok()) {
     stats->answer_tuples = static_cast<int64_t>(answer->rows.size());
   }

@@ -57,13 +57,18 @@ struct NodeStats {
   /// these). Empty for non-clique nodes.
   std::vector<int64_t> delta_sizes;
   /// Semi-naive only, one entry per iteration like delta_sizes: the rows
-  /// the variants wrote to #p_new, and the rows the driver touched outside
-  /// SQL statements (rows of #p_new read and probed, dedup-index inserts,
-  /// rows appended to the IDB table, temporary rows cleared). Exact counts,
-  /// so per-delta work is checkable without timing. Empty for the other
-  /// strategies.
+  /// the variants' SELECTs returned, and the rows the driver touched outside
+  /// SQL statements (rows routed to their home shard, rows probed, dedup-index
+  /// inserts, rows appended to the IDB relation, binding-table rows
+  /// cleared). Exact counts, so per-delta work is checkable without timing.
+  /// Empty for the other strategies.
   std::vector<int64_t> new_sizes;
   std::vector<int64_t> driver_rows;
+  /// Semi-naive only, one entry per iteration: the iteration's share of the
+  /// RHS and termination buckets (ExecutionStats::t_rhs_ns / t_term_ns),
+  /// each rounded to microseconds once.
+  std::vector<int64_t> rhs_us;
+  std::vector<int64_t> term_us;
 };
 
 /// D/KB query execution breakdown (paper §5.3.1.2, Tables 5-6).
@@ -74,6 +79,13 @@ struct ExecutionStats {
   int64_t t_rhs_us = 0;    // evaluating rule bodies (or their differentials)
   int64_t t_term_us = 0;   // termination checks (set difference + count)
   int64_t t_final_us = 0;  // final answer retrieval
+  /// The four buckets above before rounding: their scopes sum here in
+  /// nanoseconds (ScopedAccumulator) and ExecuteProgram rounds each into
+  /// its _us field once, so sub-microsecond scopes still count.
+  int64_t t_temp_ns = 0;
+  int64_t t_rhs_ns = 0;
+  int64_t t_term_ns = 0;
+  int64_t t_final_ns = 0;
   int64_t t_total_us = 0;
   int64_t iterations = 0;  // summed over all cliques
   int64_t answer_tuples = 0;

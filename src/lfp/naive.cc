@@ -61,7 +61,7 @@ Result<int64_t> EvaluateCliqueNaive(EvalContext* ctx,
       if (cnt > 0) changed = true;
       delta_total += cnt;
     }
-    ctx->delta_sizes().push_back(delta_total);
+    ctx->node().delta_sizes.push_back(delta_total);
     iter_span.Tag("delta", delta_total);
     if (!changed) break;
 

@@ -213,7 +213,7 @@ class NativeNode {
   Result<NativeRelation*> Rel(const std::string& pred) {
     auto it = relations_.find(pred);
     if (it != relations_.end()) return it->second.get();
-    ScopedAccumulator acc(&stats()->t_temp_us);
+    ScopedAccumulator acc(&stats()->t_temp_ns);
     auto binding_it = program_.bindings.find(pred);
     if (binding_it == program_.bindings.end()) {
       return Status::Internal("no binding for " + pred);
@@ -255,7 +255,7 @@ class NativeNode {
     // Exit rules populate the initial relations; the initial delta is the
     // whole relation.
     {
-      ScopedAccumulator acc(&stats()->t_rhs_us);
+      ScopedAccumulator acc(&stats()->t_rhs_ns);
       for (const km::CompiledRule& cr : node_.exit_rules) {
         NativeRelation* full = relations_.at(cr.rule.head.predicate).get();
         NativeRelation* d = delta.at(cr.rule.head.predicate).get();
@@ -288,7 +288,7 @@ class NativeNode {
         new_delta[p] = std::make_unique<NativeRelation>();
       }
       {
-        ScopedAccumulator acc(&stats()->t_rhs_us);
+        ScopedAccumulator acc(&stats()->t_rhs_ns);
         for (const datalog::Rule& rule : node_.recursive_rules) {
           DKB_ASSIGN_OR_RETURN(std::vector<NativeRelation*> rels,
                                BodyRels(rule));
@@ -313,20 +313,20 @@ class NativeNode {
       bool changed = false;
       int64_t delta_total = 0;
       {
-        ScopedAccumulator acc(&stats()->t_term_us);
+        ScopedAccumulator acc(&stats()->t_term_ns);
         for (const auto& [p, nd] : new_delta) {
           if (!nd->empty()) changed = true;
           delta_total += static_cast<int64_t>(nd->size());
         }
       }
-      ctx_->delta_sizes().push_back(delta_total);
+      ctx_->node().delta_sizes.push_back(delta_total);
       iter_span.Tag("delta", delta_total);
       if (!changed) break;
 
       // Merge deltas (incremental index extension, no copies) and swap the
       // delta pointers.
       {
-        ScopedAccumulator acc(&stats()->t_rhs_us);
+        ScopedAccumulator acc(&stats()->t_rhs_ns);
         for (const std::string& p : node_.predicates) {
           NativeRelation* full = relations_.at(p).get();
           for (const Tuple& t : new_delta.at(p)->rows()) full->Insert(t);
@@ -344,7 +344,7 @@ class NativeNode {
     DKB_ASSIGN_OR_RETURN(NativeRelation * edges, Rel(shape.edge_predicate));
     auto full = std::make_unique<NativeRelation>();
     {
-      ScopedAccumulator acc(&stats()->t_rhs_us);
+      ScopedAccumulator acc(&stats()->t_rhs_ns);
       std::vector<Tuple> closure;
       ComputeTransitiveClosure(edges->rows(), &closure);
       for (Tuple& t : closure) full->Insert(std::move(t));
@@ -357,7 +357,7 @@ class NativeNode {
   /// batch at a time (Table::AppendBatch interns and maintains indexes per
   /// batch).
   Status StoreDerived() {
-    ScopedAccumulator acc(&stats()->t_temp_us);
+    ScopedAccumulator acc(&stats()->t_temp_ns);
     RowBatch batch;
     for (const std::string& p : node_.predicates) {
       const km::PredicateBinding& b = program_.bindings.at(p);

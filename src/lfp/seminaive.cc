@@ -1,6 +1,8 @@
 #include "lfp/seminaive.h"
 
+#include <algorithm>
 #include <memory>
+#include <span>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -11,126 +13,142 @@ namespace dkb::lfp {
 
 namespace {
 
-/// One clique member while the clique iterates. Its IDB table only grows
+/// One clique member while the clique iterates. Its IDB relation only grows
 /// until the fixpoint, so the relation before the last iteration and the
 /// last iteration's delta are slot windows over it, and its dedup index
-/// holds exactly the table's distinct rows.
+/// holds exactly the relation's distinct rows.
 struct Member {
   ScanSource* full = nullptr;   // idb_p
-  ScanSource* fresh = nullptr;  // #p_new, written by the variants
   SlotWindow* prev = nullptr;   // [0, w_prev) of every shard
   SlotWindow* delta = nullptr;  // [w_prev, w_full)
   std::vector<DedupIndex> seen;  // one per shard of `full`
-};
-
-/// What one shard of #p_new contributed to a termination step.
-struct ShardCounts {
-  int64_t read = 0;      // rows scanned, each probed once
-  int64_t appended = 0;  // rows new to the relation: inserted and appended
+  /// The planned SELECTs of the variants whose head is this member.
+  std::vector<PlannedStatement*> selects;
+  /// Sharded relations only: per shard, the iteration's rows whose home it
+  /// is (kept across iterations for their capacity).
+  std::vector<RowBatch> routed;
 };
 
 /// The work of one iteration outside SQL statements (NodeStats::new_sizes
 /// and NodeStats::driver_rows).
 struct IterationWork {
-  int64_t fresh = 0;   // rows the variants wrote to #p_new
-  int64_t driver = 0;  // rows read, probed, inserted, appended or cleared
+  int64_t derived = 0;  // rows the variants' SELECTs returned
+  int64_t driver = 0;   // rows routed, probed, inserted, appended or cleared
 };
 
-/// Probes the rows of shard `sh` of m->fresh against the dedup index of
-/// their home shard in m->full and appends the new ones there. When the two
-/// layouts are aligned every row's home shard is `sh`, so distinct shards
-/// may run concurrently.
-Status AbsorbShard(Member* m, size_t sh, ShardCounts* counts) {
-  const Table& from = m->fresh->shard(sh);
-  const size_t homes = m->full->shard_count();
-  const size_t pc = m->full->partition_column();
-  const size_t width = m->full->schema().num_columns();
-  std::vector<RowBatch> out(homes);
-  for (RowBatch& b : out) b.Reset(width);
-  RowBatch batch;
-  RowId cursor = 0;
-  while (true) {
-    cursor = from.ScanBatch(cursor, &batch);
-    if (batch.empty()) break;
-    counts->read += static_cast<int64_t>(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const size_t home =
-          homes == 1 ? 0 : m->full->ShardOfValue(batch.At(i, pc));
-      if (!m->seen[home].Insert(batch, i)) continue;
-      ++counts->appended;
-      out[home].AppendRowOf(batch, i);
-      if (out[home].full()) {
-        DKB_RETURN_IF_ERROR(m->full->shard(home).AppendBatch(out[home]));
-        out[home].Reset(width);
-      }
-    }
+/// Interns every VARCHAR of `batch` in place. The dedup index keys strings
+/// on their dictionary ids, so an inline copy of a stored string would miss
+/// the index, go to its side set, and be admitted a second time. The SQL
+/// layer hands out interned strings today (stored values, and literals the
+/// binder interns), so this only holds the index's contract for rows from
+/// any other producer.
+void InternStrings(RowBatch* batch) {
+  for (size_t c = 0; c < batch->num_columns(); ++c) {
+    for (Value& v : batch->column(c)) v.InternInPlace();
   }
-  for (size_t home = 0; home < homes; ++home) {
-    if (!out[home].empty()) {
-      DKB_RETURN_IF_ERROR(m->full->shard(home).AppendBatch(out[home]));
-    }
-  }
-  return Status::OK();
 }
 
-/// A member's part of the termination step: appends the rows of #p_new that
-/// are new to the relation, then moves the windows so the next iteration's
-/// delta is exactly those rows and its previous relation everything before
-/// them. Returns the number of rows appended.
-Result<int64_t> Absorb(Member* m, IterationWork* work) {
-  const size_t shards = m->full->shard_count();
-  std::vector<RowId> before(shards);
-  for (size_t s = 0; s < shards; ++s) before[s] = m->full->shard(s).num_slots();
-
-  const size_t sources = m->fresh->shard_count();
-  std::vector<ShardCounts> counts(sources);
-  std::vector<Status> statuses(sources);
-  ThreadPool& pool = GlobalThreadPool();
-  const bool aligned = sources == shards &&
-                       m->fresh->partition_column() ==
-                           m->full->partition_column();
-  if (aligned && shards > 1 && pool.num_threads() > 0) {
-    pool.ParallelFor(0, shards, [&](size_t sh) {
-      statuses[sh] = AbsorbShard(m, sh, &counts[sh]);
-    });
-  } else {
-    for (size_t sh = 0; sh < sources && statuses[sh].ok(); ++sh) {
-      statuses[sh] = AbsorbShard(m, sh, &counts[sh]);
-    }
-  }
+/// Appends to shard `sh` of m->full the rows of `batches` that its dedup
+/// index has not seen; every row's home shard must be `sh`. The variants'
+/// SELECTs project the head's typed columns, so rows go in unchecked.
+/// Returns the number of rows appended.
+int64_t AbsorbShard(Member* m, size_t sh, std::span<const RowBatch> batches) {
+  Table& shard = m->full->shard(sh);
+  DedupIndex& seen = m->seen[sh];
   int64_t appended = 0;
-  for (size_t sh = 0; sh < sources; ++sh) {
-    DKB_RETURN_IF_ERROR(statuses[sh]);
-    work->fresh += counts[sh].read;
-    work->driver += 2 * counts[sh].read + 2 * counts[sh].appended;
-    appended += counts[sh].appended;
-  }
-  for (size_t s = 0; s < shards; ++s) {
-    m->prev->Set(s, 0, before[s]);
-    m->delta->Set(s, before[s], m->full->shard(s).num_slots());
+  for (const RowBatch& batch : batches) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!seen.Insert(batch, i)) continue;
+      shard.InsertUnchecked(batch.MaterializeTuple(i));
+      ++appended;
+    }
   }
   return appended;
 }
 
-/// The termination step (paper §3.3): every member absorbs its #p_new into
-/// its relation, and the temporaries are emptied for the next iteration.
-/// Returns the number of rows new to the relations, the next delta.
-Result<int64_t> Terminate(EvalContext* ctx, std::vector<Member>* members,
-                          const std::vector<ScanSource*>& bind_tables,
-                          IterationWork* work) {
-  int64_t delta = 0;
-  {
-    ScopedAccumulator acc(&ctx->stats()->t_term_us);
-    for (Member& m : *members) {
-      DKB_ASSIGN_OR_RETURN(int64_t appended, Absorb(&m, work));
-      delta += appended;
+/// A member's part of the termination step: appends the rows its variants'
+/// SELECTs returned that are new to the relation, then moves the windows so
+/// the next iteration's delta is exactly those rows and its previous
+/// relation everything before them. Returns the number of rows appended.
+int64_t Absorb(Member* m, IterationWork* work) {
+  const size_t shards = m->full->shard_count();
+  int64_t derived = 0;
+  for (PlannedStatement* select : m->selects) {
+    for (RowBatch& batch : select->batches()) {
+      InternStrings(&batch);
+      derived += static_cast<int64_t>(batch.size());
     }
   }
-  ScopedAccumulator acc(&ctx->stats()->t_temp_us);
-  for (Member& m : *members) {
-    work->driver += static_cast<int64_t>(m.fresh->num_tuples());
-    m.fresh->Clear();
+  int64_t appended = 0;
+  if (shards == 1) {
+    for (PlannedStatement* select : m->selects) {
+      appended += AbsorbShard(m, 0, select->batches());
+    }
+  } else {
+    // Route every row to its home shard first; then each shard probes and
+    // appends only its own rows, so the shards absorb in parallel when the
+    // pool has workers (and inline when it has none).
+    const size_t pc = m->full->partition_column();
+    for (RowBatch& routed : m->routed) {
+      routed.Reset(m->full->schema().num_columns());
+    }
+    for (PlannedStatement* select : m->selects) {
+      for (const RowBatch& batch : select->batches()) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          m->routed[m->full->ShardOfValue(batch.At(i, pc))].AppendRowOf(batch,
+                                                                       i);
+        }
+      }
+    }
+    work->driver += derived;
+    std::vector<int64_t> counts(shards, 0);
+    GlobalThreadPool().ParallelFor(0, shards, [&](size_t sh) {
+      counts[sh] = AbsorbShard(m, sh, {&m->routed[sh], 1});
+    });
+    for (int64_t n : counts) appended += n;
   }
+  work->derived += derived;
+  work->driver += 2 * derived + 2 * appended;
+  // The delta window still ends where each shard ended before the appends.
+  for (size_t s = 0; s < shards; ++s) {
+    const RowId end = m->delta->ScanEnd(s);
+    m->prev->Set(s, 0, end);
+    m->delta->Set(s, end, m->full->shard(s).num_slots());
+  }
+  return appended;
+}
+
+/// p^(0): the exit rules wrote their rows straight into the relation; they
+/// fill the dedup index and are the first delta (the previous relation
+/// starts empty).
+void Seed(Member* m) {
+  RowBatch batch;
+  for (size_t s = 0; s < m->full->shard_count(); ++s) {
+    const Table& shard = m->full->shard(s);
+    RowId cursor = 0;
+    while (true) {
+      cursor = shard.ScanBatch(cursor, &batch);
+      if (batch.empty()) break;
+      for (size_t i = 0; i < batch.size(); ++i) m->seen[s].Insert(batch, i);
+    }
+    m->delta->Set(s, 0, shard.num_slots());
+  }
+}
+
+/// The termination step (paper §3.3): every member absorbs its variants'
+/// rows into its relation, and the binding tables are emptied for the next
+/// iteration. Returns the number of rows new to the relations, the next
+/// delta.
+int64_t Terminate(EvalContext* ctx, std::vector<Member>* members,
+                  const std::vector<ScanSource*>& bind_tables,
+                  IterationWork* work) {
+  int64_t delta = 0;
+  {
+    ScopedAccumulator acc(&ctx->stats()->t_term_ns);
+    for (Member& m : *members) delta += Absorb(&m, work);
+  }
+  if (bind_tables.empty()) return delta;
+  ScopedAccumulator acc(&ctx->stats()->t_temp_ns);
   for (ScanSource* table : bind_tables) {
     work->driver += static_cast<int64_t>(table->num_tuples());
     table->Clear();
@@ -144,16 +162,14 @@ Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
                                         const km::QueryProgram& program,
                                         const km::ProgramNode& node,
                                         size_t node_index) {
-  // Per member: the #p_new temporary, the windows the variant SQL reads as
-  // #p_delta and #p_prev, and the dedup index.
+  // Per member: the windows the variant SQL reads as #p_delta and #p_prev,
+  // and the dedup index.
   std::vector<Member> members(node.predicates.size());
   for (size_t k = 0; k < node.predicates.size(); ++k) {
     const std::string& p = node.predicates[k];
     const km::PredicateBinding& b = program.bindings.at(p);
     Member& m = members[k];
     DKB_ASSIGN_OR_RETURN(m.full, ctx->Source(b.table));
-    DKB_ASSIGN_OR_RETURN(
-        m.fresh, ctx->Temporary(km::NewTableName(p), b.RelationSchema()));
     auto prev = std::make_unique<SlotWindow>(km::PrevTableName(p), m.full);
     auto delta = std::make_unique<SlotWindow>(km::DeltaTableName(p), m.full);
     m.prev = prev.get();
@@ -161,51 +177,72 @@ Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
     DKB_RETURN_IF_ERROR(ctx->relations().Add(std::move(prev)));
     DKB_RETURN_IF_ERROR(ctx->relations().Add(std::move(delta)));
     m.seen.assign(m.full->shard_count(), DedupIndex(b.columns.size()));
+    if (m.full->shard_count() > 1) m.routed.resize(m.full->shard_count());
   }
 
   // The variants' binding tables (rules with negation), then every variant
-  // statement bound and planned once for the whole run.
+  // statement bound and planned once for the whole run. The last statement
+  // of a variant is its SELECT, whose rows its head member absorbs.
   std::vector<ScanSource*> bind_tables;
+  size_t statements = 0;
   for (const km::RuleVariant& variant : node.variants) {
     for (const km::RuleSqlProgram::BindTable& bind : variant.sql.bind_tables) {
       DKB_ASSIGN_OR_RETURN(ScanSource * table,
                            ctx->Temporary(bind.name, bind.schema));
       bind_tables.push_back(table);
     }
+    statements += variant.sql.statements.size();
   }
   std::vector<PlannedStatement> plans;
+  plans.reserve(statements);  // members point at the SELECTs
   for (const km::RuleVariant& variant : node.variants) {
     for (const std::string& sql : variant.sql.statements) {
       DKB_ASSIGN_OR_RETURN(PlannedStatement planned, ctx->Plan(sql));
       plans.push_back(std::move(planned));
     }
+    const std::string& head =
+        node.recursive_rules[variant.rule].head.predicate;
+    const size_t k =
+        std::find(node.predicates.begin(), node.predicates.end(), head) -
+        node.predicates.begin();
+    members[k].selects.push_back(&plans.back());
   }
 
-  // p^(0): the exit rules' rows, absorbed like any iteration's, become the
-  // first delta (the previous relation starts empty).
-  DKB_RETURN_IF_ERROR(
-      ctx->EvalExitRules(program, node, node_index, /*into_new=*/true));
-  IterationWork seed_work;
-  DKB_RETURN_IF_ERROR(
-      Terminate(ctx, &members, bind_tables, &seed_work).status());
+  // p^(0): the exit rules insert into the IDB relations, and their rows
+  // seed the dedup indexes as the first delta.
+  DKB_RETURN_IF_ERROR(ctx->EvalExitRules(program, node, node_index));
+  {
+    ScopedAccumulator acc(&ctx->stats()->t_term_ns);
+    for (Member& m : members) Seed(&m);
+  }
 
+  NodeStats& record = ctx->node();
   int64_t iterations = 0;
   while (true) {
     ++iterations;
     trace::ScopedSpan iter_span(ctx->span(), "iteration");
     iter_span.Tag("iter", iterations);
+    const int64_t rhs_before = ctx->stats()->t_rhs_ns;
+    const int64_t term_before = ctx->stats()->t_term_ns;
+    // Every variant runs against the relations as the last iteration left
+    // them; only then do the members absorb the rows.
     for (PlannedStatement& planned : plans) {
       DKB_RETURN_IF_ERROR(ctx->Rhs(&planned));
     }
     IterationWork work;
-    DKB_ASSIGN_OR_RETURN(int64_t delta,
-                         Terminate(ctx, &members, bind_tables, &work));
-    ctx->delta_sizes().push_back(delta);
-    ctx->new_sizes().push_back(work.fresh);
-    ctx->driver_rows().push_back(work.driver);
+    const int64_t delta = Terminate(ctx, &members, bind_tables, &work);
+    record.delta_sizes.push_back(delta);
+    record.new_sizes.push_back(work.derived);
+    record.driver_rows.push_back(work.driver);
+    record.rhs_us.push_back(
+        NanosToMicros(ctx->stats()->t_rhs_ns - rhs_before));
+    record.term_us.push_back(
+        NanosToMicros(ctx->stats()->t_term_ns - term_before));
     iter_span.Tag("delta", delta);
-    iter_span.Tag("new_rows", work.fresh);
+    iter_span.Tag("new_rows", work.derived);
     iter_span.Tag("driver_rows", work.driver);
+    iter_span.Tag("rhs_us", record.rhs_us.back());
+    iter_span.Tag("term_us", record.term_us.back());
     if (delta == 0) break;
   }
   return iterations;

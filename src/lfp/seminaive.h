@@ -14,17 +14,21 @@ namespace dkb::lfp {
 ///   occurrence i  -> last delta
 ///   suffix(j > i) -> previous full relation
 ///
-/// unions the variants into #p_new, keeps the rows new to the accumulated
-/// relation as the next delta, and terminates when all deltas are empty.
+/// absorbs the variants' rows that are new to the accumulated relation as
+/// the next delta, and terminates when all deltas are empty.
 ///
 /// Every iteration works in proportion to its delta. The variants are the
 /// program's precompiled RuleVariants, bound and planned once per run and
-/// re-opened each iteration. Each IDB table only grows during the run, so
-/// the delta and the previous relation are SlotWindows over it, not
-/// tables; the termination step probes only the rows #p_new holds against
-/// the relation's dedup index and appends the survivors to the IDB table.
-/// #p_new (plus the binding tables of rules with negation) is the only
-/// temporary; it and the windows are RunRelations of the node.
+/// re-opened each iteration; each one's last statement is a plain SELECT.
+/// Each IDB relation only grows during the run, so the delta and the
+/// previous relation are SlotWindows over it, not tables. The exit rules
+/// insert p^(0) straight into the IDB relation. Each iteration runs every
+/// variant first (RHS bucket), then the termination step probes the rows the
+/// SELECTs returned against the relation's dedup index and appends the
+/// survivors (term bucket), so the relations never change while an
+/// iteration's statements run. No temporary holds derived rows; the only
+/// temporaries are the binding tables of rules with negation, and they and
+/// the windows are RunRelations of the node.
 ///
 /// Returns the number of iterations. `node_index` must be the node's
 /// position in `program` (the variants' binding-table names carry it, so

@@ -63,7 +63,7 @@ Result<int64_t> PlannedStatement::Run() {
     return Status::InvalidArgument("Run on an invalid PlannedStatement");
   }
   exec::StatAdd(db_->stats_.statements);
-  Result<int64_t> rows = insert_.Run();
+  Result<int64_t> rows = query_.Run();
   if (!rows.ok()) {
     return Status(rows.status().code(), rows.status().message() +
                                             " [while executing: " + text_ +
@@ -139,19 +139,26 @@ Result<PlannedStatement> Database::Plan(const std::string& sql,
                                        const exec::NamedSources* sources) {
   DKB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::Statement> stmt,
                        ParseCached(sql));
-  if (stmt->kind != sql::StatementKind::kInsert || stmt->param_count > 0) {
+  const bool insert = stmt->kind == sql::StatementKind::kInsert;
+  if ((!insert && stmt->kind != sql::StatementKind::kSelect) ||
+      stmt->param_count > 0) {
     return Status::InvalidArgument(
-        "only a parameterless INSERT ... SELECT can be planned: " + sql);
+        "only a parameterless INSERT ... SELECT or SELECT can be planned: " +
+        sql);
   }
-  Result<exec::PlannedInsert> insert = exec::PlannedInsert::Plan(
-      static_cast<const sql::InsertStmt&>(*stmt), catalog_, &stats_,
-      /*params=*/nullptr, sources);
-  if (!insert.ok()) {
-    return Status(insert.status().code(), insert.status().message() +
-                                              " [while planning: " + sql +
-                                              "]");
+  Result<exec::PlannedQuery> query =
+      insert ? exec::PlannedQuery::Plan(
+                   static_cast<const sql::InsertStmt&>(*stmt), catalog_,
+                   &stats_, /*params=*/nullptr, sources)
+             : exec::PlannedQuery::Plan(
+                   *static_cast<const sql::SelectStatement&>(*stmt).select,
+                   catalog_, &stats_, /*params=*/nullptr, sources);
+  if (!query.ok()) {
+    return Status(query.status().code(), query.status().message() +
+                                             " [while planning: " + sql +
+                                             "]");
   }
-  return PlannedStatement(this, sql, std::move(*insert));
+  return PlannedStatement(this, sql, std::move(*query));
 }
 
 Result<QueryResult> Database::Execute(const std::string& sql,

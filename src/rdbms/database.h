@@ -2,6 +2,7 @@
 #define DKB_RDBMS_DATABASE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -59,28 +60,33 @@ class PreparedStatement {
   std::vector<bool> bound_;
 };
 
-/// An INSERT ... SELECT parsed, bound and planned once by Database::Plan,
-/// then run any number of times: the run time library's embedded SQL as the
-/// paper's preprocessor compiled it, once per query. Each Run re-opens the
-/// plan against the current contents of the relations it names and counts
-/// as one executed statement. A handle must not outlive the Database that
-/// planned it or its target table; it shares ownership of the tables its
-/// SELECT reads.
+/// An INSERT ... SELECT, or a SELECT, parsed, bound and planned once by
+/// Database::Plan, then run any number of times: the run time library's
+/// embedded SQL as the paper's preprocessor compiled it, once per query.
+/// Each Run re-opens the plan against the current contents of the relations
+/// it names and counts as one executed statement. A handle must not outlive
+/// the Database that planned it or its target table; it shares ownership of
+/// the tables its SELECT reads.
 class PlannedStatement {
  public:
   PlannedStatement() = default;  // invalid; assign from Database::Plan
 
-  /// Runs the statement; returns the number of rows inserted.
+  /// Runs the statement; returns the number of rows inserted, or for a
+  /// SELECT the number of rows it leaves in batches().
   Result<int64_t> Run();
+
+  /// A SELECT's rows from the last Run, valid until the next Run; the
+  /// caller may modify them in place. Empty for an INSERT.
+  std::span<RowBatch> batches() { return query_.batches(); }
 
  private:
   friend class Database;
-  PlannedStatement(Database* db, std::string text, exec::PlannedInsert insert)
-      : db_(db), text_(std::move(text)), insert_(std::move(insert)) {}
+  PlannedStatement(Database* db, std::string text, exec::PlannedQuery query)
+      : db_(db), text_(std::move(text)), query_(std::move(query)) {}
 
   Database* db_ = nullptr;
   std::string text_;  // for error messages
-  exec::PlannedInsert insert_;
+  exec::PlannedQuery query_;
 };
 
 /// The relational DBMS layer of the testbed.
@@ -113,9 +119,9 @@ class Database {
                               const exec::NamedSources* sources = nullptr);
 
   /// Parses (through the statement cache), binds and plans one
-  /// parameterless INSERT ... SELECT for repeated runs. `sources` binds
-  /// names ahead of the catalog (exec::PlannedInsert); every relation the
-  /// statement names must exist now. A sys.* view is materialized once,
+  /// parameterless INSERT ... SELECT or SELECT for repeated runs. `sources`
+  /// binds names ahead of the catalog (exec::PlannedQuery); every relation
+  /// the statement names must exist now. A sys.* view is materialized once,
   /// here, so every run reads that snapshot.
   Result<PlannedStatement> Plan(const std::string& sql,
                                 const exec::NamedSources* sources = nullptr);

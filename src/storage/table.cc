@@ -7,13 +7,19 @@
 namespace dkb {
 
 Table::~Table() {
-  for (std::atomic<Chunk*>& cptr : dir_) {
-    Chunk* chunk = cptr.load(std::memory_order_relaxed);
-    if (chunk == nullptr) continue;
-    for (std::atomic<Segment*>& sptr : chunk->segs) {
-      delete sptr.load(std::memory_order_relaxed);
-    }
-    delete chunk;
+  // Slots, segments and chunks are all reached in row order, so each kind
+  // is a prefix: destroy and free only that prefix.
+  for (RowId rid = 0; rid < constructed_; ++rid) SlotRef(rid).~Slot();
+  const size_t segments = segments_allocated_.load(std::memory_order_relaxed);
+  for (size_t seg = 0; seg < segments; ++seg) {
+    delete dir_[seg / kChunkSegments]
+        .load(std::memory_order_relaxed)
+        ->segs[seg % kChunkSegments]
+        .load(std::memory_order_relaxed);
+  }
+  const size_t chunks = chunks_allocated_.load(std::memory_order_relaxed);
+  for (size_t c = 0; c < chunks; ++c) {
+    delete dir_[c].load(std::memory_order_relaxed);
   }
 }
 
@@ -52,11 +58,16 @@ Table::Slot& Table::EnsureSlot(RowId rid) {
   std::atomic<Segment*>& sptr = chunk->segs[seg % kChunkSegments];
   Segment* segment = sptr.load(std::memory_order_relaxed);
   if (segment == nullptr) {
-    segment = new Segment();
+    segment = new Segment;  // raw: slots are constructed below, one by one
     ++segments_allocated_;
     sptr.store(segment, std::memory_order_release);
   }
-  return segment->slots[rid % kSegmentRows];
+  Slot* slot = segment->slot(rid % kSegmentRows);
+  if (rid == constructed_) {  // rows arrive in order: rid <= constructed_
+    new (slot) Slot();
+    ++constructed_;
+  }
+  return *slot;
 }
 
 RowId Table::InsertRow(Tuple tuple) {

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -217,8 +218,18 @@ class Table : public ScanSource {
     std::atomic<Epoch> end{kNeverEpoch};
   };
 
+  /// Raw storage for kSegmentRows slots. EnsureSlot constructs each slot
+  /// the first time the table reaches it, so a table pays for the slots it
+  /// has used, not for whole segments.
   struct Segment {
-    std::array<Slot, kSegmentRows> slots;
+    alignas(Slot) unsigned char bytes[kSegmentRows * sizeof(Slot)];
+
+    Slot* slot(size_t i) {
+      return std::launder(reinterpret_cast<Slot*>(bytes) + i);
+    }
+    const Slot* slot(size_t i) const {
+      return std::launder(reinterpret_cast<const Slot*>(bytes) + i);
+    }
   };
 
   struct Chunk {
@@ -234,9 +245,9 @@ class Table : public ScanSource {
     const size_t seg = rid / kSegmentRows;
     const Chunk* chunk =
         dir_[seg / kChunkSegments].load(std::memory_order_acquire);
-    return chunk->segs[seg % kChunkSegments]
-        .load(std::memory_order_acquire)
-        ->slots[rid % kSegmentRows];
+    return *chunk->segs[seg % kChunkSegments]
+                .load(std::memory_order_acquire)
+                ->slot(rid % kSegmentRows);
   }
   Slot& SlotRef(RowId rid) {
     return const_cast<Slot&>(
@@ -245,7 +256,8 @@ class Table : public ScanSource {
 
   /// Writer-only: slot for the next insert, allocating directory levels as
   /// needed (published with release stores so readers racing on size_ see
-  /// initialized pointers).
+  /// initialized pointers) and constructing the slot the first time the
+  /// table reaches it. The caller publishes the slot through size_.
   Slot& EnsureSlot(RowId rid);
 
   /// Unlocked insert body; caller holds the index write lock if versioned.
@@ -265,6 +277,9 @@ class Table : public ScanSource {
   std::array<std::atomic<Chunk*>, kMaxChunks> dir_{};
   /// Slots in use; release-published after the slot is fully initialized.
   std::atomic<uint64_t> size_{0};
+  /// Slots [0, constructed_) are constructed; always >= size_. Survives an
+  /// unversioned Clear, whose reset slots are reused. Writer-only.
+  RowId constructed_ = 0;
   std::atomic<int64_t> live_count_{0};
   /// Allocation counters for ApproxBytes (writer-bumped, readers relaxed).
   std::atomic<size_t> chunks_allocated_{0};

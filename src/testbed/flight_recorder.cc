@@ -49,6 +49,8 @@ QueryLogEntry FlightRecorder::MakeEntry(const QueryReport& report,
       it.delta_rows = node.delta_sizes[i];
       if (i < node.new_sizes.size()) it.new_rows = node.new_sizes[i];
       if (i < node.driver_rows.size()) it.driver_rows = node.driver_rows[i];
+      if (i < node.rhs_us.size()) it.rhs_us = node.rhs_us[i];
+      if (i < node.term_us.size()) it.term_us = node.term_us[i];
       entry.lfp_iterations.push_back(std::move(it));
     }
   }

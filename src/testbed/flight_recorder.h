@@ -47,10 +47,13 @@ struct QueryLogEntry {
     bool is_clique = false;
     int64_t iter = 0;  // 1-based iteration number within the node
     int64_t delta_rows = 0;
-    /// lfp::NodeStats::new_sizes / driver_rows of the iteration; empty
-    /// (NULL in sys.lfp_iterations) for strategies that do not count them.
+    /// lfp::NodeStats::new_sizes / driver_rows / rhs_us / term_us of the
+    /// iteration; empty (NULL in sys.lfp_iterations) for strategies that do
+    /// not count them.
     std::optional<int64_t> new_rows;
     std::optional<int64_t> driver_rows;
+    std::optional<int64_t> rhs_us;
+    std::optional<int64_t> term_us;
   };
   std::vector<LfpIteration> lfp_iterations;
 

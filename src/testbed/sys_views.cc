@@ -67,6 +67,8 @@ Schema LfpIterationsSchema() {
       {"delta_rows", DataType::kInteger},
       {"new_rows", DataType::kInteger},
       {"driver_rows", DataType::kInteger},
+      {"rhs_us", DataType::kInteger},
+      {"term_us", DataType::kInteger},
   });
 }
 
@@ -197,7 +199,8 @@ Result<std::shared_ptr<const Table>> LfpIterationsProvider(Testbed* tb) {
       rows.push_back(Tuple{IntVal(e.query_id), Value(it.node),
                            BoolVal(it.is_clique), IntVal(it.iter),
                            IntVal(it.delta_rows), IntOrNull(it.new_rows),
-                           IntOrNull(it.driver_rows)});
+                           IntOrNull(it.driver_rows), IntOrNull(it.rhs_us),
+                           IntOrNull(it.term_us)});
     }
   }
   return Materialize("sys.lfp_iterations", LfpIterationsSchema(),
@@ -355,7 +358,7 @@ const std::vector<SystemViewDef>& SystemViewDefs() {
            "flight-recorder ring of completed queries (newest last)"},
           {"sys.lfp_iterations", LfpIterationsSchema(),
            "per-node per-iteration delta cardinalities; semi-naive also "
-           "counts new and driver rows"},
+           "counts new and driver rows and times rhs and term"},
           {"sys.metrics", MetricsSchema(),
            "live snapshot of the global metrics registry"},
           {"sys.sessions", SessionsSchema(),

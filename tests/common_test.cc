@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/str_util.h"
+#include "common/timer.h"
 #include "common/value.h"
 
 namespace dkb {
@@ -150,6 +151,31 @@ TEST(StrUtilTest, Trim) {
 TEST(StrUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("magic_anc", "magic_"));
   EXPECT_FALSE(StartsWith("anc", "magic_"));
+}
+
+// ---------------------------------------------------------------------------
+// Timer
+// ---------------------------------------------------------------------------
+
+TEST(TimerTest, AccumulatorKeepsSubMicrosecondScopes) {
+  // 1,000 scopes of at least 300 ns each: truncating every scope to whole
+  // microseconds would lose nearly all of it.
+  int64_t sink_ns = 0;
+  for (int i = 0; i < 1000; ++i) {
+    ScopedAccumulator acc(&sink_ns);
+    WallTimer spin;
+    while (spin.ElapsedNanos() < 300) {
+    }
+  }
+  EXPECT_GE(NanosToMicros(sink_ns), 300);
+}
+
+TEST(TimerTest, NanosRoundToTheNearestMicrosecond) {
+  EXPECT_EQ(NanosToMicros(0), 0);
+  EXPECT_EQ(NanosToMicros(499), 0);
+  EXPECT_EQ(NanosToMicros(500), 1);
+  EXPECT_EQ(NanosToMicros(1499), 1);
+  EXPECT_EQ(NanosToMicros(2500), 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "testbed/testbed.h"
 #include "workload/data_gen.h"
@@ -71,6 +73,113 @@ TEST(LfpStatsTest, NonLinearRuleConvergesInLogIterations) {
   EXPECT_EQ(outcome.result.rows.size(), 120u);  // C(16,2)
   EXPECT_LE(outcome.report.exec.iterations, 6);
   EXPECT_GE(outcome.report.exec.iterations, 4);
+}
+
+/// A clique member's node stats for `goal` over the consulted `program`.
+NodeStats CliqueStats(const std::string& program, const std::string& goal,
+                      size_t expected_answers) {
+  auto tb_or = testbed::Testbed::Create();
+  EXPECT_TRUE(tb_or.ok());
+  auto tb = std::move(*tb_or);
+  EXPECT_TRUE(tb->Consult(program).ok());
+  auto outcome = RunQuery(tb.get(), goal, LfpStrategy::kSemiNaive);
+  EXPECT_EQ(outcome.result.rows.size(), expected_answers);
+  for (const NodeStats& ns : outcome.report.exec.nodes) {
+    if (ns.is_clique) return ns;
+  }
+  ADD_FAILURE() << "no clique node";
+  return NodeStats{};
+}
+
+std::string ChainFacts(const std::string& pred, int edges) {
+  std::string facts;
+  for (int i = 0; i < edges; ++i) {
+    facts += pred + "(n" + std::to_string(i) + ", n" +
+             std::to_string(i + 1) + ").\n";
+  }
+  return facts;
+}
+
+// Every variant of an iteration reads the relations as the last iteration
+// left them, and only then are their rows absorbed, so each iteration's
+// delta is exactly the differential formulation's. Absorbing a variant's
+// rows before the next variant runs reaches the same answers in different
+// steps (14, 36, 49, 6, 0 on this chain).
+TEST(LfpStatsTest, NonLinearDeltasFollowTheIterations) {
+  auto tb_or = testbed::Testbed::Create();
+  ASSERT_TRUE(tb_or.ok());
+  auto tb = std::move(*tb_or);
+  ASSERT_TRUE(tb->Consult(workload::AncestorRulesNonLinear()).ok());
+  ASSERT_TRUE(
+      tb->DefineBase("parent", {DataType::kVarchar, DataType::kVarchar})
+          .ok());
+  ASSERT_TRUE(
+      tb->AddFacts("parent", workload::MakeLists(1, 16).ToTuples()).ok());
+  auto outcome =
+      RunQuery(tb.get(), "?- ancestor(X, Y).", LfpStrategy::kSemiNaive);
+  EXPECT_EQ(outcome.result.rows.size(), 120u);
+  ASSERT_EQ(outcome.report.exec.nodes.size(), 1u);
+  const NodeStats& ns = outcome.report.exec.nodes[0];
+  EXPECT_EQ(ns.iterations, 5);
+  EXPECT_EQ(ns.delta_sizes, (std::vector<int64_t>{14, 25, 38, 28, 0}));
+  // From iteration 2 on, both variants derive the paths one step longer
+  // than the last delta; each such row is absorbed once.
+  EXPECT_GT(ns.new_sizes[1], ns.delta_sizes[1]);
+  EXPECT_EQ(ns.tuples, 120);
+}
+
+TEST(LfpStatsTest, MutualRecursionDeltasFollowTheIterations) {
+  const NodeStats linear = CliqueStats(
+      "odd(X, Y) :- edge(X, Y).\n"
+      "odd(X, Y) :- edge(X, Z), even(Z, Y).\n"
+      "even(X, Y) :- edge(X, Z), odd(Z, Y).\n" +
+          ChainFacts("edge", 12),
+      "?- odd(X, Y).", 42u);
+  EXPECT_EQ(linear.label, "even,odd");
+  EXPECT_EQ(linear.delta_sizes,
+            (std::vector<int64_t>{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}));
+  EXPECT_EQ(linear.tuples, 78);
+
+  // Non-linear: both members in one body, so variants read the current
+  // and the previous relation of the other member.
+  const NodeStats nonlinear = CliqueStats(
+      "odd(X, Y) :- edge(X, Y).\n"
+      "odd(X, Y) :- even(X, Z), odd(Z, Y).\n"
+      "even(X, Y) :- odd(X, Z), odd(Z, Y).\n" +
+          ChainFacts("edge", 12),
+      "?- odd(X, Y).", 42u);
+  EXPECT_EQ(nonlinear.delta_sizes,
+            (std::vector<int64_t>{11, 10, 24, 20, 1, 0}));
+  EXPECT_EQ(nonlinear.tuples, 78);
+}
+
+// An exit rule and a recursive rule both derive rows with a head constant,
+// and the cycle derives again the row the exit rule stored: the clique
+// holds each row once and answers as naive does.
+TEST(LfpStatsTest, HeadConstantsAreAbsorbedOnce) {
+  const std::string program =
+      "tag(X, k) :- item(X).\n"
+      "tag(Y, k) :- tag(X, k), link(X, Y).\n"
+      "item(a).\nlink(a, b).\nlink(b, c).\nlink(c, a).\nlink(c, d).\n";
+  auto tb_or = testbed::Testbed::Create();
+  ASSERT_TRUE(tb_or.ok());
+  auto tb = std::move(*tb_or);
+  ASSERT_TRUE(tb->Consult(program).ok());
+  auto semi = RunQuery(tb.get(), "?- tag(X, Y).", LfpStrategy::kSemiNaive);
+  auto naive = RunQuery(tb.get(), "?- tag(X, Y).", LfpStrategy::kNaive);
+  auto answers = [](const testbed::QueryOutcome& outcome) {
+    std::vector<std::string> rows;
+    for (const Tuple& row : outcome.result.rows) {
+      rows.push_back(row[0].ToString() + "|" + row[1].ToString());
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  EXPECT_EQ(answers(semi),
+            (std::vector<std::string>{"a|k", "b|k", "c|k", "d|k"}));
+  EXPECT_EQ(answers(semi), answers(naive));
+  ASSERT_EQ(semi.report.exec.nodes.size(), 1u);
+  EXPECT_EQ(semi.report.exec.nodes[0].tuples, 4);
 }
 
 TEST(LfpStatsTest, TimingBucketsArePopulated) {

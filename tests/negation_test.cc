@@ -168,6 +168,22 @@ TEST(NegationSqlTest, PipelineShape) {
             std::string::npos);
 }
 
+// Without a target the last statement is the bare SELECT of the head rows,
+// which the semi-naive driver absorbs itself.
+TEST(NegationSqlTest, EmptyTargetEndsInTheHeadSelect) {
+  for (const char* text :
+       {"p(X) :- q(X).", "p(X, Y) :- q(X, Y), not r(X, Y)."}) {
+    auto rule = ParseRule(text);
+    ASSERT_TRUE(rule.ok());
+    auto program = km::RuleToSqlProgram(*rule, TypedResolver, "", "#x");
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    const std::string& last = program->statements.back();
+    EXPECT_EQ(last.rfind("SELECT DISTINCT ", 0), 0u) << last;
+    EXPECT_EQ(last.find("INSERT"), std::string::npos) << last;
+    EXPECT_EQ(last.find("EXCEPT"), std::string::npos) << last;
+  }
+}
+
 TEST(NegationSqlTest, RuleToSelectRejectsNegation) {
   auto rule = ParseRule("p(X) :- q(X), not r(X).");
   ASSERT_TRUE(rule.ok());

@@ -99,6 +99,29 @@ TEST(TableTest, ClearEmptiesTableAndIndexes) {
   EXPECT_EQ(t.indexes()[0]->num_entries(), 1u);
 }
 
+// Slots are constructed as the table first reaches them and kept across an
+// unversioned Clear; refilling reuses them and grows past them.
+TEST(TableTest, ClearedTableRefillsPastItsSlots) {
+  Table t("parent", TwoColSchema());
+  const size_t first = Table::kSegmentRows + 5;  // into a second segment
+  for (size_t i = 0; i < first; ++i) {
+    ASSERT_TRUE(t.Insert({Value("a"), Value(std::to_string(i))}).ok());
+  }
+  t.Clear();
+  EXPECT_EQ(t.num_slots(), 0u);
+  const size_t second = 2 * Table::kSegmentRows + 1;  // into a third
+  for (size_t i = 0; i < second; ++i) {
+    ASSERT_TRUE(t.Insert({Value("b"), Value(std::to_string(i))}).ok());
+  }
+  EXPECT_EQ(t.num_tuples(), second);
+  size_t count = 0;
+  t.Scan([&](RowId rid, const Tuple& row) {
+    EXPECT_EQ(row[1], Value(std::to_string(rid)));
+    ++count;
+  });
+  EXPECT_EQ(count, second);
+}
+
 TEST(TableTest, IndexMaintainedOnInsertAndDelete) {
   Table t("parent", TwoColSchema());
   ASSERT_TRUE(

@@ -56,7 +56,7 @@ TEST(SysViewsTest, SchemasMatchTheGolden) {
         "shards", "bytes_sent", "bytes_received", "trace"}},
       {"sys.lfp_iterations",
        {"query_id", "node", "is_clique", "iter", "delta_rows", "new_rows",
-        "driver_rows"}},
+        "driver_rows", "rhs_us", "term_us"}},
       {"sys.metrics", {"name", "kind", "value", "sum", "max", "p50", "p99"}},
       {"sys.sessions",
        {"session_id", "epoch", "testbed_epoch", "snapshot_age", "queries"}},
@@ -201,6 +201,53 @@ TEST(SysViewsTest, LfpIterationsCountNewAndDriverRows) {
   }
   EXPECT_EQ(counted, clique->new_sizes.size());
   EXPECT_GT(rows->rows.size(), counted);
+}
+
+TEST(SysViewsTest, LfpIterationsSplitRhsAndTermTime) {
+  auto tb = MakeTestbed();
+  auto seminaive = tb->Query("anc(a, X)");
+  ASSERT_TRUE(seminaive.ok());
+  const lfp::NodeStats* clique = nullptr;
+  for (const auto& node : seminaive->report.exec.nodes) {
+    if (node.is_clique) clique = &node;
+  }
+  ASSERT_NE(clique, nullptr);
+  ASSERT_EQ(clique->rhs_us.size(), clique->delta_sizes.size());
+  ASSERT_EQ(clique->term_us.size(), clique->delta_sizes.size());
+  // The per-iteration split is carved out of the run's buckets.
+  int64_t rhs = 0;
+  int64_t term = 0;
+  for (size_t i = 0; i < clique->rhs_us.size(); ++i) {
+    EXPECT_GE(clique->rhs_us[i], 0);
+    EXPECT_GE(clique->term_us[i], 0);
+    rhs += clique->rhs_us[i];
+    term += clique->term_us[i];
+  }
+  // Each entry rounds on its own, so the sums may exceed the rounded
+  // buckets by up to half a microsecond per iteration.
+  const int64_t slack = static_cast<int64_t>(clique->rhs_us.size());
+  EXPECT_LE(rhs, seminaive->report.exec.t_rhs_us + slack);
+  EXPECT_LE(term, seminaive->report.exec.t_term_us + slack);
+  ASSERT_TRUE(tb->Query("anc(a, X)", QueryOptions::Naive()).ok());
+
+  auto rows = Sql(tb.get(),
+                  "SELECT query_id, rhs_us, term_us "
+                  "FROM sys.lfp_iterations WHERE is_clique = 1");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  size_t counted = 0;
+  for (const Tuple& row : rows->rows) {
+    if (row[0].as_int() == seminaive->report.query_id) {
+      ASSERT_LT(counted, clique->rhs_us.size());
+      EXPECT_EQ(row[1].as_int(), clique->rhs_us[counted]);
+      EXPECT_EQ(row[2].as_int(), clique->term_us[counted]);
+      ++counted;
+    } else {
+      // Naive does not split its iterations.
+      EXPECT_TRUE(row[1].is_null());
+      EXPECT_TRUE(row[2].is_null());
+    }
+  }
+  EXPECT_EQ(counted, clique->rhs_us.size());
 }
 
 TEST(SysViewsTest, DottedNamesResolveByBaseNameQualifier) {

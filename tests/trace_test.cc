@@ -232,6 +232,8 @@ TEST(QueryTraceTest, SemiNaiveIterationSpansTagWorkCounts) {
     }
     EXPECT_EQ(tags["new_rows"], std::to_string(stats.new_sizes[i]));
     EXPECT_EQ(tags["driver_rows"], std::to_string(stats.driver_rows[i]));
+    EXPECT_EQ(tags["rhs_us"], std::to_string(stats.rhs_us[i]));
+    EXPECT_EQ(tags["term_us"], std::to_string(stats.term_us[i]));
   }
 }
 
