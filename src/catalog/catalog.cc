@@ -36,6 +36,7 @@ Result<ScanSource*> Catalog::CreateTable(const std::string& name,
   if (epochs_ != nullptr) table->EnableVersioning(epochs_);
   ScanSource* raw = table.get();
   tables_.emplace(std::move(key), std::move(table));
+  BumpSchemaVersion();
   return raw;
 }
 
@@ -48,6 +49,7 @@ Status Catalog::DropTable(const std::string& name) {
   // Shared ownership: running plans and overlay pins keep the storage
   // alive; the name is gone immediately.
   tables_.erase(it);
+  BumpSchemaVersion();
   return Status::OK();
 }
 
@@ -116,6 +118,7 @@ Status Catalog::RegisterVirtualTable(const std::string& name, Schema schema,
   // Re-registration overwrites: a session clone re-registers the same views
   // against the shared data sources after every snapshot refresh.
   virtuals_[key] = VirtualEntry{std::move(schema), std::move(provider)};
+  BumpSchemaVersion();
   return Status::OK();
 }
 
@@ -166,6 +169,7 @@ Result<ResolvedSource> Catalog::ResolveScanSource(
     ResolvedSource source;
     source.source = snapshot.get();
     source.owned = std::move(snapshot);
+    source.snapshot = true;
     return source;
   }
   if (base_ != nullptr) {
@@ -195,7 +199,9 @@ Status Catalog::CreateIndex(const std::string& table_name,
     }
     cols.push_back(*idx);
   }
-  return table->AddIndexSpec(index_name, cols, ordered);
+  DKB_RETURN_IF_ERROR(table->AddIndexSpec(index_name, cols, ordered));
+  BumpSchemaVersion();
+  return Status::OK();
 }
 
 std::vector<std::string> Catalog::TableNames() const {

@@ -32,6 +32,7 @@ struct ResolvedSource {
   const ScanSource* source = nullptr;
   std::shared_ptr<const ScanSource> owned;
   Epoch read_epoch = kLatestEpoch;
+  bool snapshot = false;  // a virtual table's materialization
 };
 
 /// Catalog of tables and their indexes, keyed by case-insensitive name.
@@ -148,6 +149,16 @@ class Catalog {
                      const std::vector<std::string>& column_names,
                      bool ordered);
 
+  /// Counts the changes a statement plan may have captured: tables created
+  /// or dropped, indexes created and virtual tables registered here, plus
+  /// the base's count on an overlay. While it stays put, a plan built
+  /// through this catalog is the plan a fresh planning call would build
+  /// (the planner reads no table sizes), so a cached plan may be re-run.
+  uint64_t schema_version() const {
+    const uint64_t own = schema_version_.load(std::memory_order_acquire);
+    return base_ == nullptr ? own : own + base_->schema_version();
+  }
+
   /// Names of all tables, unsorted.
   std::vector<std::string> TableNames() const DKB_EXCLUDES(mu_);
 
@@ -155,6 +166,9 @@ class Catalog {
 
  private:
   static std::string Key(const std::string& name);
+  void BumpSchemaVersion() {
+    schema_version_.fetch_add(1, std::memory_order_acq_rel);
+  }
 
   struct VirtualEntry {
     Schema schema;
@@ -178,6 +192,7 @@ class Catalog {
   const EpochSource* epochs_ = nullptr;
   const Catalog* base_ = nullptr;
   std::atomic<Epoch> read_epoch_{kLatestEpoch};
+  std::atomic<uint64_t> schema_version_{0};
 };
 
 /// True for names in the reserved system schema ("sys." prefix,

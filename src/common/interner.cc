@@ -55,6 +55,13 @@ uint32_t StringDict::Intern(std::string_view s) {
   return id;
 }
 
+uint32_t StringDict::Find(std::string_view s) const {
+  const Segment& seg = segments_[SegmentOf(std::hash<std::string_view>{}(s))];
+  ReaderLock lock(seg.mu);
+  auto it = seg.ids.find(s);
+  return it == seg.ids.end() ? kInvalidId : it->second;
+}
+
 std::array<size_t, StringDict::kSegments> StringDict::SegmentSizes() const {
   std::array<size_t, kSegments> sizes{};
   for (size_t i = 0; i < kSegments; ++i) {

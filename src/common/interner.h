@@ -49,6 +49,10 @@ class StringDict {
   /// Returns the id for `s`, interning it on first sight.
   uint32_t Intern(std::string_view s);
 
+  /// The id of `s` if it is already interned, else kInvalidId; never
+  /// inserts (a read-only statement's constants leave no entry behind).
+  uint32_t Find(std::string_view s) const;
+
   /// Content of an interned string; the reference is stable for the
   /// process lifetime. Requires a valid id previously returned by Intern.
   const std::string& Get(uint32_t id) const { return Entry(id).str; }

@@ -93,6 +93,16 @@ class Value {
     }
   }
 
+  /// Like InternInPlace, but only adopts an id the dictionary already
+  /// holds: a string no stored row carries stays inline and adds nothing to
+  /// the dictionary. Equality and hashing do not see the difference.
+  void InternIfKnown() {
+    if (const auto* s = std::get_if<std::string>(&rep_)) {
+      uint32_t id = GlobalStringDict().Find(*s);
+      if (id != StringDict::kInvalidId) rep_ = DictRef{id};
+    }
+  }
+
   bool operator==(const Value& other) const {
     if (rep_.index() == other.rep_.index()) {
       // Same representation: interned compares ids (equal iff same string).

@@ -91,7 +91,7 @@ Result<BoundExprPtr> BindImpl(const sql::Expr& expr, const Scope& scope,
         return Status::InvalidArgument(
             "parameter ?" + std::to_string(p.index + 1) + " is not bound");
       }
-      return BoundExprPtr(std::make_unique<BoundLiteral>((*params)[p.index]));
+      return BoundExprPtr(std::make_unique<BoundParam>(params, p.index));
     }
     case sql::ExprKind::kComparison: {
       const auto& cmp = static_cast<const sql::ComparisonExpr&>(expr);
@@ -213,11 +213,11 @@ Result<BoundExprPtr> BindAgainstSchema(const sql::Expr& expr,
       return BoundExprPtr(std::make_unique<BoundLiteral>(lit.value));
     }
     case sql::ExprKind::kParam: {
-      const Value* v = ConstOperand(expr, params);
-      if (v == nullptr) {
+      if (ConstOperand(expr, params) == nullptr) {
         return Status::InvalidArgument("parameter is not bound");
       }
-      return BoundExprPtr(std::make_unique<BoundLiteral>(*v));
+      return BoundExprPtr(std::make_unique<BoundParam>(
+          params, static_cast<const sql::ParamExpr&>(expr).index));
     }
     case sql::ExprKind::kComparison: {
       const auto& cmp = static_cast<const sql::ComparisonExpr&>(expr);

@@ -57,9 +57,11 @@ enum class SlotMode {
 };
 
 /// Binds `expr` against `scope`. In kTableLocal mode `local_binding` selects
-/// which table the expression must be local to. `params` supplies values for
-/// `?` placeholders (they bind as literals); an expression containing a
-/// parameter with no bound value fails with InvalidArgument.
+/// which table the expression must be local to. `params` holds the values
+/// of the `?` placeholders: a parameter binds as a BoundParam that reads its
+/// slot of `*params` on every evaluation, so `*params` must outlive the
+/// bound expression. An expression containing a parameter past the end of
+/// `*params` (or with no `params`) fails with InvalidArgument.
 Result<BoundExprPtr> BindExpr(const sql::Expr& expr, const Scope& scope,
                               SlotMode mode, size_t local_binding = 0,
                               const std::vector<Value>* params = nullptr);

@@ -197,19 +197,28 @@ Result<PlannedQuery> PlannedQuery::Plan(const sql::InsertStmt& stmt,
                                         ExecStats* stats,
                                         const std::vector<Value>* params,
                                         const NamedSources* sources) {
-  if (stmt.select == nullptr) {
-    return Status::InvalidArgument("INSERT into " + stmt.table +
-                                   " has no SELECT to plan");
-  }
   DKB_ASSIGN_OR_RETURN(
       ScanSource * target,
       ResolveTarget(stmt.table, "INSERT", catalog, sources));
-  DKB_ASSIGN_OR_RETURN(PlannedQuery planned,
-                       Plan(*stmt.select, catalog, stats, params, sources));
-  if (planned.plan_->output_schema().num_columns() !=
-      target->schema().num_columns()) {
-    return Status::InvalidArgument("INSERT SELECT arity mismatch for table " +
-                                   stmt.table);
+  PlannedQuery planned;
+  if (stmt.select == nullptr) {
+    for (const sql::InsertStmt::ParamCell& cell : stmt.param_cells) {
+      if (params == nullptr || cell.param >= params->size()) {
+        return Status::InvalidArgument("parameter ?" +
+                                       std::to_string(cell.param + 1) +
+                                       " is not bound");
+      }
+    }
+    planned.values_ = &stmt;
+    planned.params_ = params;
+  } else {
+    DKB_ASSIGN_OR_RETURN(planned,
+                         Plan(*stmt.select, catalog, stats, params, sources));
+    if (planned.plan_->output_schema().num_columns() !=
+        target->schema().num_columns()) {
+      return Status::InvalidArgument(
+          "INSERT SELECT arity mismatch for table " + stmt.table);
+    }
   }
   planned.target_ = target;
   return planned;
@@ -228,6 +237,23 @@ Result<PlannedQuery> PlannedQuery::Plan(const sql::SelectStmt& stmt,
 }
 
 Result<int64_t> PlannedQuery::Run() {
+  if (values_ != nullptr) {
+    if (values_->param_cells.empty()) {
+      for (const std::vector<Value>& row : values_->rows) {
+        DKB_RETURN_IF_ERROR(target_->Insert(row).status());
+      }
+    } else {
+      // Substitute the current values into a copy of the VALUES matrix.
+      std::vector<std::vector<Value>> rows = values_->rows;
+      for (const sql::InsertStmt::ParamCell& cell : values_->param_cells) {
+        rows[cell.row][cell.col] = (*params_)[cell.param];
+      }
+      for (std::vector<Value>& row : rows) {
+        DKB_RETURN_IF_ERROR(target_->Insert(std::move(row)).status());
+      }
+    }
+    return static_cast<int64_t>(values_->rows.size());
+  }
   int64_t rows = 0;
   filled_ = 0;
   DKB_RETURN_IF_ERROR(plan_->Open());
@@ -244,44 +270,24 @@ Result<int64_t> PlannedQuery::Run() {
   if (target_ != nullptr) {
     for (RowBatch& batch : batches()) {
       DKB_RETURN_IF_ERROR(target_->AppendBatch(batch));
-      batch.Reset(batch.num_columns());
     }
-    filled_ = 0;
+    ClearBatches();
   }
   return rows;
 }
 
+void PlannedQuery::ClearBatches() {
+  for (RowBatch& batch : batches()) batch.Reset(batch.num_columns());
+  filled_ = 0;
+}
+
 Result<QueryResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
                                             const std::vector<Value>* params) {
-  QueryResult result;
-  if (stmt.select != nullptr) {
-    DKB_ASSIGN_OR_RETURN(
-        PlannedQuery planned,
-        PlannedQuery::Plan(stmt, *catalog_, stats_, params, sources_));
-    DKB_ASSIGN_OR_RETURN(result.rows_affected, planned.Run());
-    return result;
-  }
   DKB_ASSIGN_OR_RETURN(
-      ScanSource * table,
-      ResolveTarget(stmt.table, "INSERT", *catalog_, sources_));
-  if (!stmt.param_cells.empty()) {
-    // Substitute bound values into a copy of the VALUES matrix.
-    std::vector<std::vector<Value>> rows = stmt.rows;
-    for (const sql::InsertStmt::ParamCell& cell : stmt.param_cells) {
-      rows[cell.row][cell.col] = (*params)[cell.param];
-    }
-    result.rows_affected = static_cast<int64_t>(rows.size());
-    for (std::vector<Value>& row : rows) {
-      DKB_ASSIGN_OR_RETURN(RowId rid, table->Insert(std::move(row)));
-      (void)rid;
-    }
-    return result;
-  }
-  for (const std::vector<Value>& row : stmt.rows) {
-    DKB_ASSIGN_OR_RETURN(RowId rid, table->Insert(row));
-    (void)rid;
-  }
-  result.rows_affected = static_cast<int64_t>(stmt.rows.size());
+      PlannedQuery planned,
+      PlannedQuery::Plan(stmt, *catalog_, stats_, params, sources_));
+  QueryResult result;
+  DKB_ASSIGN_OR_RETURN(result.rows_affected, planned.Run());
   return result;
 }
 

@@ -78,9 +78,11 @@ class BoundColumn : public BoundExpr {
 class BoundLiteral : public BoundExpr {
  public:
   explicit BoundLiteral(Value value) : value_(std::move(value)) {
-    // Interned literals make equality probes against stored (interned)
-    // VARCHARs an id compare.
-    value_.InternInPlace();
+    // A literal some stored row carries binds as its dictionary id, so
+    // equality probes against stored (interned) VARCHARs compare ids; any
+    // other string cannot equal a stored one and stays inline, leaving the
+    // process-wide dictionary as it was.
+    value_.InternIfKnown();
   }
   Value Evaluate(const Tuple&) const override { return value_; }
   void EvaluateColumn(const RowBatch&, const std::vector<uint32_t>& rows,
@@ -91,6 +93,24 @@ class BoundLiteral : public BoundExpr {
 
  private:
   Value value_;
+};
+
+/// A `?` parameter of a planned statement: reads the statement's current
+/// value on every evaluation, so one plan serves every binding.
+/// `params` is owned by the statement and outlives the bound expression.
+class BoundParam : public BoundExpr {
+ public:
+  BoundParam(const std::vector<Value>* params, size_t index)
+      : params_(params), index_(index) {}
+  Value Evaluate(const Tuple&) const override { return (*params_)[index_]; }
+  void EvaluateColumn(const RowBatch&, const std::vector<uint32_t>& rows,
+                      std::vector<Value>* out) const override {
+    out->assign(rows.size(), (*params_)[index_]);
+  }
+
+ private:
+  const std::vector<Value>* params_;
+  size_t index_;
 };
 
 class BoundComparison : public BoundExpr {
@@ -162,7 +182,7 @@ class BoundInList : public BoundExpr {
   BoundInList(BoundExprPtr needle, std::vector<Value> values)
       : needle_(std::move(needle)) {
     for (Value& v : values) {
-      v.InternInPlace();
+      v.InternIfKnown();
       set_.insert(std::move(v));
     }
   }

@@ -180,12 +180,14 @@ void SeqScanNode::CloseImpl() {
 // ---------------------------------------------------------------------------
 
 IndexScanNode::IndexScanNode(const ScanSource* source, const Index* index,
-                             std::vector<Tuple> keys, BoundExprPtr filter,
-                             ExecStats* stats, Epoch epoch)
+                             std::vector<BoundExprPtr> keys,
+                             BoundExprPtr filter, ExecStats* stats,
+                             Epoch epoch)
     : source_(source),
       index_(index),
       routed_(RoutableOnPartitionColumn(*source, index)),
-      keys_(std::move(keys)),
+      key_exprs_(std::move(keys)),
+      keys_(key_exprs_.size()),
       filter_(std::move(filter)),
       stats_(stats),
       epoch_(epoch) {
@@ -193,6 +195,10 @@ IndexScanNode::IndexScanNode(const ScanSource* source, const Index* index,
 }
 
 Status IndexScanNode::OpenImpl() {
+  static const Tuple kNoRow;
+  for (size_t k = 0; k < key_exprs_.size(); ++k) {
+    keys_[k].assign(1, key_exprs_[k]->Evaluate(kNoRow));
+  }
   key_pos_ = 0;
   shard_pos_ = 0;
   buffer_shard_ = 0;
@@ -256,14 +262,13 @@ Result<bool> IndexScanNode::NextBatchImpl(RowBatch* out) {
 
 IndexRangeScanNode::IndexRangeScanNode(const ScanSource* source,
                                        const OrderedIndex* index,
-                                       std::optional<Value> lo,
-                                       std::optional<Value> hi,
+                                       BoundExprPtr lo, BoundExprPtr hi,
                                        BoundExprPtr filter, ExecStats* stats,
                                        Epoch epoch)
     : source_(source),
       index_(index),
-      lo_(std::move(lo)),
-      hi_(std::move(hi)),
+      lo_expr_(std::move(lo)),
+      hi_expr_(std::move(hi)),
       filter_(std::move(filter)),
       stats_(stats),
       epoch_(epoch) {
@@ -271,20 +276,19 @@ IndexRangeScanNode::IndexRangeScanNode(const ScanSource* source,
 }
 
 void IndexRangeScanNode::ProbeShard() {
-  Tuple lo_key;
-  Tuple hi_key;
-  if (lo_.has_value()) lo_key = Tuple{*lo_};
-  if (hi_.has_value()) hi_key = Tuple{*hi_};
   StatAdd(stats_->index_probes);
   // Same index definition on every shard, so the same index kind too.
   const auto* index = static_cast<const OrderedIndex*>(
       ShardIndex(*source_, shard_, index_));
   source_->shard(shard_).ProbeIndexRange(
-      index, lo_.has_value() ? &lo_key : nullptr,
-      hi_.has_value() ? &hi_key : nullptr, &buffer_);
+      index, lo_expr_ != nullptr ? &lo_key_ : nullptr,
+      hi_expr_ != nullptr ? &hi_key_ : nullptr, &buffer_);
 }
 
 Status IndexRangeScanNode::OpenImpl() {
+  static const Tuple kNoRow;
+  if (lo_expr_ != nullptr) lo_key_.assign(1, lo_expr_->Evaluate(kNoRow));
+  if (hi_expr_ != nullptr) hi_key_.assign(1, hi_expr_->Evaluate(kNoRow));
   shard_ = 0;
   buffer_.clear();
   buffer_pos_ = 0;
@@ -530,7 +534,9 @@ Result<bool> HashJoinNode::NextBatchImpl(RowBatch* out) {
 
 void HashJoinNode::CloseImpl() {
   left_->Close();
+  right_->Close();
   parts_.clear();
+  matches_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -737,6 +743,8 @@ Result<bool> SetOpNode::NextBatchImpl(RowBatch* out) {
 void SetOpNode::CloseImpl() {
   left_->Close();
   right_->Close();
+  right_set_.clear();
+  emitted_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -783,7 +791,10 @@ Result<bool> SortNode::NextBatchImpl(RowBatch* out) {
   return !out->empty();
 }
 
-void SortNode::CloseImpl() { rows_.clear(); }
+void SortNode::CloseImpl() {
+  rows_.clear();
+  child_->Close();
+}
 
 LimitNode::LimitNode(PlanNodePtr child, size_t limit)
     : child_(std::move(child)), limit_(limit) {
@@ -929,7 +940,10 @@ Result<bool> AggregateNode::NextBatchImpl(RowBatch* out) {
   return !out->empty();
 }
 
-void AggregateNode::CloseImpl() { groups_.clear(); }
+void AggregateNode::CloseImpl() {
+  groups_.clear();
+  child_->Close();
+}
 
 CountNode::CountNode(PlanNodePtr child, std::string column_name)
     : child_(std::move(child)) {

@@ -172,6 +172,11 @@ class PlanNode {
     pinned_sources_.push_back(std::move(source));
   }
 
+  /// True when planning materialized a sys.* view for this plan, so its
+  /// runs read that snapshot, not the view's current state.
+  bool reads_snapshot() const { return reads_snapshot_; }
+  void MarkReadsSnapshot() { reads_snapshot_ = true; }
+
   /// Operator name for EXPLAIN-style rendering.
   virtual std::string Name() const = 0;
 
@@ -203,6 +208,7 @@ class PlanNode {
   Schema schema_;
   std::unique_ptr<Profile> profile_;
   std::vector<std::shared_ptr<const ScanSource>> pinned_sources_;
+  bool reads_snapshot_ = false;
 };
 
 using PlanNodePtr = std::unique_ptr<PlanNode>;
@@ -244,8 +250,11 @@ class SeqScanNode : public PlanNode {
   std::vector<uint32_t> sel_scratch_;
 };
 
-/// Index lookup for one or more literal keys (supports `col = lit` and
-/// `col IN (...)` access paths), with optional residual filter.
+/// Index lookup for one or more constant keys (supports `col = lit`,
+/// `col = ?` and `col IN (...)` access paths), with optional residual
+/// filter. Each key is a constant expression (a literal or a statement
+/// parameter) evaluated at every Open, so a re-opened plan probes the
+/// parameters' current values.
 ///
 /// Index definitions are uniform across shards, so the node re-resolves the
 /// shard-0 template index per shard and probes each key against every
@@ -254,7 +263,7 @@ class SeqScanNode : public PlanNode {
 class IndexScanNode : public PlanNode {
  public:
   IndexScanNode(const ScanSource* source, const Index* index,
-                std::vector<Tuple> keys, BoundExprPtr filter,
+                std::vector<BoundExprPtr> keys, BoundExprPtr filter,
                 ExecStats* stats, Epoch epoch = kLatestEpoch);
 
   Status OpenImpl() override;
@@ -271,7 +280,8 @@ class IndexScanNode : public PlanNode {
   const ScanSource* source_;
   const Index* index_;  // shard-0 template (name/columns)
   bool routed_;         // single-column index on the partition column
-  std::vector<Tuple> keys_;
+  std::vector<BoundExprPtr> key_exprs_;
+  std::vector<Tuple> keys_;  // key_exprs_' values as of the last Open
   BoundExprPtr filter_;
   ExecStats* stats_;
   Epoch epoch_;
@@ -283,15 +293,16 @@ class IndexScanNode : public PlanNode {
   std::vector<uint32_t> sel_scratch_;
 };
 
-/// Ordered-index range scan for `col OP literal` predicates (OP one of
+/// Ordered-index range scan for `col OP constant` predicates (OP one of
 /// < <= > >=). Bounds are inclusive; the original comparison is always
 /// applied as part of the residual filter, so exclusive bounds stay exact.
+/// A bound is a constant expression evaluated at every Open; null means
+/// unbounded on that side.
 class IndexRangeScanNode : public PlanNode {
  public:
   IndexRangeScanNode(const ScanSource* source, const OrderedIndex* index,
-                     std::optional<Value> lo, std::optional<Value> hi,
-                     BoundExprPtr filter, ExecStats* stats,
-                     Epoch epoch = kLatestEpoch);
+                     BoundExprPtr lo, BoundExprPtr hi, BoundExprPtr filter,
+                     ExecStats* stats, Epoch epoch = kLatestEpoch);
 
   Status OpenImpl() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
@@ -305,8 +316,10 @@ class IndexRangeScanNode : public PlanNode {
 
   const ScanSource* source_;
   const OrderedIndex* index_;  // shard-0 template
-  std::optional<Value> lo_;
-  std::optional<Value> hi_;
+  BoundExprPtr lo_expr_;  // may be null
+  BoundExprPtr hi_expr_;  // may be null
+  Tuple lo_key_;          // the bounds' values as of the last Open
+  Tuple hi_key_;
   BoundExprPtr filter_;
   ExecStats* stats_;
   Epoch epoch_;
@@ -488,7 +501,10 @@ class DistinctNode : public PlanNode {
 
   Status OpenImpl() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
-  void CloseImpl() override { child_->Close(); }
+  void CloseImpl() override {
+    seen_.clear();
+    child_->Close();
+  }
   std::string Name() const override { return "Distinct"; }
 
   std::vector<const PlanNode*> Children() const override {

@@ -1,7 +1,6 @@
 #include "exec/planner.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
 
 #include "common/str_util.h"
@@ -22,13 +21,14 @@ struct ConjunctInfo {
   Scope::ResolvedColumn lhs_col{};
   Scope::ResolvedColumn rhs_col{};
 
-  // Single-table sargable predicates.
+  // Single-table sargable predicates: `col = c`, `col IN (...)` and
+  // `col OP c`, where c is a literal or a `?` parameter (`constant`).
   bool is_col_eq_lit = false;
   bool is_col_in_list = false;
-  bool is_col_range = false;  // col OP literal, OP in {<, <=, >, >=}
+  bool is_col_range = false;  // col OP c, OP in {<, <=, >, >=}
   sql::CompareOp range_op = sql::CompareOp::kLt;
   Scope::ResolvedColumn col{};
-  Value lit;
+  const sql::Expr* constant = nullptr;
   std::vector<Value> in_values;
 };
 
@@ -62,6 +62,10 @@ class Planner {
                                      std::vector<ConjunctInfo*> conjuncts);
   /// A FROM-list name: a named source if one is bound, else the catalog's.
   Result<ResolvedSource> Resolve(const std::string& name) const;
+  /// Binds a literal or `?` operand (an index key or range bound).
+  Result<BoundExprPtr> BindConstant(const sql::Expr& expr) const {
+    return BindExpr(expr, Scope(), SlotMode::kGlobal, 0, params_);
+  }
 
   const Catalog& catalog_;
   ExecStats* stats_;
@@ -69,9 +73,11 @@ class Planner {
   const NamedSources* sources_;       // may be null
 
  public:
-  /// Virtual-table snapshots materialized while planning; the caller pins
-  /// them to the plan root so they outlive planning.
+  /// Sources resolved while planning (stored tables, and virtual-table
+  /// snapshots materialized here); the caller pins them to the plan root so
+  /// they outlive planning.
   std::vector<std::shared_ptr<const ScanSource>> pinned_;
+  bool reads_snapshot_ = false;  // a pinned source is a sys.* snapshot
 };
 
 Result<ResolvedSource> Planner::Resolve(const std::string& name) const {
@@ -110,11 +116,10 @@ Result<ConjunctInfo> Planner::Classify(const sql::Expr* expr,
       } else if (lhs_col != rhs_col) {
         const auto& c = static_cast<const sql::ColumnRefExpr&>(
             lhs_col ? *cmp.lhs : *cmp.rhs);
-        const Value* v =
-            ConstOperand(lhs_col ? *cmp.rhs : *cmp.lhs, params_);
-        if (v != nullptr) {
+        const sql::Expr& operand = lhs_col ? *cmp.rhs : *cmp.lhs;
+        if (ConstOperand(operand, params_) != nullptr) {
           DKB_ASSIGN_OR_RETURN(info.col, scope.Resolve(c.table, c.column));
-          info.lit = *v;
+          info.constant = &operand;
           info.is_col_eq_lit = true;
         }
       }
@@ -124,15 +129,12 @@ Result<ConjunctInfo> Planner::Classify(const sql::Expr* expr,
                cmp.op == sql::CompareOp::kGe) {
       const bool lhs_col = cmp.lhs->kind == sql::ExprKind::kColumnRef;
       const bool rhs_col = cmp.rhs->kind == sql::ExprKind::kColumnRef;
-      const Value* v = (lhs_col != rhs_col)
-                           ? ConstOperand(lhs_col ? *cmp.rhs : *cmp.lhs,
-                                          params_)
-                           : nullptr;
-      if (v != nullptr) {
+      const sql::Expr& operand = lhs_col ? *cmp.rhs : *cmp.lhs;
+      if (lhs_col != rhs_col && ConstOperand(operand, params_) != nullptr) {
         const auto& c = static_cast<const sql::ColumnRefExpr&>(
             lhs_col ? *cmp.lhs : *cmp.rhs);
         DKB_ASSIGN_OR_RETURN(info.col, scope.Resolve(c.table, c.column));
-        info.lit = *v;
+        info.constant = &operand;
         info.is_col_range = true;
         // Normalize to "col OP literal".
         if (lhs_col) {
@@ -216,25 +218,29 @@ Result<PlanNodePtr> Planner::PlanAccessPath(
 
   if (sarg != nullptr) {
     sarg->used = true;
-    std::vector<Tuple> keys;
+    std::vector<BoundExprPtr> keys;
     if (sarg->is_col_eq_lit) {
-      keys.push_back(Tuple{sarg->lit});
+      DKB_ASSIGN_OR_RETURN(BoundExprPtr key, BindConstant(*sarg->constant));
+      keys.push_back(std::move(key));
     } else {
       keys.reserve(sarg->in_values.size());
-      for (const Value& v : sarg->in_values) keys.push_back(Tuple{v});
+      for (const Value& v : sarg->in_values) {
+        keys.push_back(std::make_unique<BoundLiteral>(v));
+      }
     }
     return PlanNodePtr(std::make_unique<IndexScanNode>(
         table, index, std::move(keys), AndCombine(std::move(residual)),
         stats_, epoch));
   }
   if (range != nullptr) {
-    std::optional<Value> lo;
-    std::optional<Value> hi;
+    BoundExprPtr lo;
+    BoundExprPtr hi;
+    DKB_ASSIGN_OR_RETURN(BoundExprPtr bound, BindConstant(*range->constant));
     if (range->range_op == sql::CompareOp::kGt ||
         range->range_op == sql::CompareOp::kGe) {
-      lo = range->lit;
+      lo = std::move(bound);
     } else {
-      hi = range->lit;
+      hi = std::move(bound);
     }
     return PlanNodePtr(std::make_unique<IndexRangeScanNode>(
         table, ordered, std::move(lo), std::move(hi),
@@ -256,6 +262,7 @@ Result<PlanNodePtr> Planner::PlanCore(const sql::SelectCore& core) {
   for (const sql::TableRef& ref : core.from) {
     DKB_ASSIGN_OR_RETURN(ResolvedSource resolved, Resolve(ref.table));
     if (resolved.owned != nullptr) pinned_.push_back(resolved.owned);
+    reads_snapshot_ = reads_snapshot_ || resolved.snapshot;
     DKB_RETURN_IF_ERROR(scope.AddTable(ref.EffectiveName(), resolved.source,
                                        resolved.read_epoch));
   }
@@ -656,6 +663,7 @@ Result<PlanNodePtr> PlanSelect(const sql::SelectStmt& stmt,
   for (std::shared_ptr<const ScanSource>& source : planner.pinned_) {
     plan->PinSource(std::move(source));
   }
+  if (planner.reads_snapshot_) plan->MarkReadsSnapshot();
   return plan;
 }
 

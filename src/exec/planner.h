@@ -29,9 +29,11 @@ using NamedSources = std::unordered_map<std::string, ScanSource*>;
 ///  * join method: index nested-loop when the inner table has an index on
 ///    the equi-join columns, otherwise hash join on equi predicates,
 ///    otherwise tuple nested-loop.
-/// `params` supplies bound values for `?` placeholders; they participate in
-/// access-path selection exactly like literals (a fresh plan is built per
-/// execution, so a parameterized key predicate still gets an index scan).
+/// `params` holds the values of the `?` placeholders. A parameter takes
+/// part in access-path selection exactly like a literal (`col = ?` on an
+/// indexed column is an index scan), but the plan reads its slot of
+/// `*params` at every evaluation and Open instead of copying the value, so
+/// one plan serves every binding and `*params` must outlive it.
 /// `sources`, when set, binds FROM-list names ahead of the catalog (read at
 /// the catalog's read epoch).
 Result<PlanNodePtr> PlanSelect(const sql::SelectStmt& stmt,

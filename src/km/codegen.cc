@@ -83,6 +83,10 @@ std::vector<std::string> QueryProgram::AllSqlTexts() const {
   for (const ProgramNode& node : nodes) {
     for (const CompiledRule& cr : node.exit_rules) {
       if (!cr.select_sql.empty()) out.push_back(cr.select_sql);
+      if (cr.rule.body.empty()) {
+        out.push_back(SeedInsertSql(
+            cr.rule, bindings.at(cr.rule.head.predicate).table));
+      }
     }
     for (const RuleVariant& variant : node.variants) {
       out.insert(out.end(), variant.sql.statements.begin(),
@@ -155,6 +159,12 @@ Result<QueryProgram> GenerateProgram(
       flat_rules = &eval_node.rules;
     }
     for (const datalog::Rule& rule : *flat_rules) {
+      if (rule.body.empty() && QueryParameters(query) !=
+                                   QueryParameters(rule.head)) {
+        return Status::Internal("seed " + rule.ToString() +
+                                " does not bind the constants of " +
+                                query.ToString());
+      }
       CompiledRule cr;
       cr.rule = rule;
       bool has_negation = false;
@@ -209,7 +219,7 @@ Status GenerateFinalSelect(const datalog::Atom& query,
                                  std::string(DataTypeName(qb.types[i])) +
                                  " of " + query.predicate);
       }
-      conjuncts.push_back(qb.columns[i] + " = " + t.value.ToSqlLiteral());
+      conjuncts.push_back(qb.columns[i] + " = ?");
       continue;
     }
     auto [it, inserted] = var_cols.emplace(t.var, qb.columns[i]);
@@ -241,6 +251,39 @@ Status GenerateFinalSelect(const datalog::Atom& query,
   }
   program->final_select = std::move(select);
   return Status::OK();
+}
+
+std::vector<Value> QueryParameters(const datalog::Atom& query) {
+  std::vector<Value> out;
+  for (const datalog::Term& t : query.args) {
+    if (t.is_constant()) out.push_back(t.value);
+  }
+  return out;
+}
+
+std::string SeedInsertSql(const datalog::Rule& seed,
+                          const std::string& table) {
+  std::string sql = "INSERT INTO " + table + " VALUES (";
+  for (size_t i = 0; i < seed.head.args.size(); ++i) {
+    sql += i > 0 ? ", ?" : "?";
+  }
+  return sql + ")";
+}
+
+std::string InlineParameters(const std::string& sql,
+                             const std::vector<Value>& values) {
+  std::string out;
+  size_t next = 0;
+  bool quoted = false;
+  for (char c : sql) {
+    if (c == '\'') quoted = !quoted;
+    if (c == '?' && !quoted && next < values.size()) {
+      out += values[next++].ToSqlLiteral();
+    } else {
+      out += c;
+    }
+  }
+  return out;
 }
 
 }  // namespace dkb::km

@@ -26,9 +26,9 @@ struct PredicateBinding {
   Schema RelationSchema() const;  // one typed column per argument
 };
 
-/// A rule plus its pre-generated body SELECT. Seed facts (empty body) and
-/// rules with negated atoms (evaluated through the binding-table pipeline,
-/// see RuleToSqlProgram) have an empty select_sql.
+/// A rule plus its pre-generated body SELECT. Seed facts (empty body; see
+/// SeedInsertSql) and rules with negated atoms (evaluated through the
+/// binding-table pipeline, see RuleToSqlProgram) have an empty select_sql.
 struct CompiledRule {
   datalog::Rule rule;
   std::string select_sql;
@@ -60,7 +60,8 @@ struct ProgramNode {
   /// Cliques: every recursive rule's semi-naive variants, in rule order and
   /// then body order. Their SQL is generated here, once per program, as the
   /// paper's preprocessor compiled the embedded SQL once per query; the run
-  /// time library binds and plans each statement once per run.
+  /// time library binds and plans each statement once per program instance
+  /// (lfp/instance.h).
   std::vector<RuleVariant> variants;
 };
 
@@ -69,10 +70,15 @@ struct ProgramNode {
 /// substitution #2). Contains everything needed to evaluate the query:
 /// relation bindings, per-node rules with generated SQL, and the final
 /// answer query.
+///
+/// The program is generic in the goal's constants: the magic seed and the
+/// final SELECT take them as `?` parameters (QueryParameters), so one
+/// program, and one planned run of it, serves every goal of the form.
 struct QueryProgram {
   datalog::Atom query;  // effective query atom (adorned when magic is used)
   std::map<std::string, PredicateBinding> bindings;
   std::vector<ProgramNode> nodes;
+  /// The answer SELECT; `?` stands for each constant of `query`.
   std::string final_select;
   std::vector<std::string> answer_columns;  // query variable names, in order
   bool boolean_query = false;  // ground query: final_select is COUNT(*)
@@ -91,11 +97,28 @@ Result<QueryProgram> GenerateProgram(
 
 /// Generates the final answer SELECT of `program` for `query` over the
 /// query predicate's binding: one projection per distinct variable (the
-/// answer columns), one conjunct per constant or repeated variable, and
-/// COUNT(*) for a ground query. GenerateProgram ends with it; BindGoal
-/// (km/compiler.h) reruns it to bind a precompiled program to another
-/// goal of the same form.
+/// answer columns), one `column = ?` conjunct per constant and one
+/// conjunct per repeated variable, and COUNT(*) for a ground query.
+/// GenerateProgram ends with it. The constants' types are checked here;
+/// their values are the statement's parameters (QueryParameters).
 Status GenerateFinalSelect(const datalog::Atom& query, QueryProgram* program);
+
+/// The parameter values of a program run for `query` (the program's query
+/// atom bound to a goal, see BindGoal): its constants in argument order.
+/// They are the magic seed's head arguments (magic::MagicSeed binds exactly
+/// the constant positions, in order) and the final SELECT's `?`s.
+std::vector<Value> QueryParameters(const datalog::Atom& query);
+
+/// The INSERT ... VALUES of seed fact `seed` (an empty-body rule: the magic
+/// seed, the only one a program holds) into `table`, with a `?` per head
+/// argument: the run binds QueryParameters to them.
+std::string SeedInsertSql(const datalog::Rule& seed, const std::string& table);
+
+/// `sql` with each `?` outside string literals replaced by the SQL literal
+/// of the next of `values`: how a parameterized statement reads for one
+/// goal (the EXPLAIN plan summary shows the final SELECT this way).
+std::string InlineParameters(const std::string& sql,
+                             const std::vector<Value>& values);
 
 }  // namespace dkb::km
 

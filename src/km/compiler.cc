@@ -126,30 +126,16 @@ std::string QueryFormKey(const Atom& goal, const CompilerOptions& options) {
   return key;
 }
 
-Result<CompiledQuery> BindGoal(const CompiledQuery& compiled,
-                               const Atom& goal) {
+Result<Atom> BindGoal(const CompiledQuery& compiled, const Atom& goal) {
   if (GoalForm(goal) != GoalForm(compiled.original_query)) {
     return Status::InvalidArgument(
         "cannot bind a program compiled for " +
         compiled.original_query.ToString() + " to " + goal.ToString() +
         ": the goals differ in form");
   }
-  CompiledQuery out = compiled;
-  out.original_query = goal;
-  out.program.query.args = goal.args;
-  // The seed is the only empty-body rule a program holds (the workspace
-  // refuses facts); a program compiled without magic has none.
-  datalog::Rule seed = magic::MagicSeed(goal);
-  for (ProgramNode& node : out.program.nodes) {
-    for (CompiledRule& cr : node.exit_rules) {
-      if (cr.rule.body.empty() &&
-          cr.rule.head.predicate == seed.head.predicate) {
-        cr.rule = seed;
-      }
-    }
-  }
-  DKB_RETURN_IF_ERROR(GenerateFinalSelect(out.program.query, &out.program));
-  return out;
+  Atom query = compiled.program.query;
+  query.args = goal.args;
+  return query;
 }
 
 Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,

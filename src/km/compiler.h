@@ -110,18 +110,19 @@ struct CompiledQuery {
 /// variant (the other options keep their defaults on every cached
 /// compilation). Variable names are part of the form because they name the
 /// answer columns, and a repeated variable becomes a conjunct. Goals of one
-/// form compile to the same program up to their constants, which BindGoal
-/// rebinds. Adaptive magic keys the whole goal instead: its magic decision
+/// form compile to the same program, which takes their constants as
+/// parameters (BindGoal). Adaptive magic keys the whole goal instead: its magic decision
 /// depends on the constants' selectivity.
 std::string QueryFormKey(const datalog::Atom& goal,
                          const CompilerOptions& options);
 
-/// A copy of `compiled` bound to `goal`, which must have the form of the
-/// goal `compiled` was built for. Every part that carries goal constants is
-/// regenerated from `goal` by the code that first generated it: the magic
-/// seed (magic::MagicSeed), the final SELECT (GenerateFinalSelect),
-/// QueryProgram::query and original_query. `compiled` is not modified.
-Result<CompiledQuery> BindGoal(const CompiledQuery& compiled,
+/// The query atom a run of `compiled`'s program binds for `goal`, which
+/// must have the form of the goal `compiled` was built for: the program's
+/// (possibly adorned) query predicate with `goal`'s arguments. The program
+/// takes the goal's constants as parameters (QueryParameters of this atom),
+/// so binding regenerates no SQL text and `compiled`, shared by every goal
+/// of the form, is not copied.
+Result<datalog::Atom> BindGoal(const CompiledQuery& compiled,
                                const datalog::Atom& goal);
 
 /// D/KB query compiler implementing the processing algorithm of paper §4.2:

@@ -1,5 +1,6 @@
 #include "lfp/dedup_index.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dkb::lfp {
@@ -58,6 +59,13 @@ bool DedupIndex::Insert(const RowBatch& batch, size_t i) {
   keys_.insert(keys_.end(), scratch_.begin(), scratch_.end());
   slots_[slot] = static_cast<uint32_t>(++rows_);
   return true;
+}
+
+void DedupIndex::Clear() {
+  keys_.clear();
+  std::fill(slots_.begin(), slots_.end(), 0);
+  rows_ = 0;
+  odd_.clear();
 }
 
 }  // namespace dkb::lfp

@@ -13,10 +13,10 @@ namespace dkb::lfp {
 
 /// The distinct rows of one shard of an IDB relation, for the semi-naive
 /// termination step: a row derived in an iteration is new iff Insert
-/// accepts it. The index lives for a clique's fixpoint run and only grows,
-/// like the append-only relation it mirrors (NativeRelation::IndexOn's
-/// idiom), so each iteration probes only the rows it derived instead of
-/// re-reading the accumulated relation.
+/// accepts it. The index only grows during a clique's fixpoint run, like
+/// the append-only relation it mirrors (NativeRelation::IndexOn's idiom), so
+/// each iteration probes only the rows it derived instead of re-reading the
+/// accumulated relation; a program instance clears it between runs.
 ///
 /// Rows are keyed on their value ids: an integer is its own id and an
 /// interned VARCHAR its dictionary id (equal strings share one id), so a
@@ -36,6 +36,15 @@ class DedupIndex {
 
   /// Distinct rows held.
   size_t size() const { return rows_ + odd_.size(); }
+
+  /// Forgets every row, keeping the slot table's capacity for the next run.
+  void Clear();
+
+  /// Bytes of key and slot storage allocated.
+  size_t ApproxBytes() const {
+    return keys_.capacity() * sizeof(uint64_t) +
+           slots_.capacity() * sizeof(uint32_t);
+  }
 
  private:
   /// Doubles the slot table and re-places every row.

@@ -1,5 +1,6 @@
 #include "lfp/eval_context.h"
 
+#include "common/metrics.h"
 #include "common/str_util.h"
 #include "common/timer.h"
 #include "km/naming.h"
@@ -9,24 +10,26 @@ namespace dkb::lfp {
 
 namespace {
 
-/// Seed-fact INSERT ... VALUES text for an empty-body rule.
-std::string SeedInsertSql(const datalog::Rule& seed,
-                          const std::string& table) {
-  std::string sql = "INSERT INTO " + table + " VALUES (";
-  for (size_t i = 0; i < seed.head.args.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += seed.head.args[i].value.ToSqlLiteral();
-  }
-  sql += ")";
-  return sql;
-}
-
 /// INSERT the (distinct) result of `select` into `table`, skipping rows
 /// already present: INSERT INTO t (select) EXCEPT (SELECT * FROM t).
 std::string InsertNewSql(const std::string& table, const std::string& select) {
   return "INSERT INTO " + table + " (" + select + ") EXCEPT (SELECT * FROM " +
          table + ")";
 }
+
+/// A node that only runs its exit rules.
+class ExitRulesNode : public NodeRun {
+ public:
+  explicit ExitRulesNode(ExitRules rules) : rules_(std::move(rules)) {}
+
+  Result<int64_t> Evaluate(EvalContext* ctx) override {
+    DKB_RETURN_IF_ERROR(rules_.Run(ctx));
+    return 0;
+  }
+
+ private:
+  ExitRules rules_;
+};
 
 }  // namespace
 
@@ -54,6 +57,9 @@ Status RunRelations::Add(std::unique_ptr<ScanSource> source) {
                                  " collides with " + it->second->name());
   }
   owned_.push_back(std::move(source));
+  static metrics::Counter& built =
+      metrics::GlobalMetrics().counter("dkb.lfp.relations_built");
+  built.Add(1);
   return Status::OK();
 }
 
@@ -62,19 +68,40 @@ ScanSource* RunRelations::Find(const std::string& name) const {
   return it == names_.end() ? nullptr : it->second;
 }
 
+void RunRelations::Clear() {
+  for (std::unique_ptr<ScanSource>& source : owned_) source->Clear();
+}
+
+int64_t RunRelations::ApproxBytes() const {
+  int64_t bytes = 0;
+  for (const std::unique_ptr<ScanSource>& source : owned_) {
+    if (dynamic_cast<const SlotWindow*>(source.get()) != nullptr) continue;
+    for (size_t s = 0; s < source->shard_count(); ++s) {
+      bytes += static_cast<int64_t>(source->shard(s).ApproxBytes());
+    }
+  }
+  return bytes;
+}
+
 Status EvalContext::Temp(const std::string& sql) {
   ScopedAccumulator acc(&stats_->t_temp_ns);
+  ++stats_->statements_planned;
   return db_->Execute(sql, &relations_->names()).status();
 }
 
 Status EvalContext::Rhs(const std::string& sql) {
   ScopedAccumulator acc(&stats_->t_rhs_ns);
+  ++stats_->statements_planned;
   return db_->Execute(sql, &relations_->names()).status();
 }
 
 Result<PlannedStatement> EvalContext::Plan(const std::string& sql) {
   ScopedAccumulator acc(&stats_->t_rhs_ns);
-  return db_->Plan(sql, &relations_->names());
+  ++stats_->statements_planned;
+  DKB_ASSIGN_OR_RETURN(PlannedStatement planned,
+                       db_->Plan(sql, &relations_->names()));
+  planned_snapshot_ = planned_snapshot_ || planned.reads_snapshot();
+  return planned;
 }
 
 Status EvalContext::Rhs(PlannedStatement* statement) {
@@ -84,11 +111,13 @@ Status EvalContext::Rhs(PlannedStatement* statement) {
 
 Status EvalContext::Term(const std::string& sql) {
   ScopedAccumulator acc(&stats_->t_term_ns);
+  ++stats_->statements_planned;
   return db_->Execute(sql, &relations_->names()).status();
 }
 
 Result<int64_t> EvalContext::TermCount(const std::string& count_sql) {
   ScopedAccumulator acc(&stats_->t_term_ns);
+  ++stats_->statements_planned;
   DKB_ASSIGN_OR_RETURN(QueryResult count,
                        db_->Execute(count_sql, &relations_->names()));
   return count.rows[0][0].as_int();  // COUNT(*) yields exactly one row
@@ -133,25 +162,76 @@ km::BindingResolver EvalContext::CanonicalResolver(
   };
 }
 
-Status EvalContext::EvalExitRules(const km::QueryProgram& program,
+Result<ExitRules> ExitRules::Plan(EvalContext* ctx,
+                                  const km::QueryProgram& program,
                                   const km::ProgramNode& node,
                                   size_t node_index, bool into_new) {
+  // Both plans of a naive node share the binding-table names; each run
+  // empties the tables before its pipelines.
   const std::string np = "#n" + std::to_string(node_index) + "x";
+  ExitRules out;
   for (size_t i = 0; i < node.exit_rules.size(); ++i) {
     const km::CompiledRule& cr = node.exit_rules[i];
     const std::string& head = cr.rule.head.predicate;
     const std::string target =
         into_new ? km::NewTableName(head) : program.bindings.at(head).table;
+    std::vector<std::string> statements;
     if (cr.rule.body.empty()) {
-      DKB_RETURN_IF_ERROR(Rhs(SeedInsertSql(cr.rule, target)));
+      out.seeds_.push_back(out.statements_.size());
+      statements.push_back(km::SeedInsertSql(cr.rule, target));
     } else if (!cr.select_sql.empty()) {
-      DKB_RETURN_IF_ERROR(Rhs(InsertNewSql(target, cr.select_sql)));
+      statements.push_back(InsertNewSql(target, cr.select_sql));
     } else {
-      DKB_RETURN_IF_ERROR(EvalRuleInto(cr.rule, CanonicalResolver(program),
-                                       target, np + std::to_string(i)));
+      DKB_ASSIGN_OR_RETURN(
+          km::RuleSqlProgram pipeline,
+          km::RuleToSqlProgram(cr.rule, EvalContext::CanonicalResolver(program),
+                               target, np + std::to_string(i)));
+      for (const km::RuleSqlProgram::BindTable& bind : pipeline.bind_tables) {
+        DKB_ASSIGN_OR_RETURN(ScanSource * table,
+                             ctx->Temporary(bind.name, bind.schema));
+        out.bind_tables_.push_back(table);
+      }
+      statements = std::move(pipeline.statements);
+    }
+    for (const std::string& sql : statements) {
+      DKB_ASSIGN_OR_RETURN(PlannedStatement planned, ctx->Plan(sql));
+      out.statements_.push_back(std::move(planned));
     }
   }
+  return out;
+}
+
+Status ExitRules::Run(EvalContext* ctx) {
+  if (!bind_tables_.empty()) {
+    ScopedAccumulator acc(&ctx->stats()->t_temp_ns);
+    for (ScanSource* table : bind_tables_) table->Clear();
+  }
+  for (size_t s : seeds_) {
+    PlannedStatement& seed = statements_[s];
+    if (seed.param_count() != ctx->params().size()) {
+      return Status::Internal("a seed takes " +
+                              std::to_string(seed.param_count()) +
+                              " parameter(s), the goal has " +
+                              std::to_string(ctx->params().size()));
+    }
+    for (size_t k = 0; k < seed.param_count(); ++k) {
+      DKB_RETURN_IF_ERROR(seed.Bind(k, ctx->params()[k]));
+    }
+  }
+  for (PlannedStatement& statement : statements_) {
+    DKB_RETURN_IF_ERROR(ctx->Rhs(&statement));
+  }
   return Status::OK();
+}
+
+Result<std::unique_ptr<NodeRun>> BuildExitRulesNode(
+    EvalContext* ctx, const km::QueryProgram& program,
+    const km::ProgramNode& node, size_t node_index) {
+  DKB_ASSIGN_OR_RETURN(
+      ExitRules rules,
+      ExitRules::Plan(ctx, program, node, node_index, /*into_new=*/false));
+  return std::unique_ptr<NodeRun>(
+      std::make_unique<ExitRulesNode>(std::move(rules)));
 }
 
 }  // namespace dkb::lfp

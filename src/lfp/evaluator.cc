@@ -7,9 +7,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "lfp/eval_context.h"
-#include "lfp/naive.h"
-#include "lfp/native_lfp.h"
-#include "lfp/seminaive.h"
+#include "lfp/instance.h"
 
 namespace dkb::lfp {
 
@@ -26,30 +24,17 @@ std::string NodeLabel(const km::ProgramNode& node) {
   return label;
 }
 
-/// Evaluates program node `node_index` end to end with the strategy's
-/// per-node evaluator, appending its NodeStats to ctx's stats. `node_span`
-/// (may be null) becomes the node's trace span: the evaluators hang
-/// per-iteration children off it via ctx->span().
+/// Evaluates program node `node_index` end to end through its NodeRun,
+/// appending its NodeStats to ctx's stats. `node_span` (may be null) becomes
+/// the node's trace span: the evaluators hang per-iteration children off it
+/// via ctx->span().
 Status RunOneNode(EvalContext* ctx, const km::QueryProgram& program,
-                  size_t node_index, LfpStrategy strategy,
+                  size_t node_index, NodeRun* run,
                   trace::TraceSpan* node_span) {
   const km::ProgramNode& node = program.nodes[node_index];
   WallTimer node_timer;
   ctx->set_span(node_span);
-  int64_t iterations = 0;
-  if (strategy == LfpStrategy::kNative || strategy == LfpStrategy::kNativeTc) {
-    DKB_ASSIGN_OR_RETURN(
-        iterations, EvaluateNodeNative(ctx, program, node,
-                                       strategy == LfpStrategy::kNativeTc));
-  } else if (!node.is_clique) {
-    DKB_RETURN_IF_ERROR(ctx->EvalExitRules(program, node, node_index));
-  } else if (strategy == LfpStrategy::kNaive) {
-    DKB_ASSIGN_OR_RETURN(
-        iterations, EvaluateCliqueNaive(ctx, program, node, node_index));
-  } else {
-    DKB_ASSIGN_OR_RETURN(
-        iterations, EvaluateCliqueSemiNaive(ctx, program, node, node_index));
-  }
+  DKB_ASSIGN_OR_RETURN(const int64_t iterations, run->Evaluate(ctx));
   NodeStats ns = std::move(ctx->node());
   ns.label = NodeLabel(node);
   ns.is_clique = node.is_clique;
@@ -76,14 +61,16 @@ Status RunOneNode(EvalContext* ctx, const km::QueryProgram& program,
 /// predicate i defines. With a null `pool` each wave runs inline on the
 /// caller (width 1, the serial case); otherwise the independent nodes of a
 /// wave evaluate concurrently on the pool — they write disjoint relations
-/// (node i's temporaries live in (*scopes)[i]), and the shared DBMS
-/// plumbing (catalog map, statement cache, counters) is thread-safe. Each
-/// node accumulates into private ExecutionStats and a detached trace span;
-/// both merge into `stats` and `parent` in program order, so the reported
-/// breakdown and the span tree are deterministic whatever the width.
+/// (node i's temporaries live in (*scopes)[i], its state in (*runs)[i]), and
+/// the shared DBMS plumbing (catalog map, statement cache, counters) is
+/// thread-safe. Each node accumulates into private ExecutionStats and a
+/// detached trace span; both merge into `stats` and `parent` in program
+/// order, so the reported breakdown and the span tree are deterministic
+/// whatever the width.
 Status RunNodes(Database* db, const km::QueryProgram& program,
-                LfpStrategy strategy, ThreadPool* pool,
-                std::vector<RunRelations>* scopes, ExecutionStats* stats,
+                ThreadPool* pool, std::vector<RunRelations>* scopes,
+                std::vector<std::unique_ptr<NodeRun>>* runs,
+                const std::vector<Value>* params, ExecutionStats* stats,
                 trace::TraceSpan* parent) {
   const size_t n = program.nodes.size();
   std::map<std::string, size_t> defined_by;
@@ -116,12 +103,12 @@ Status RunNodes(Database* db, const km::QueryProgram& program,
   std::vector<std::unique_ptr<trace::TraceSpan>> node_spans(n);
   std::vector<Status> results(n, Status::OK());
   auto run_node = [&](size_t i) {
-    EvalContext node_ctx(db, &locals[i], &(*scopes)[i]);
+    EvalContext node_ctx(db, &locals[i], &(*scopes)[i], params);
     if (parent != nullptr) {
       node_spans[i] = parent->context()->Detach(
           "node:" + NodeLabel(program.nodes[i]));
     }
-    results[i] = RunOneNode(&node_ctx, program, i, strategy,
+    results[i] = RunOneNode(&node_ctx, program, i, (*runs)[i].get(),
                             node_spans[i].get());
   };
 
@@ -161,6 +148,7 @@ Status RunNodes(Database* db, const km::QueryProgram& program,
     stats->t_rhs_ns += locals[i].t_rhs_ns;
     stats->t_term_ns += locals[i].t_term_ns;
     stats->iterations += locals[i].iterations;
+    stats->statements_planned += locals[i].statements_planned;
     for (NodeStats& ns : locals[i].nodes) {
       stats->nodes.push_back(std::move(ns));
     }
@@ -185,33 +173,34 @@ const char* StrategyName(LfpStrategy strategy) {
   return "unknown";
 }
 
-Result<QueryResult> ExecuteProgram(Database* db,
-                                   const km::QueryProgram& program,
-                                   const EvalOptions& options,
-                                   ExecutionStats* stats) {
+Result<QueryResult> RunProgram(Database* db, const km::QueryProgram& program,
+                               const datalog::Atom& query,
+                               const EvalOptions& options,
+                               std::unique_ptr<ProgramInstance>* keep,
+                               ExecutionStats* stats) {
   ExecutionStats local;
   if (stats == nullptr) stats = &local;
   *stats = ExecutionStats{};
   stats->query_id = options.query_id;
 
   WallTimer total;
-  // The run's relations: the IDB relations, shared by the nodes, and one
-  // scope per node for its temporaries.
-  const size_t shards = db->catalog().default_shards();
-  auto relations = std::make_unique<RunRelations>(shards);
-  std::vector<RunRelations> scopes;
+  std::unique_ptr<ProgramInstance> own;
+  std::unique_ptr<ProgramInstance>& instance = keep != nullptr ? *keep : own;
+  Status status = Status::OK();
   {
+    // The run's relations and plans: built here unless an idle instance of
+    // this program can serve the run.
     trace::ScopedSpan temp_span(options.span, "temp");
-    ScopedAccumulator acc(&stats->t_temp_ns);
-    for (const auto& [pred, binding] : program.bindings) {
-      if (binding.is_base) continue;
-      DKB_RETURN_IF_ERROR(
-          relations->Empty(binding.table, binding.RelationSchema()).status());
+    if (instance != nullptr &&
+        !instance->ReusableFor(*db, program, options.strategy)) {
+      ScopedAccumulator acc(&stats->t_temp_ns);
+      instance.reset();
     }
-    scopes.reserve(program.nodes.size());
-    for (size_t i = 0; i < program.nodes.size(); ++i) {
-      scopes.emplace_back(shards, relations->names());
+    if (instance == nullptr) {
+      instance.reset(new ProgramInstance(db, program, options.strategy));
+      status = instance->Build(stats);
     }
+    instance->params_ = km::QueryParameters(query);
   }
 
   // Resolve the parallelism knob to a pool for the waves: none (inline)
@@ -228,24 +217,35 @@ Result<QueryResult> ExecuteProgram(Database* db,
       pool = wave_pool.get();
     }
   }
-  Status status = RunNodes(db, program, options.strategy, pool, &scopes,
-                           stats, options.span);
+  if (status.ok()) {
+    status = RunNodes(db, program, pool, &instance->scopes_,
+                      &instance->nodes_, &instance->params_, stats,
+                      options.span);
+  }
 
-  Result<QueryResult> answer = Status::Internal("unreachable");
+  Result<QueryResult> answer = status;
   if (status.ok()) {
     ScopedAccumulator acc(&stats->t_final_ns);
     trace::ScopedSpan final_span(options.span, "final");
-    answer = db->Execute(program.final_select, &relations->names());
-  } else {
-    answer = status;
+    answer = instance->Answer();
   }
 
-  // Free the run's relations, win or lose.
+  // Empty the instance for its next run, or free it: after any failure,
+  // and always when it is the run's own. Freeing what planning built
+  // counts where planning counted; the relations are the temp bucket's.
   {
     trace::ScopedSpan cleanup_span(options.span, "cleanup");
-    ScopedAccumulator acc(&stats->t_temp_ns);
-    scopes.clear();
-    relations.reset();
+    if (keep != nullptr && answer.ok()) {
+      ScopedAccumulator acc(&stats->t_temp_ns);
+      instance->Clear();
+    } else {
+      {
+        ScopedAccumulator acc(&stats->t_rhs_ns);
+        instance->ReleasePlans();
+      }
+      ScopedAccumulator acc(&stats->t_temp_ns);
+      instance.reset();
+    }
   }
   stats->t_temp_us = NanosToMicros(stats->t_temp_ns);
   stats->t_rhs_us = NanosToMicros(stats->t_rhs_ns);
@@ -256,6 +256,14 @@ Result<QueryResult> ExecuteProgram(Database* db,
   }
   stats->t_total_us = total.ElapsedMicros();
   return answer;
+}
+
+Result<QueryResult> ExecuteProgram(Database* db,
+                                   const km::QueryProgram& program,
+                                   const EvalOptions& options,
+                                   ExecutionStats* stats) {
+  return RunProgram(db, program, program.query, options, /*keep=*/nullptr,
+                    stats);
 }
 
 }  // namespace dkb::lfp

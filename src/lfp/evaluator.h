@@ -1,6 +1,7 @@
 #ifndef DKB_LFP_EVALUATOR_H_
 #define DKB_LFP_EVALUATOR_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,17 +90,39 @@ struct ExecutionStats {
   int64_t t_total_us = 0;
   int64_t iterations = 0;  // summed over all cliques
   int64_t answer_tuples = 0;
+  /// Statements this run bound and planned: every statement of the program
+  /// when the run built its ProgramInstance, plus naive's per-iteration
+  /// SQL; 0 when the run reused an idle instance (a precompiled form's warm
+  /// hit). Runs of planned statements count in ExecStats::statements.
+  int64_t statements_planned = 0;
   std::vector<NodeStats> nodes;
 };
 
+class ProgramInstance;
+
 /// Runs the generated query program against the DBMS and returns the answer
 /// relation (the run time library of paper §3.3). The one program-level
-/// driver for every strategy: the run builds its IDB relations (RunRelations,
-/// no DDL), the nodes run in topological waves through the strategy's
-/// per-node evaluator, the answer is selected, and the relations are freed
-/// afterwards, win or lose. Per-node stats are reported in program order
-/// and the t_* buckets sum the per-node work (CPU-time-like accounting,
-/// not wall clock, when nodes run in parallel).
+/// driver for every strategy: the run builds a ProgramInstance (its
+/// relations, with no DDL, and every statement planned once), binds the
+/// constants of `query` (the program's query atom bound to the goal,
+/// km::BindGoal) to the seed and the final SELECT, runs the nodes in
+/// topological waves through the strategy's per-node evaluator, selects the
+/// answer, and cleans up, win or lose. Per-node stats are reported in
+/// program order and the t_* buckets sum the per-node work (CPU-time-like
+/// accounting, not wall clock, when nodes run in parallel).
+///
+/// With `keep` null the instance is the run's own and is freed in the
+/// cleanup span. Otherwise *keep holds an idle instance to reuse when
+/// ProgramInstance::ReusableFor allows (else it is replaced by a new one),
+/// and after a successful run *keep holds the instance again, idle and
+/// empty; after a failed run *keep is null.
+Result<QueryResult> RunProgram(Database* db, const km::QueryProgram& program,
+                               const datalog::Atom& query,
+                               const EvalOptions& options,
+                               std::unique_ptr<ProgramInstance>* keep,
+                               ExecutionStats* stats);
+
+/// RunProgram for `program.query`'s constants on an instance of its own.
 Result<QueryResult> ExecuteProgram(Database* db,
                                    const km::QueryProgram& program,
                                    const EvalOptions& options,

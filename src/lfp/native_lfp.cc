@@ -260,9 +260,12 @@ class NativeNode {
         NativeRelation* full = relations_.at(cr.rule.head.predicate).get();
         NativeRelation* d = delta.at(cr.rule.head.predicate).get();
         if (cr.rule.body.empty()) {
-          Tuple seed;
-          for (const datalog::Term& t : cr.rule.head.args) {
-            seed.push_back(t.value);
+          // The seed's arguments are the run's parameters.
+          Tuple seed = ctx_->params();
+          if (seed.size() != cr.rule.head.args.size()) {
+            return Status::Internal("seed " + cr.rule.ToString() + " takes " +
+                                    std::to_string(seed.size()) +
+                                    " parameter(s)");
           }
           if (full->Insert(seed)) d->Insert(std::move(seed));
           continue;
@@ -381,13 +384,29 @@ class NativeNode {
   std::map<std::string, std::unique_ptr<NativeRelation>> relations_;
 };
 
+/// The node's NodeRun: a fresh in-memory evaluation per run.
+class NativeNodeRun : public NodeRun {
+ public:
+  NativeNodeRun(const km::QueryProgram& program, const km::ProgramNode& node,
+                bool use_tc_operator)
+      : program_(program), node_(node), use_tc_operator_(use_tc_operator) {}
+
+  Result<int64_t> Evaluate(EvalContext* ctx) override {
+    return NativeNode(ctx, program_, node_).Evaluate(use_tc_operator_);
+  }
+
+ private:
+  const km::QueryProgram& program_;
+  const km::ProgramNode& node_;
+  bool use_tc_operator_;
+};
+
 }  // namespace
 
-Result<int64_t> EvaluateNodeNative(EvalContext* ctx,
-                                   const km::QueryProgram& program,
-                                   const km::ProgramNode& node,
-                                   bool use_tc_operator) {
-  return NativeNode(ctx, program, node).Evaluate(use_tc_operator);
+std::unique_ptr<NodeRun> BuildNativeNode(const km::QueryProgram& program,
+                                         const km::ProgramNode& node,
+                                         bool use_tc_operator) {
+  return std::make_unique<NativeNodeRun>(program, node, use_tc_operator);
 }
 
 }  // namespace dkb::lfp

@@ -1,6 +1,8 @@
 #ifndef DKB_LFP_NATIVE_LFP_H_
 #define DKB_LFP_NATIVE_LFP_H_
 
+#include <memory>
+
 #include "km/codegen.h"
 #include "lfp/eval_context.h"
 
@@ -24,12 +26,15 @@ namespace dkb::lfp {
 /// is evaluated by the specialized BFS operator instead of generic
 /// semi-naive iteration (paper conclusion #8).
 ///
-/// Returns the number of iterations: 0 for a non-recursive node, 1 for the
-/// transitive-closure operator's single pass.
-Result<int64_t> EvaluateNodeNative(EvalContext* ctx,
-                                   const km::QueryProgram& program,
-                                   const km::ProgramNode& node,
-                                   bool use_tc_operator);
+/// A seed fact (the magic seed) takes the run's parameters, the goal's
+/// constants, like the SQL strategies' planned seed INSERT. The node keeps
+/// no state between runs: its in-memory relations live for one Evaluate.
+///
+/// Evaluate returns the number of iterations: 0 for a non-recursive node, 1
+/// for the transitive-closure operator's single pass.
+std::unique_ptr<NodeRun> BuildNativeNode(const km::QueryProgram& program,
+                                         const km::ProgramNode& node,
+                                         bool use_tc_operator);
 
 }  // namespace dkb::lfp
 

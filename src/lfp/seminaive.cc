@@ -38,10 +38,9 @@ struct IterationWork {
 
 /// Interns every VARCHAR of `batch` in place. The dedup index keys strings
 /// on their dictionary ids, so an inline copy of a stored string would miss
-/// the index, go to its side set, and be admitted a second time. The SQL
-/// layer hands out interned strings today (stored values, and literals the
-/// binder interns), so this only holds the index's contract for rows from
-/// any other producer.
+/// the index, go to its side set, and be admitted a second time. Stored
+/// values arrive interned, but a rule's string constant binds inline until
+/// some stored row carries it, and the absorbed row stores it.
 void InternStrings(RowBatch* batch) {
   for (size_t c = 0; c < batch->num_columns(); ++c) {
     for (Value& v : batch->column(c)) v.InternInPlace();
@@ -120,7 +119,7 @@ int64_t Absorb(Member* m, IterationWork* work) {
 
 /// p^(0): the exit rules wrote their rows straight into the relation; they
 /// fill the dedup index and are the first delta (the previous relation
-/// starts empty).
+/// starts empty: the run began with every window empty).
 void Seed(Member* m) {
   RowBatch batch;
   for (size_t s = 0; s < m->full->shard_count(); ++s) {
@@ -156,96 +155,143 @@ int64_t Terminate(EvalContext* ctx, std::vector<Member>* members,
   return delta;
 }
 
+/// A clique's semi-naive state, built once per instance: the members'
+/// windows and dedup indexes, the binding tables, the planned variant
+/// SELECTs and the planned exit rules.
+class SemiNaiveClique : public NodeRun {
+ public:
+  static Result<std::unique_ptr<NodeRun>> Build(
+      EvalContext* ctx, const km::QueryProgram& program,
+      const km::ProgramNode& node, size_t node_index) {
+    auto clique = std::unique_ptr<SemiNaiveClique>(new SemiNaiveClique());
+    // Per member: the windows the variant SQL reads as #p_delta and
+    // #p_prev, and the dedup index.
+    clique->members_.resize(node.predicates.size());
+    for (size_t k = 0; k < node.predicates.size(); ++k) {
+      const std::string& p = node.predicates[k];
+      const km::PredicateBinding& b = program.bindings.at(p);
+      Member& m = clique->members_[k];
+      DKB_ASSIGN_OR_RETURN(m.full, ctx->Source(b.table));
+      auto prev = std::make_unique<SlotWindow>(km::PrevTableName(p), m.full);
+      auto delta = std::make_unique<SlotWindow>(km::DeltaTableName(p), m.full);
+      m.prev = prev.get();
+      m.delta = delta.get();
+      DKB_RETURN_IF_ERROR(ctx->relations().Add(std::move(prev)));
+      DKB_RETURN_IF_ERROR(ctx->relations().Add(std::move(delta)));
+      m.seen.assign(m.full->shard_count(), DedupIndex(b.columns.size()));
+      if (m.full->shard_count() > 1) m.routed.resize(m.full->shard_count());
+    }
+
+    // The variants' binding tables (rules with negation), then every
+    // variant statement bound and planned once for every run. The last
+    // statement of a variant is its SELECT, whose rows its head member
+    // absorbs.
+    size_t statements = 0;
+    for (const km::RuleVariant& variant : node.variants) {
+      for (const km::RuleSqlProgram::BindTable& bind :
+           variant.sql.bind_tables) {
+        DKB_ASSIGN_OR_RETURN(ScanSource * table,
+                             ctx->Temporary(bind.name, bind.schema));
+        clique->bind_tables_.push_back(table);
+      }
+      statements += variant.sql.statements.size();
+    }
+    std::vector<PlannedStatement>& plans = clique->plans_;
+    plans.reserve(statements);  // members point at the SELECTs
+    for (const km::RuleVariant& variant : node.variants) {
+      for (const std::string& sql : variant.sql.statements) {
+        DKB_ASSIGN_OR_RETURN(PlannedStatement planned, ctx->Plan(sql));
+        plans.push_back(std::move(planned));
+      }
+      const std::string& head =
+          node.recursive_rules[variant.rule].head.predicate;
+      const size_t k =
+          std::find(node.predicates.begin(), node.predicates.end(), head) -
+          node.predicates.begin();
+      clique->members_[k].selects.push_back(&plans.back());
+    }
+    DKB_ASSIGN_OR_RETURN(
+        clique->exits_,
+        ExitRules::Plan(ctx, program, node, node_index, /*into_new=*/false));
+    return std::unique_ptr<NodeRun>(std::move(clique));
+  }
+
+  Result<int64_t> Evaluate(EvalContext* ctx) override {
+    // p^(0): the exit rules insert into the IDB relations, and their rows
+    // seed the dedup indexes as the first delta.
+    DKB_RETURN_IF_ERROR(exits_.Run(ctx));
+    {
+      ScopedAccumulator acc(&ctx->stats()->t_term_ns);
+      for (Member& m : members_) Seed(&m);
+    }
+
+    NodeStats& record = ctx->node();
+    int64_t iterations = 0;
+    while (true) {
+      ++iterations;
+      trace::ScopedSpan iter_span(ctx->span(), "iteration");
+      iter_span.Tag("iter", iterations);
+      const int64_t rhs_before = ctx->stats()->t_rhs_ns;
+      const int64_t term_before = ctx->stats()->t_term_ns;
+      // Every variant runs against the relations as the last iteration left
+      // them; only then do the members absorb the rows.
+      for (PlannedStatement& planned : plans_) {
+        DKB_RETURN_IF_ERROR(ctx->Rhs(&planned));
+      }
+      IterationWork work;
+      const int64_t delta = Terminate(ctx, &members_, bind_tables_, &work);
+      record.delta_sizes.push_back(delta);
+      record.new_sizes.push_back(work.derived);
+      record.driver_rows.push_back(work.driver);
+      record.rhs_us.push_back(
+          NanosToMicros(ctx->stats()->t_rhs_ns - rhs_before));
+      record.term_us.push_back(
+          NanosToMicros(ctx->stats()->t_term_ns - term_before));
+      iter_span.Tag("delta", delta);
+      iter_span.Tag("new_rows", work.derived);
+      iter_span.Tag("driver_rows", work.driver);
+      iter_span.Tag("rhs_us", record.rhs_us.back());
+      iter_span.Tag("term_us", record.term_us.back());
+      if (delta == 0) break;
+    }
+    return iterations;
+  }
+
+  /// The windows and binding tables are relations of the node, which the
+  /// instance empties; the indexes and the variants' last rows are not.
+  void Clear() override {
+    for (Member& m : members_) {
+      for (DedupIndex& seen : m.seen) seen.Clear();
+      for (RowBatch& routed : m.routed) routed.Reset(routed.num_columns());
+    }
+    for (PlannedStatement& planned : plans_) planned.ClearBatches();
+  }
+
+  int64_t IdleBytes() const override {
+    int64_t bytes = 0;
+    for (const Member& m : members_) {
+      for (const DedupIndex& seen : m.seen) {
+        bytes += static_cast<int64_t>(seen.ApproxBytes());
+      }
+    }
+    return bytes;
+  }
+
+ private:
+  SemiNaiveClique() = default;
+
+  std::vector<Member> members_;
+  std::vector<ScanSource*> bind_tables_;
+  std::vector<PlannedStatement> plans_;
+  ExitRules exits_;
+};
+
 }  // namespace
 
-Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
-                                        const km::QueryProgram& program,
-                                        const km::ProgramNode& node,
-                                        size_t node_index) {
-  // Per member: the windows the variant SQL reads as #p_delta and #p_prev,
-  // and the dedup index.
-  std::vector<Member> members(node.predicates.size());
-  for (size_t k = 0; k < node.predicates.size(); ++k) {
-    const std::string& p = node.predicates[k];
-    const km::PredicateBinding& b = program.bindings.at(p);
-    Member& m = members[k];
-    DKB_ASSIGN_OR_RETURN(m.full, ctx->Source(b.table));
-    auto prev = std::make_unique<SlotWindow>(km::PrevTableName(p), m.full);
-    auto delta = std::make_unique<SlotWindow>(km::DeltaTableName(p), m.full);
-    m.prev = prev.get();
-    m.delta = delta.get();
-    DKB_RETURN_IF_ERROR(ctx->relations().Add(std::move(prev)));
-    DKB_RETURN_IF_ERROR(ctx->relations().Add(std::move(delta)));
-    m.seen.assign(m.full->shard_count(), DedupIndex(b.columns.size()));
-    if (m.full->shard_count() > 1) m.routed.resize(m.full->shard_count());
-  }
-
-  // The variants' binding tables (rules with negation), then every variant
-  // statement bound and planned once for the whole run. The last statement
-  // of a variant is its SELECT, whose rows its head member absorbs.
-  std::vector<ScanSource*> bind_tables;
-  size_t statements = 0;
-  for (const km::RuleVariant& variant : node.variants) {
-    for (const km::RuleSqlProgram::BindTable& bind : variant.sql.bind_tables) {
-      DKB_ASSIGN_OR_RETURN(ScanSource * table,
-                           ctx->Temporary(bind.name, bind.schema));
-      bind_tables.push_back(table);
-    }
-    statements += variant.sql.statements.size();
-  }
-  std::vector<PlannedStatement> plans;
-  plans.reserve(statements);  // members point at the SELECTs
-  for (const km::RuleVariant& variant : node.variants) {
-    for (const std::string& sql : variant.sql.statements) {
-      DKB_ASSIGN_OR_RETURN(PlannedStatement planned, ctx->Plan(sql));
-      plans.push_back(std::move(planned));
-    }
-    const std::string& head =
-        node.recursive_rules[variant.rule].head.predicate;
-    const size_t k =
-        std::find(node.predicates.begin(), node.predicates.end(), head) -
-        node.predicates.begin();
-    members[k].selects.push_back(&plans.back());
-  }
-
-  // p^(0): the exit rules insert into the IDB relations, and their rows
-  // seed the dedup indexes as the first delta.
-  DKB_RETURN_IF_ERROR(ctx->EvalExitRules(program, node, node_index));
-  {
-    ScopedAccumulator acc(&ctx->stats()->t_term_ns);
-    for (Member& m : members) Seed(&m);
-  }
-
-  NodeStats& record = ctx->node();
-  int64_t iterations = 0;
-  while (true) {
-    ++iterations;
-    trace::ScopedSpan iter_span(ctx->span(), "iteration");
-    iter_span.Tag("iter", iterations);
-    const int64_t rhs_before = ctx->stats()->t_rhs_ns;
-    const int64_t term_before = ctx->stats()->t_term_ns;
-    // Every variant runs against the relations as the last iteration left
-    // them; only then do the members absorb the rows.
-    for (PlannedStatement& planned : plans) {
-      DKB_RETURN_IF_ERROR(ctx->Rhs(&planned));
-    }
-    IterationWork work;
-    const int64_t delta = Terminate(ctx, &members, bind_tables, &work);
-    record.delta_sizes.push_back(delta);
-    record.new_sizes.push_back(work.derived);
-    record.driver_rows.push_back(work.driver);
-    record.rhs_us.push_back(
-        NanosToMicros(ctx->stats()->t_rhs_ns - rhs_before));
-    record.term_us.push_back(
-        NanosToMicros(ctx->stats()->t_term_ns - term_before));
-    iter_span.Tag("delta", delta);
-    iter_span.Tag("new_rows", work.derived);
-    iter_span.Tag("driver_rows", work.driver);
-    iter_span.Tag("rhs_us", record.rhs_us.back());
-    iter_span.Tag("term_us", record.term_us.back());
-    if (delta == 0) break;
-  }
-  return iterations;
+Result<std::unique_ptr<NodeRun>> BuildSemiNaiveClique(
+    EvalContext* ctx, const km::QueryProgram& program,
+    const km::ProgramNode& node, size_t node_index) {
+  return SemiNaiveClique::Build(ctx, program, node, node_index);
 }
 
 }  // namespace dkb::lfp

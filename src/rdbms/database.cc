@@ -1,6 +1,7 @@
 #include "rdbms/database.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "sql/parser.h"
 
@@ -30,6 +31,7 @@ Status PreparedStatement::Bind(size_t index, Value value) {
         "parameter index " + std::to_string(index) + " out of range (" +
         std::to_string(params_.size()) + " parameter(s))");
   }
+  value.InternIfKnown();
   params_[index] = std::move(value);
   bound_[index] = true;
   return Status::OK();
@@ -58,9 +60,31 @@ Result<QueryResult> PreparedStatement::Execute() {
 // PlannedStatement
 // ---------------------------------------------------------------------------
 
+Status PlannedStatement::Bind(size_t index, Value value) {
+  if (db_ == nullptr) {
+    return Status::InvalidArgument("Bind on an invalid PlannedStatement");
+  }
+  if (index >= params_->size()) {
+    return Status::InvalidArgument(
+        "parameter index " + std::to_string(index) + " out of range (" +
+        std::to_string(params_->size()) + " parameter(s))");
+  }
+  value.InternIfKnown();
+  (*params_)[index] = std::move(value);
+  if (!bound_[index]) {
+    bound_[index] = true;
+    --unbound_;
+  }
+  return Status::OK();
+}
+
 Result<int64_t> PlannedStatement::Run() {
   if (db_ == nullptr) {
     return Status::InvalidArgument("Run on an invalid PlannedStatement");
+  }
+  if (unbound_ > 0) {
+    return Status::InvalidArgument("a parameter of " + text_ +
+                                   " is not bound");
   }
   exec::StatAdd(db_->stats_.statements);
   Result<int64_t> rows = query_.Run();
@@ -75,6 +99,13 @@ Result<int64_t> PlannedStatement::Run() {
 // ---------------------------------------------------------------------------
 // Database
 // ---------------------------------------------------------------------------
+
+namespace {
+std::atomic<uint64_t> next_database_id{1};
+}  // namespace
+
+Database::Database()
+    : id_(next_database_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Result<std::shared_ptr<const sql::Statement>> Database::ParseCached(
     const std::string& sql) {
@@ -140,25 +171,26 @@ Result<PlannedStatement> Database::Plan(const std::string& sql,
   DKB_ASSIGN_OR_RETURN(std::shared_ptr<const sql::Statement> stmt,
                        ParseCached(sql));
   const bool insert = stmt->kind == sql::StatementKind::kInsert;
-  if ((!insert && stmt->kind != sql::StatementKind::kSelect) ||
-      stmt->param_count > 0) {
+  if (!insert && stmt->kind != sql::StatementKind::kSelect) {
     return Status::InvalidArgument(
-        "only a parameterless INSERT ... SELECT or SELECT can be planned: " +
-        sql);
+        "only an INSERT or a SELECT can be planned: " + sql);
   }
+  auto params = std::make_unique<std::vector<Value>>(stmt->param_count);
   Result<exec::PlannedQuery> query =
       insert ? exec::PlannedQuery::Plan(
                    static_cast<const sql::InsertStmt&>(*stmt), catalog_,
-                   &stats_, /*params=*/nullptr, sources)
+                   &stats_, params.get(), sources)
              : exec::PlannedQuery::Plan(
                    *static_cast<const sql::SelectStatement&>(*stmt).select,
-                   catalog_, &stats_, /*params=*/nullptr, sources);
+                   catalog_, &stats_, params.get(), sources);
   if (!query.ok()) {
     return Status(query.status().code(), query.status().message() +
                                              " [while planning: " + sql +
                                              "]");
   }
-  return PlannedStatement(this, sql, std::move(*query));
+  PlannedStatement planned(this, sql, std::move(stmt), std::move(params));
+  planned.query_ = std::move(*query);
+  return planned;
 }
 
 Result<QueryResult> Database::Execute(const std::string& sql,

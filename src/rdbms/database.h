@@ -60,32 +60,66 @@ class PreparedStatement {
   std::vector<bool> bound_;
 };
 
-/// An INSERT ... SELECT, or a SELECT, parsed, bound and planned once by
-/// Database::Plan, then run any number of times: the run time library's
-/// embedded SQL as the paper's preprocessor compiled it, once per query.
-/// Each Run re-opens the plan against the current contents of the relations
-/// it names and counts as one executed statement. A handle must not outlive
-/// the Database that planned it or its target table; it shares ownership of
-/// the tables its SELECT reads.
+/// An INSERT (... SELECT or ... VALUES), or a SELECT, parsed, bound and
+/// planned once by Database::Plan, then run any number of times: the run
+/// time library's embedded SQL as the paper's preprocessor compiled it,
+/// once per query form. Each Run re-opens the plan against the current
+/// contents of the relations it names and the current values of its `?`
+/// parameters, and counts as one executed statement. A handle must not
+/// outlive the Database that planned it or the relations it writes; it
+/// shares ownership of its parsed statement and of the catalog tables its
+/// SELECT reads.
 class PlannedStatement {
  public:
   PlannedStatement() = default;  // invalid; assign from Database::Plan
 
+  size_t param_count() const { return bound_.size(); }
+
+  /// Binds parameter `index` (0-based, in textual order of the `?`s) for
+  /// every later Run until rebound. A VARCHAR some stored row carries is
+  /// adopted as its dictionary id (an id compare against stored values); any
+  /// other string stays inline and adds nothing to the dictionary.
+  Status Bind(size_t index, Value value);
+
   /// Runs the statement; returns the number of rows inserted, or for a
-  /// SELECT the number of rows it leaves in batches().
+  /// SELECT the number of rows it leaves in batches(). InvalidArgument
+  /// while a parameter is unbound.
   Result<int64_t> Run();
 
   /// A SELECT's rows from the last Run, valid until the next Run; the
   /// caller may modify them in place. Empty for an INSERT.
   std::span<RowBatch> batches() { return query_.batches(); }
 
+  /// Drops the rows of the last Run (an idle handle holds no rows).
+  void ClearBatches() { query_.ClearBatches(); }
+
+  /// A SELECT's output columns.
+  const Schema& schema() const { return query_.schema(); }
+
+  /// True when planning materialized a sys.* view: every Run reads that
+  /// snapshot, so the handle is only good for the query that planned it.
+  bool reads_snapshot() const { return query_.reads_snapshot(); }
+
  private:
   friend class Database;
-  PlannedStatement(Database* db, std::string text, exec::PlannedQuery query)
-      : db_(db), text_(std::move(text)), query_(std::move(query)) {}
+  PlannedStatement(Database* db, std::string text,
+                   std::shared_ptr<const sql::Statement> stmt,
+                   std::unique_ptr<std::vector<Value>> params)
+      : db_(db),
+        text_(std::move(text)),
+        stmt_(std::move(stmt)),
+        params_(std::move(params)),
+        bound_(params_->size(), false),
+        unbound_(params_->size()) {}
 
   Database* db_ = nullptr;
   std::string text_;  // for error messages
+  std::shared_ptr<const sql::Statement> stmt_;
+  /// The parameters' values; the plan reads them through this stable
+  /// address, so the handle stays movable.
+  std::unique_ptr<std::vector<Value>> params_;
+  std::vector<bool> bound_;
+  size_t unbound_ = 0;
   exec::PlannedQuery query_;
 };
 
@@ -104,7 +138,7 @@ class PlannedStatement {
 /// session layer's reader-writer protocol does exactly that.
 class Database {
  public:
-  Database() = default;
+  Database();
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -118,13 +152,18 @@ class Database {
   Result<QueryResult> Execute(const std::string& sql,
                               const exec::NamedSources* sources = nullptr);
 
-  /// Parses (through the statement cache), binds and plans one
-  /// parameterless INSERT ... SELECT or SELECT for repeated runs. `sources`
-  /// binds names ahead of the catalog (exec::PlannedQuery); every relation
-  /// the statement names must exist now. A sys.* view is materialized once,
+  /// Parses (through the statement cache), binds and plans one INSERT (...
+  /// SELECT or ... VALUES) or SELECT for repeated runs; `?` placeholders
+  /// become parameters bound through PlannedStatement::Bind. `sources` binds
+  /// names ahead of the catalog (exec::PlannedQuery); every relation the
+  /// statement names must exist now. A sys.* view is materialized once,
   /// here, so every run reads that snapshot.
   Result<PlannedStatement> Plan(const std::string& sql,
                                 const exec::NamedSources* sources = nullptr);
+
+  /// Process-unique identity of this Database (never reused, unlike its
+  /// address): what a planned statement was planned on.
+  uint64_t id() const { return id_; }
 
   /// Disables/enables the parsed-statement cache (ablations).
   void set_statement_cache_enabled(bool enabled);
@@ -168,6 +207,7 @@ class Database {
         parsed;
   };
 
+  const uint64_t id_;
   Catalog catalog_;
   ExecStats stats_;
   mutable Guarded<StatementCache> cache_;

@@ -91,6 +91,11 @@ SlotWindow::SlotWindow(std::string name, ScanSource* base)
       begin_(base->shard_count(), 0),
       end_(base->shard_count(), 0) {}
 
+void SlotWindow::Clear() {
+  std::fill(begin_.begin(), begin_.end(), 0);
+  std::fill(end_.begin(), end_.end(), 0);
+}
+
 size_t SlotWindow::num_tuples() const {
   size_t total = 0;
   for (size_t s = 0; s < begin_.size(); ++s) total += end_[s] - begin_[s];

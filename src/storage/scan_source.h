@@ -157,6 +157,9 @@ class SlotWindow : public ScanSource {
     return nullptr;
   }
 
+  /// Empties the window on every shard; the base is untouched.
+  void Clear() override;
+
   /// Moves shard `s`'s window to [begin, end); end must not exceed the
   /// shard's slot count.
   void Set(size_t s, RowId begin, RowId end) {

@@ -38,6 +38,7 @@ QueryLogEntry FlightRecorder::MakeEntry(const QueryReport& report,
   entry.iterations = report.exec.iterations;
   entry.total_us = report.total_us;
   entry.batches = report.db_delta.batches;
+  entry.statements_planned = report.exec.statements_planned;
   entry.shards = report.plan.shards;
   entry.phases = report.Phases();
   for (const lfp::NodeStats& node : report.exec.nodes) {

@@ -32,6 +32,9 @@ struct QueryLogEntry {
   int64_t iterations = 0;  // summed over all cliques
   int64_t total_us = 0;
   int64_t batches = 0;     // row batches drained at plan roots (DBMS delta)
+  /// Statements the run bound and planned (lfp ExecutionStats); 0 on a
+  /// precompiled form's warm hit.
+  int64_t statements_planned = 0;
   int64_t shards = 1;      // catalog default shard count when the query ran
   /// Wire traffic attributed to this query, annotated after the fact by the
   /// network server (AnnotateBytes); both stay 0 for in-process queries.

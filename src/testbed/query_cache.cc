@@ -17,12 +17,43 @@ std::shared_ptr<const km::CompiledQuery> QueryCache::Lookup(
   return it->second.compiled;
 }
 
-void QueryCache::Insert(const std::string& key, km::CompiledQuery compiled,
-                        std::set<std::string> dependencies) {
+std::shared_ptr<const km::CompiledQuery> QueryCache::Insert(
+    const std::string& key, km::CompiledQuery compiled,
+    std::set<std::string> dependencies) {
   auto program =
       std::make_shared<const km::CompiledQuery>(std::move(compiled));
+  Entry replaced;  // freed after the lock is released
   MutexLock lock(mu_);
-  entries_[key] = Entry{std::move(program), std::move(dependencies)};
+  Entry& entry = entries_[key];
+  replaced = std::move(entry);
+  entry = Entry{program, std::move(dependencies), nullptr};
+  return program;
+}
+
+std::unique_ptr<lfp::ProgramInstance> QueryCache::CheckOut(
+    const std::string& key, const km::CompiledQuery* compiled) {
+  MutexLock lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.compiled.get() != compiled) {
+    return nullptr;
+  }
+  return std::move(it->second.idle);
+}
+
+void QueryCache::CheckIn(const std::string& key,
+                         const km::CompiledQuery* compiled,
+                         std::unique_ptr<lfp::ProgramInstance> instance) {
+  MutexLock lock(mu_);
+  auto it = entries_.find(key);
+  if (it != entries_.end() && it->second.compiled.get() == compiled &&
+      it->second.idle == nullptr) {
+    it->second.idle = std::move(instance);
+  }
+}
+
+void QueryCache::DropInstances() {
+  MutexLock lock(mu_);
+  for (auto& [key, entry] : entries_) entry.idle.reset();
 }
 
 void QueryCache::InvalidateOn(const std::set<std::string>& updated_preds) {

@@ -10,6 +10,7 @@
 #include "common/sync.h"
 #include "km/codegen.h"
 #include "km/compiler.h"
+#include "lfp/instance.h"
 
 namespace dkb::testbed {
 
@@ -19,10 +20,13 @@ namespace dkb::testbed {
 /// queries are worth precompiling. Applications repeat a few query forms
 /// with new constants, so the testbed keys each program by its goal's form
 /// (km::QueryFormKey) and binds a hit to the new goal's constants
-/// (km::BindGoal); the store itself only maps keys to immutable programs.
-/// The price the paper identifies is bookkeeping: each cached program
-/// records the predicates it depends on, and rule-base updates invalidate
-/// every program whose dependency set intersects the updated predicates.
+/// (km::BindGoal). Beside each immutable program an entry keeps one idle
+/// lfp::ProgramInstance, the program's relations and planned statements:
+/// a hit checks it out, runs it with the goal's constants and checks it
+/// back in, so a warm hit plans and builds nothing. The price the paper
+/// identifies is bookkeeping: each cached program records the predicates
+/// it depends on, and rule-base updates invalidate every program whose
+/// dependency set intersects the updated predicates.
 class QueryCache {
  public:
   struct Stats {
@@ -38,11 +42,31 @@ class QueryCache {
   std::shared_ptr<const km::CompiledQuery> Lookup(const std::string& key)
       DKB_EXCLUDES(mu_);
 
-  /// Stores a compiled program. `dependencies` must cover every predicate
-  /// whose rules or schema the program depends on (the compiler's relevant
-  /// predicate set plus base predicates).
-  void Insert(const std::string& key, km::CompiledQuery compiled,
-              std::set<std::string> dependencies) DKB_EXCLUDES(mu_);
+  /// Stores a compiled program and returns shared ownership of it.
+  /// `dependencies` must cover every predicate whose rules or schema the
+  /// program depends on (the compiler's relevant predicate set plus base
+  /// predicates).
+  std::shared_ptr<const km::CompiledQuery> Insert(
+      const std::string& key, km::CompiledQuery compiled,
+      std::set<std::string> dependencies) DKB_EXCLUDES(mu_);
+
+  /// Takes the idle instance kept beside `compiled` under `key`, so no
+  /// other run can use it until CheckIn; null if the entry holds another
+  /// program, has no idle instance, or is gone.
+  std::unique_ptr<lfp::ProgramInstance> CheckOut(
+      const std::string& key, const km::CompiledQuery* compiled)
+      DKB_EXCLUDES(mu_);
+
+  /// Keeps `instance`, idle after a successful run of `compiled`, beside
+  /// that program under `key`; drops it if the entry holds another program
+  /// (or none) or already keeps an idle instance.
+  void CheckIn(const std::string& key, const km::CompiledQuery* compiled,
+               std::unique_ptr<lfp::ProgramInstance> instance)
+      DKB_EXCLUDES(mu_);
+
+  /// Drops every idle instance, keeping the programs (a session replaced
+  /// the Database its instances were planned on).
+  void DropInstances() DKB_EXCLUDES(mu_);
 
   /// Drops every entry depending on any of `updated_preds`.
   void InvalidateOn(const std::set<std::string>& updated_preds)
@@ -65,11 +89,13 @@ class QueryCache {
   struct Entry {
     std::shared_ptr<const km::CompiledQuery> compiled;
     std::set<std::string> dependencies;
+    std::unique_ptr<lfp::ProgramInstance> idle;  // null while checked out
   };
 
   /// Guards the map and counters so concurrent lookups (hit bookkeeping
   /// mutates stats_) stay race-free. Entry programs are immutable once
-  /// inserted and shared out by shared_ptr, so they need no lock.
+  /// inserted and shared out by shared_ptr, so they need no lock; an
+  /// instance leaves the map while it runs.
   mutable Mutex mu_;
   std::map<std::string, Entry> entries_ DKB_GUARDED_BY(mu_);
   Stats stats_ DKB_GUARDED_BY(mu_);

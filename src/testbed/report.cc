@@ -76,7 +76,8 @@ std::string QueryReport::ExplainText() const {
     out += "  temp=" + std::to_string(exec.t_temp_us) +
            " rhs=" + std::to_string(exec.t_rhs_us) +
            " term=" + std::to_string(exec.t_term_us) +
-           " final=" + std::to_string(exec.t_final_us) + "\n";
+           " final=" + std::to_string(exec.t_final_us) +
+           " planned=" + std::to_string(exec.statements_planned) + "\n";
     for (const lfp::NodeStats& ns : exec.nodes) {
       out += "  node " + ns.label + ": " + std::to_string(ns.iterations) +
              " iteration(s), " + std::to_string(ns.tuples) + " tuple(s), " +
@@ -149,6 +150,8 @@ std::string QueryReport::ToJson() const {
   if (executed) {
     out += ", \"iterations\": " + std::to_string(exec.iterations);
     out += ", \"answer_tuples\": " + std::to_string(exec.answer_tuples);
+    out += ", \"statements_planned\": " +
+           std::to_string(exec.statements_planned);
     out += ", \"nodes\": [";
     for (size_t i = 0; i < exec.nodes.size(); ++i) {
       const lfp::NodeStats& ns = exec.nodes[i];

@@ -29,6 +29,9 @@ Status Session::Refresh() {
   auto stored = std::make_unique<km::StoredDkb>(db.get(), options_.stored);
   DKB_RETURN_IF_ERROR(stored->RestoreFromDatabase());
   workspace_ = testbed_->workspace_;
+  // Every program instance was planned on the old Database: its plans read
+  // the old epoch and pin the old tables.
+  cache_.DropInstances();
   db_ = std::move(db);
   stored_ = std::move(stored);
   // Fact inserts leave every compiled program valid; any other write since

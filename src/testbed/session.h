@@ -66,8 +66,10 @@ class Session {
     return queries_.load(std::memory_order_relaxed);
   }
 
-  /// This session's private precompiled-program cache. A re-pin clears it
-  /// when any write other than a fact insert happened since the last pin.
+  /// This session's private precompiled-program cache. A re-pin drops its
+  /// program instances (they were planned on the old pinned Database), and
+  /// clears it when any write other than a fact insert happened since the
+  /// last pin.
   const QueryCache& query_cache() const { return cache_; }
 
  private:

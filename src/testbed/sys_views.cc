@@ -51,6 +51,7 @@ Schema QueryLogSchema() {
       {"t_term_us", DataType::kInteger},
       {"t_final_us", DataType::kInteger},
       {"batches", DataType::kInteger},
+      {"statements_planned", DataType::kInteger},
       {"shards", DataType::kInteger},
       {"bytes_sent", DataType::kInteger},
       {"bytes_received", DataType::kInteger},
@@ -185,7 +186,7 @@ Result<std::shared_ptr<const Table>> QueryLogProvider(Testbed* tb) {
         us("t_extract"), us("t_read"), us("t_analyze"), us("t_opt"),
         us("t_eol"), us("t_sem"), us("t_gen"), us("t_comp"), us("t_temp"),
         us("t_rhs"), us("t_term"), us("t_final"), IntVal(e.batches),
-        IntVal(e.shards), IntVal(e.bytes_sent), IntVal(e.bytes_received),
+        IntVal(e.statements_planned), IntVal(e.shards), IntVal(e.bytes_sent), IntVal(e.bytes_received),
         Value(e.trace == nullptr ? std::string()
                                  : e.trace->RenderChromeTrace())});
   }

@@ -675,37 +675,44 @@ Result<QueryOutcome> Testbed::QueryImpl(Database* db,
   const exec::ExecStatsSnapshot before =
       exec::ExecStatsSnapshot::Take(db->stats());
 
-  // One cached program per goal form: a hit is bound to this goal's
-  // constants and reports the summary of the compilation that built it.
+  // One cached program per goal form: a hit shares the program and binds
+  // this goal's constants as its parameters.
   std::string key;
+  datalog::Atom query;  // the program's query atom bound to this goal
   if (options.use_cache) {
     key = km::QueryFormKey(goal, CompilerOptionsFor(options));
-    std::shared_ptr<const km::CompiledQuery> cached = cache->Lookup(key);
-    if (cached != nullptr) {
-      DKB_ASSIGN_OR_RETURN(outcome.compiled, km::BindGoal(*cached, goal));
-      report.compile = cached->summary;
+    outcome.compiled = cache->Lookup(key);
+    if (outcome.compiled != nullptr) {
+      DKB_ASSIGN_OR_RETURN(query, km::BindGoal(*outcome.compiled, goal));
+      report.compile = outcome.compiled->summary;
       report.from_cache = true;
     }
   }
   if (!report.from_cache) {
     trace::ScopedSpan compile_span(root, "compile");
     DKB_ASSIGN_OR_RETURN(
-        outcome.compiled,
+        km::CompiledQuery compiled,
         CompileImpl(workspace, stored, goal, options, &report.compile,
                     compile_span.get(), report.query_id));
     if (options.use_cache) {
       // Dependency set: every predicate the relevant rules mention plus the
       // query predicate itself.
       std::set<std::string> deps = {goal.predicate};
-      for (const datalog::Rule& rule : outcome.compiled.relevant_rules) {
+      for (const datalog::Rule& rule : compiled.relevant_rules) {
         deps.insert(rule.head.predicate);
         for (const datalog::Atom& atom : rule.body) {
           deps.insert(atom.predicate);
         }
       }
-      cache->Insert(key, outcome.compiled, std::move(deps));
+      outcome.compiled =
+          cache->Insert(key, std::move(compiled), std::move(deps));
+    } else {
+      outcome.compiled =
+          std::make_shared<const km::CompiledQuery>(std::move(compiled));
     }
+    query = outcome.compiled->program.query;
   }
+  const km::QueryProgram& program = outcome.compiled->program;
 
   // Plan summary: the EXPLAIN side of the report, filled whether or not the
   // query executes.
@@ -716,7 +723,7 @@ Result<QueryOutcome> Testbed::QueryImpl(Database* db,
   report.plan.shards = static_cast<int64_t>(db->catalog().default_shards());
   report.plan.rules_relevant = report.compile.rules_relevant;
   report.plan.rules_pruned = report.compile.rules_pruned;
-  for (const km::ProgramNode& node : outcome.compiled.program.nodes) {
+  for (const km::ProgramNode& node : program.nodes) {
     PlanSummary::Node pn;
     pn.label = NodeLabel(node);
     pn.is_clique = node.is_clique;
@@ -724,7 +731,8 @@ Result<QueryOutcome> Testbed::QueryImpl(Database* db,
     pn.recursive_rules = static_cast<int64_t>(node.recursive_rules.size());
     report.plan.nodes.push_back(std::move(pn));
   }
-  report.plan.final_select = outcome.compiled.program.final_select;
+  report.plan.final_select = km::InlineParameters(
+      program.final_select, km::QueryParameters(query));
 
   if (options.explain == ExplainMode::kPlan) {
     report.executed = false;
@@ -745,9 +753,21 @@ Result<QueryOutcome> Testbed::QueryImpl(Database* db,
   {
     trace::ScopedSpan exec_span(root, "execute");
     eopts.span = exec_span.get();
-    DKB_ASSIGN_OR_RETURN(outcome.result,
-                         lfp::ExecuteProgram(db, outcome.compiled.program,
-                                             eopts, &report.exec));
+    // A cached program runs on the instance kept beside it, which is
+    // checked out for the run and back in after it; any other query's
+    // instance lives for its run only.
+    std::unique_ptr<lfp::ProgramInstance> instance;
+    if (options.use_cache) {
+      instance = cache->CheckOut(key, outcome.compiled.get());
+    }
+    DKB_ASSIGN_OR_RETURN(
+        outcome.result,
+        lfp::RunProgram(db, program, query, eopts,
+                        options.use_cache ? &instance : nullptr,
+                        &report.exec));
+    if (instance != nullptr) {
+      cache->CheckIn(key, outcome.compiled.get(), std::move(instance));
+    }
   }
   report.executed = true;
   report.total_us = total.ElapsedMicros();

@@ -37,10 +37,13 @@ class Session;
 /// measures — t_c (compilation) and t_e (execution) — broken into their
 /// components, plus counters and (when requested) the span tree.
 ///
-/// Move-only: the report may own a TraceContext.
+/// A cache hit shares the cached program, which was compiled for the first
+/// goal of the form (its original_query) and takes every goal's constants
+/// as parameters; report.plan shows this goal's. Move-only: the report may
+/// own a TraceContext.
 struct QueryOutcome {
   QueryResult result;
-  km::CompiledQuery compiled;
+  std::shared_ptr<const km::CompiledQuery> compiled;
   QueryReport report;
 };
 

@@ -141,6 +141,101 @@ TEST(ConcurrencyStressTest, QueryLogReadersDuringConcurrentSessionQueries) {
 }
 
 // ---------------------------------------------------------------------------
+// Precompiled query forms: two sessions and the testbed itself run one form
+// with different constants, each on the program instance checked out of its
+// own cache, while a writer commits facts (every commit re-pins the
+// sessions, so their instances are rebuilt on new Databases). Every answer
+// is checked against the chain oracle.
+// ---------------------------------------------------------------------------
+
+std::string ChainNode(int k, int j) {
+  return "c" + std::to_string(k) + "_" + std::to_string(j);
+}
+
+std::vector<Tuple> ChainFacts(int k) {
+  std::vector<Tuple> rows;
+  for (int j = 0; j < 3; ++j) {
+    rows.push_back({Value(ChainNode(k, j)), Value(ChainNode(k, j + 1))});
+  }
+  return rows;
+}
+
+TEST(ConcurrencyStressTest, PrecompiledFormInstancesUnderConcurrentWrites) {
+  auto tb = Testbed::Create();
+  ASSERT_TRUE(tb.ok()) << tb.status().ToString();
+  Testbed& testbed = **tb;
+  ASSERT_TRUE(testbed.Consult(workload::AncestorRules()).ok());
+  ASSERT_TRUE(
+      testbed.DefineBase("parent", {DataType::kVarchar, DataType::kVarchar})
+          .ok());
+  constexpr int kInitialChains = 4;
+  constexpr int kCommits = 20;
+  constexpr int kQueriesPerThread = 40;
+  for (int k = 0; k < kInitialChains; ++k) {
+    ASSERT_TRUE(testbed.AddFacts("parent", ChainFacts(k)).ok());
+  }
+  std::atomic<int> committed{kInitialChains};
+
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int i = 0; i < 2; ++i) {
+    auto session = testbed.OpenSession();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    sessions.push_back(std::move(*session));
+  }
+
+  const QueryOptions opts = QueryOptions::Magic().WithCache();
+  std::atomic<int> failures{0};
+  auto check = [&failures](const Result<QueryOutcome>& outcome, int k) {
+    std::set<std::string> got;
+    if (outcome.ok()) {
+      for (const Tuple& row : outcome->result.rows) {
+        got.insert(row[0].as_string());
+      }
+    }
+    const std::set<std::string> want = {ChainNode(k, 1), ChainNode(k, 2),
+                                        ChainNode(k, 3)};
+    if (got != want) failures.fetch_add(1, std::memory_order_relaxed);
+  };
+  // Thread t asks for chain (q * 3 + t) mod the chains committed so far.
+  auto goal_of = [&committed](int t, int q) {
+    const int k = (q * 3 + t) % committed.load(std::memory_order_acquire);
+    return std::make_pair(k, "ancestor(" + ChainNode(k, 0) + ", W)");
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    Session* session = sessions[t].get();
+    threads.emplace_back([&, session, t] {
+      for (int q = 0; q < kQueriesPerThread; ++q) {
+        auto [k, goal] = goal_of(t, q);
+        check(session->Query(goal, opts), k);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int q = 0; q < kQueriesPerThread; ++q) {
+      auto [k, goal] = goal_of(2, q);
+      check(testbed.Query(goal, opts), k);
+    }
+  });
+  threads.emplace_back([&] {
+    for (int c = 0; c < kCommits; ++c) {
+      const int k = committed.load(std::memory_order_acquire);
+      if (!testbed.AddFacts("parent", ChainFacts(k)).ok()) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+      committed.store(k + 1, std::memory_order_release);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (const auto& session : sessions) {
+    EXPECT_GT(session->query_cache().stats().hits, 0);
+  }
+  EXPECT_GT(testbed.query_cache().stats().hits, 0);
+}
+
+// ---------------------------------------------------------------------------
 // QueryCache: mixed readers and writers with a concurrent invalidator. The
 // shared_ptr Lookup contract is the point — a hit obtained just before an
 // InvalidateOn/Clear must stay a valid program afterwards.

@@ -78,8 +78,10 @@ TEST_F(ExecPlanTest, SeqScanSkipsTombstones) {
 TEST_F(ExecPlanTest, IndexScanMultipleKeys) {
   ASSERT_TRUE(catalog_.CreateIndex("t", "ix", {"v"}, false).ok());
   const Index* ix = table_->indexes()[0].get();
-  IndexScanNode scan(table_, ix, {{Value("a")}, {Value("b")}}, nullptr,
-                     &stats_);
+  std::vector<BoundExprPtr> keys;
+  keys.push_back(std::make_unique<BoundLiteral>(Value("a")));
+  keys.push_back(std::make_unique<BoundLiteral>(Value("b")));
+  IndexScanNode scan(table_, ix, std::move(keys), nullptr, &stats_);
   // 'a' appears for k in {0,3,6,9}, 'b' for {1,4,7}.
   EXPECT_EQ(Drain(&scan).size(), 7u);
   EXPECT_EQ(stats_.index_probes, 2);

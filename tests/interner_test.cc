@@ -27,6 +27,28 @@ TEST(StringDictTest, InternIsIdempotent) {
   EXPECT_EQ(dict.size(), 2u);
 }
 
+TEST(StringDictTest, FindNeverInserts) {
+  StringDict dict;
+  const uint32_t a = dict.Intern("alpha");
+  EXPECT_EQ(dict.Find("alpha"), a);
+  EXPECT_EQ(dict.Find("beta"), StringDict::kInvalidId);
+  EXPECT_EQ(dict.size(), 1u);
+}
+
+TEST(InternedValueTest, InternIfKnownAdoptsOnlyKnownStrings) {
+  Value known = Value::Interned("if-known-stored");
+  Value same("if-known-stored");
+  same.InternIfKnown();
+  EXPECT_TRUE(same.is_interned());
+  EXPECT_EQ(same.interned_id(), known.interned_id());
+  const size_t before = GlobalStringDict().size();
+  Value fresh("if-known-never-stored");
+  fresh.InternIfKnown();
+  EXPECT_FALSE(fresh.is_interned());
+  EXPECT_EQ(GlobalStringDict().size(), before);
+  EXPECT_EQ(fresh, Value("if-known-never-stored"));
+}
+
 TEST(StringDictTest, HashMatchesStdHashOfContent) {
   StringDict dict;
   const uint32_t id = dict.Intern("hash-me");

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
+#include "datalog/parser.h"
+#include "lfp/instance.h"
+#include "testbed/session.h"
 #include "testbed/testbed.h"
 #include "workload/data_gen.h"
 #include "workload/queries.h"
@@ -216,7 +221,7 @@ TEST(QueryFormTest, OtherFormsGetTheirOwnEntries) {
   // Another variable name: the answer column is named after it.
   QueryOutcome renamed = run("ancestor(b, V)");
   EXPECT_FALSE(renamed.report.from_cache);
-  EXPECT_EQ(renamed.compiled.program.answer_columns,
+  EXPECT_EQ(renamed.compiled->program.answer_columns,
             std::vector<std::string>{"V"});
   EXPECT_EQ(AnswerSet(renamed.result),
             (std::set<std::string>{"c|", "d|", "e|"}));
@@ -335,6 +340,284 @@ TEST(QueryFormTest, HitReportsTheCompileSummary) {
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   ASSERT_EQ(log->rows.size(), 1u);
   EXPECT_EQ(log->rows[0][0].as_int(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Program instances: a hit re-runs its form's planned statements and
+// relations, and answers exactly like a fresh compile
+// ---------------------------------------------------------------------------
+
+int64_t RelationsBuilt() {
+  return metrics::GlobalMetrics().counter("dkb.lfp.relations_built").value();
+}
+
+/// Runs `goal` through the cache and, for comparison, with the cache off;
+/// the answers must agree. Returns the cached run's outcome.
+QueryOutcome QueryBoth(Testbed* tb, const std::string& goal,
+                       const QueryOptions& opts) {
+  auto cached = tb->Query(goal, QueryOptions(opts).WithCache());
+  EXPECT_TRUE(cached.ok()) << goal << ": " << cached.status().ToString();
+  auto fresh = tb->Query(goal, QueryOptions(opts).WithCache(false));
+  EXPECT_TRUE(fresh.ok()) << goal << ": " << fresh.status().ToString();
+  if (!cached.ok() || !fresh.ok()) return QueryOutcome{};
+  EXPECT_EQ(AnswerSet(cached->result), AnswerSet(fresh->result)) << goal;
+  EXPECT_FALSE(fresh->report.from_cache);
+  return std::move(*cached);
+}
+
+TEST(ProgramInstanceTest, ReusedFormAnswersLikeAFreshCompile) {
+  const std::pair<const char*, lfp::LfpStrategy> strategies[] = {
+      {"naive", lfp::LfpStrategy::kNaive},
+      {"seminaive", lfp::LfpStrategy::kSemiNaive},
+      {"native", lfp::LfpStrategy::kNative},
+      {"native-tc", lfp::LfpStrategy::kNativeTc}};
+  const std::pair<const char*, QueryOptions> rewrites[] = {
+      {"plain", QueryOptions::SemiNaive()},
+      {"magic", QueryOptions::Magic()},
+      {"supplementary", QueryOptions::SupplementaryMagic()}};
+  // Two forms, each a sequence of fresh constants (some repeated, some no
+  // fact mentions).
+  const std::vector<std::vector<std::string>> forms = {
+      {"ancestor(a, W)", "ancestor(b, W)", "ancestor(nobody, W)",
+       "ancestor(d, W)", "ancestor(x, W)", "ancestor(a, W)"},
+      {"ancestor(a, e)", "ancestor(e, a)", "ancestor(x, y)",
+       "ancestor(b, e)", "ancestor(a, y)"}};
+  for (const auto& [sname, strategy] : strategies) {
+    for (const auto& [rname, rewrite] : rewrites) {
+      SCOPED_TRACE(std::string(sname) + "/" + rname);
+      std::unique_ptr<Testbed> tb = MakeFamily();
+      const QueryOptions opts = QueryOptions(rewrite).WithStrategy(strategy);
+      for (const std::vector<std::string>& goals : forms) {
+        for (size_t i = 0; i < goals.size(); ++i) {
+          QueryOutcome outcome = QueryBoth(tb.get(), goals[i], opts);
+          EXPECT_EQ(outcome.report.from_cache, i > 0) << goals[i];
+        }
+      }
+    }
+  }
+}
+
+TEST(ProgramInstanceTest, WarmHitPlansAndBuildsNothing) {
+  for (lfp::LfpStrategy strategy :
+       {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNative,
+        lfp::LfpStrategy::kNativeTc, lfp::LfpStrategy::kNaive}) {
+    SCOPED_TRACE(lfp::StrategyName(strategy));
+    std::unique_ptr<Testbed> tb = MakeFamily();
+    const QueryOptions opts =
+        QueryOptions::Magic().WithStrategy(strategy).WithCache();
+    auto miss = tb->Query("ancestor(a, W)", opts);
+    ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+    EXPECT_FALSE(miss->report.from_cache);
+    EXPECT_GT(miss->report.exec.statements_planned, 0);
+    // The miss kept its instance: the first hit is already warm.
+    for (const char* goal : {"ancestor(b, W)", "ancestor(d, W)"}) {
+      const int64_t built = RelationsBuilt();
+      auto hit = tb->Query(goal, opts);
+      ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+      EXPECT_TRUE(hit->report.from_cache);
+      EXPECT_EQ(RelationsBuilt(), built) << goal;
+      if (strategy == lfp::LfpStrategy::kNaive) {
+        // Naive's per-iteration SQL is planned every iteration, by design.
+        EXPECT_GT(hit->report.exec.statements_planned, 0);
+      } else {
+        EXPECT_EQ(hit->report.exec.statements_planned, 0) << goal;
+      }
+      // Runs still count as executed statements.
+      EXPECT_GT(hit->report.db_delta.statements, 0);
+    }
+    // The cache-off path builds, plans and drops an instance every time.
+    const int64_t built = RelationsBuilt();
+    auto off = tb->Query("ancestor(b, W)", QueryOptions(opts).WithCache(false));
+    ASSERT_TRUE(off.ok());
+    EXPECT_GT(RelationsBuilt(), built);
+    EXPECT_GT(off->report.exec.statements_planned, 0);
+  }
+
+  // sys.query_log, the JSON report and EXPLAIN ANALYZE carry the count.
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  const QueryOptions opts = QueryOptions::Magic().WithCache();
+  ASSERT_TRUE(tb->Query("ancestor(a, W)", opts).ok());
+  auto hit = tb->Query("ancestor(b, W)", opts);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_NE(hit->report.ToJson().find("\"statements_planned\": 0"),
+            std::string::npos);
+  auto log = tb->ExecuteSql(
+      "SELECT from_cache, statements_planned FROM sys.query_log");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(log->rows.size(), 2u);
+  for (const Tuple& row : log->rows) {
+    EXPECT_EQ(row[1].as_int() == 0, row[0].as_int() == 1);
+  }
+  auto analyze = tb->Query(
+      "ancestor(d, W)", QueryOptions(opts).WithExplain(ExplainMode::kAnalyze));
+  ASSERT_TRUE(analyze.ok());
+  std::string text;
+  for (const Tuple& row : analyze->result.rows) text += row[0].as_string();
+  EXPECT_NE(text.find("planned=0"), std::string::npos) << text;
+}
+
+/// A cached magic form run across an event between two hits: every answer
+/// must equal the cache-off answer. Returns the hit's statements_planned.
+int64_t HitAfter(Testbed* tb, const std::function<void()>& event,
+                 const std::string& goal) {
+  const QueryOptions opts = QueryOptions::Magic();
+  QueryBoth(tb, "ancestor(a, W)", opts);
+  QueryBoth(tb, "ancestor(b, W)", opts);
+  event();
+  QueryOutcome hit = QueryBoth(tb, goal, opts);
+  EXPECT_TRUE(hit.report.from_cache);
+  return hit.report.exec.statements_planned;
+}
+
+TEST(ProgramInstanceTest, FactsCommittedBetweenHits) {
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  // A fact commit leaves the catalog's schema alone: the instance serves
+  // the next hit as it is, and reads the new rows.
+  EXPECT_EQ(HitAfter(
+                tb.get(),
+                [&] {
+                  ASSERT_TRUE(
+                      tb->AddFacts("parent", {{Value("e"), Value("f")}}).ok());
+                },
+                "ancestor(d, W)"),
+            0);
+  auto d = tb->Query("ancestor(d, W)", QueryOptions::Magic().WithCache());
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(AnswerSet(d->result), (std::set<std::string>{"e|", "f|"}));
+}
+
+TEST(ProgramInstanceTest, CreateIndexBetweenHitsRebuilds) {
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  EXPECT_GT(HitAfter(
+                tb.get(),
+                [&] {
+                  ASSERT_TRUE(
+                      tb->ExecuteSql(
+                            "CREATE INDEX edb_parent_c1_ix ON edb_parent (c1)")
+                          .ok());
+                },
+                "ancestor(a, W)"),
+            0);
+}
+
+TEST(ProgramInstanceTest, DropAndRecreateTableBetweenHitsRebuilds) {
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  EXPECT_GT(
+      HitAfter(
+          tb.get(),
+          [&] {
+            ASSERT_TRUE(tb->ExecuteSql("DROP TABLE edb_parent").ok());
+            ASSERT_TRUE(tb->ExecuteSql("CREATE TABLE edb_parent (c0 VARCHAR, "
+                                       "c1 VARCHAR)")
+                            .ok());
+            ASSERT_TRUE(tb->ExecuteSql("INSERT INTO edb_parent VALUES "
+                                       "('a', 'q'), ('q', 'r')")
+                            .ok());
+          },
+          "ancestor(a, W)"),
+      0);
+  // The old instance pinned the dropped table; the rebuilt one reads the
+  // new one.
+  auto a = tb->Query("ancestor(a, W)", QueryOptions::Magic().WithCache());
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(AnswerSet(a->result), (std::set<std::string>{"q|", "r|"}));
+}
+
+TEST(ProgramInstanceTest, StatementCacheToggledBetweenHits) {
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  // The planned statements own their parsed texts: the instance survives
+  // the statement cache dropping them (the ASan job runs this case).
+  EXPECT_EQ(HitAfter(
+                tb.get(),
+                [&] {
+                  tb->db().set_statement_cache_enabled(false);
+                  tb->db().set_statement_cache_enabled(true);
+                },
+                "ancestor(d, W)"),
+            0);
+}
+
+TEST(ProgramInstanceTest, SessionRepinBetweenHitsRebuilds) {
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  auto session_or = tb->OpenSession();
+  ASSERT_TRUE(session_or.ok());
+  std::unique_ptr<Session> session = std::move(*session_or);
+  const QueryOptions opts = QueryOptions::Magic().WithCache();
+  auto run = [&](const std::string& goal) {
+    auto cached = session->Query(goal, opts);
+    EXPECT_TRUE(cached.ok()) << cached.status().ToString();
+    auto fresh = session->Query(goal, QueryOptions(opts).WithCache(false));
+    EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
+    if (!cached.ok() || !fresh.ok()) return QueryOutcome{};
+    EXPECT_EQ(AnswerSet(cached->result), AnswerSet(fresh->result)) << goal;
+    return std::move(*cached);
+  };
+  run("ancestor(a, W)");
+  EXPECT_EQ(run("ancestor(b, W)").report.exec.statements_planned, 0);
+  // A committed fact moves the epoch: the session re-pins onto a new
+  // Database, so its hit plans again, on the new pin.
+  ASSERT_TRUE(tb->AddFacts("parent", {{Value("e"), Value("f")}}).ok());
+  QueryOutcome repinned = run("ancestor(d, W)");
+  EXPECT_TRUE(repinned.report.from_cache);
+  EXPECT_GT(repinned.report.exec.statements_planned, 0);
+  EXPECT_EQ(AnswerSet(repinned.result), (std::set<std::string>{"e|", "f|"}));
+  EXPECT_EQ(run("ancestor(b, W)").report.exec.statements_planned, 0);
+}
+
+TEST(ProgramInstanceTest, IdleInstanceKeepsCapacityNotRows) {
+  // Between runs an instance keeps its relations' and indexes' storage,
+  // not their rows: once every goal has run, idle bytes stop growing.
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  auto goal = datalog::ParseQuery("ancestor(a, W)");
+  ASSERT_TRUE(goal.ok());
+  km::CompilationStats cstats;
+  auto compiled =
+      tb->CompileOnly(*goal, QueryOptions::Magic(), &cstats);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  std::unique_ptr<lfp::ProgramInstance> instance;
+  std::vector<int64_t> idle;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const char* text : {"ancestor(a, W)", "ancestor(x, W)"}) {
+      auto bound = km::BindGoal(*compiled, *datalog::ParseQuery(text));
+      ASSERT_TRUE(bound.ok());
+      lfp::ExecutionStats stats;
+      auto result = lfp::RunProgram(&tb->db(), compiled->program, *bound,
+                                    lfp::EvalOptions{}, &instance, &stats);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(stats.statements_planned > 0, idle.empty());  // built once
+      ASSERT_NE(instance, nullptr);
+      idle.push_back(instance->IdleBytes());
+    }
+  }
+  EXPECT_GT(idle.back(), 0);
+  EXPECT_EQ(idle[2], idle.back());
+  EXPECT_EQ(idle[3], idle.back());
+}
+
+TEST(ProgramInstanceTest, SnapshotReadingInstanceIsNeverReused) {
+  // A plan that materialized a sys.* view reads that snapshot on every run,
+  // so its instance must not serve another run; a plain one may, until DDL.
+  std::unique_ptr<Testbed> tb = MakeFamily();
+  for (const bool snapshot : {true, false}) {
+    km::QueryProgram program;
+    program.final_select = snapshot ? "SELECT COUNT(*) FROM sys.metrics"
+                                    : "SELECT COUNT(*) FROM edb_parent";
+    std::unique_ptr<lfp::ProgramInstance> instance;
+    auto result = lfp::RunProgram(&tb->db(), program, program.query,
+                                  lfp::EvalOptions{}, &instance, nullptr);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_NE(instance, nullptr);
+    EXPECT_EQ(instance->ReusableFor(tb->db(), program,
+                                    lfp::LfpStrategy::kSemiNaive),
+              !snapshot);
+    EXPECT_FALSE(
+        instance->ReusableFor(tb->db(), program, lfp::LfpStrategy::kNaive));
+    if (!snapshot) {
+      ASSERT_TRUE(tb->ExecuteSql("CREATE TABLE unrelated (c0 INT)").ok());
+      EXPECT_FALSE(instance->ReusableFor(tb->db(), program,
+                                         lfp::LfpStrategy::kSemiNaive));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/interner.h"
+#include "common/metrics.h"
 #include "rdbms/database.h"
 
 namespace dkb {
@@ -512,21 +514,101 @@ TEST_F(RdbmsTest, PlannedSelectReturnsItsBatches) {
   EXPECT_EQ(Query("SELECT * FROM edge").rows.size(), 4u);
 }
 
+// A read-only statement's literals bind as dictionary ids only when some
+// stored row carries the string: the others stay inline and leave the
+// process-wide dictionary (dkb.common.interner_size) as it was.
+TEST_F(RdbmsTest, ReadOnlyLiteralsDoNotGrowTheInterner) {
+  Exec("CREATE TABLE one (c0 VARCHAR)");
+  Exec("INSERT INTO one VALUES ('stored-row-value')");
+  const size_t before = GlobalStringDict().size();
+  const metrics::Gauge& gauge =
+      metrics::GlobalMetrics().gauge("dkb.common.interner_size");
+  const int64_t gauge_before = gauge.value();
+  EXPECT_TRUE(
+      Query("SELECT c0 FROM one WHERE c0 = 'never-stored-1'").rows.empty());
+  EXPECT_TRUE(Query("SELECT c0 FROM one WHERE c0 IN ('never-stored-2', "
+                    "'never-stored-3')")
+                  .rows.empty());
+  EXPECT_EQ(GlobalStringDict().size(), before);
+  EXPECT_EQ(gauge.value(), gauge_before);
+  // A stored string still matches, inline or interned.
+  EXPECT_EQ(Query("SELECT c0 FROM one WHERE c0 = 'stored-row-value'")
+                .rows.size(),
+            1u);
+  EXPECT_EQ(Query("SELECT c0 FROM one WHERE c0 IN ('never-stored-2', "
+                  "'stored-row-value')")
+                .rows.size(),
+            1u);
+  EXPECT_EQ(GlobalStringDict().size(), before);
+}
+
 TEST_F(RdbmsTest, PlanRejectsWhatItCannotPlanAhead) {
   Exec("CREATE TABLE t (c0 INT)");
-  EXPECT_EQ(db_.Plan("SELECT c0 FROM t WHERE c0 = ?").status().code(),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(db_.Plan("DELETE FROM t").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(db_.Plan("INSERT INTO t VALUES (1)").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(db_.Plan("INSERT INTO t SELECT c0 FROM t WHERE c0 = ?")
-                .status()
-                .code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(db_.Plan("INSERT INTO t SELECT * FROM missing").status().code(),
             StatusCode::kNotFound);
+  EXPECT_EQ(db_.Plan("INSERT INTO missing VALUES (?)").status().code(),
+            StatusCode::kNotFound);
   EXPECT_FALSE(PlannedStatement().Run().ok());
+  // A parameter plans, but no run starts before it is bound.
+  auto planned = db_.Plan("INSERT INTO t SELECT c0 FROM t WHERE c0 = ?");
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(planned->param_count(), 1u);
+  EXPECT_EQ(planned->Run().status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(planned->Bind(1, Value(int64_t{1})).code(),
+            StatusCode::kInvalidArgument);
+}
+
+// One plan serves every binding: each Run reads the parameters' current
+// values, in index keys, filters and VALUES cells alike.
+TEST_F(RdbmsTest, PlannedStatementRebindsParameters) {
+  Exec("CREATE TABLE edge (src VARCHAR, dst VARCHAR)");
+  Exec("CREATE INDEX edge_src ON edge (src)");
+  Exec("INSERT INTO edge VALUES ('a', 'b'), ('a', 'c'), ('b', 'c')");
+  Exec("CREATE TABLE seed (v VARCHAR)");
+  auto select = db_.Plan("SELECT dst FROM edge WHERE src = ? AND dst <> ?");
+  ASSERT_TRUE(select.ok()) << select.status().ToString();
+  auto insert = db_.Plan("INSERT INTO seed VALUES (?)");
+  ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+  auto rows_of = [&select]() {
+    std::vector<std::string> rows;
+    for (const RowBatch& batch : select->batches()) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        rows.push_back(batch.At(i, 0).as_string());
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  const struct {
+    const char* src;
+    const char* skip;
+    std::vector<std::string> want;
+  } cases[] = {{"a", "z", {"b", "c"}}, {"a", "b", {"c"}}, {"b", "z", {"c"}},
+               {"nobody", "z", {}}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.src);
+    ASSERT_TRUE(select->Bind(0, Value(c.src)).ok());
+    ASSERT_TRUE(select->Bind(1, Value(c.skip)).ok());
+    const int64_t probes = db_.stats().index_probes.load();
+    auto rows = select->Run();
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows_of(), c.want);
+    EXPECT_EQ(db_.stats().index_probes.load(), probes + 1);  // src = ?
+    ASSERT_TRUE(insert->Bind(0, Value(c.src)).ok());
+    ASSERT_TRUE(insert->Run().ok());
+  }
+  EXPECT_EQ(Query("SELECT v FROM seed").rows.size(), 4u);
+  EXPECT_EQ(Query("SELECT v FROM seed WHERE v = 'nobody'").rows.size(), 1u);
+  // The statement cache may drop the parsed texts: the plans own theirs.
+  db_.set_statement_cache_enabled(false);
+  db_.set_statement_cache_enabled(true);
+  ASSERT_TRUE(select->Bind(0, Value("a")).ok());
+  ASSERT_TRUE(select->Run().ok());
+  EXPECT_EQ(rows_of(), (std::vector<std::string>{"b", "c"}));
+  ASSERT_TRUE(insert->Run().ok());
+  EXPECT_EQ(Query("SELECT v FROM seed").rows.size(), 5u);
 }
 
 }  // namespace

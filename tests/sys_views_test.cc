@@ -53,7 +53,8 @@ TEST(SysViewsTest, SchemasMatchTheGolden) {
         "t_setup_us", "t_extract_us", "t_read_us", "t_analyze_us",
         "t_opt_us", "t_eol_us", "t_sem_us", "t_gen_us", "t_comp_us",
         "t_temp_us", "t_rhs_us", "t_term_us", "t_final_us", "batches",
-        "shards", "bytes_sent", "bytes_received", "trace"}},
+        "statements_planned", "shards", "bytes_sent", "bytes_received",
+        "trace"}},
       {"sys.lfp_iterations",
        {"query_id", "node", "is_clique", "iter", "delta_rows", "new_rows",
         "driver_rows", "rhs_us", "term_us"}},
