@@ -33,7 +33,7 @@ void PrintHelp() {
       "  parent(john, mary).        add a fact to the extensional DB\n"
       "  ?- anc(john, W).           compile + execute a D/KB query\n"
       "  :magic on|off              toggle generalized magic sets\n"
-      "  :strategy naive|seminaive|native\n"
+      "  :strategy naive|seminaive|native-tc\n"
       "  :rules                     list workspace rules\n"
       "  :retract <rule>            remove a workspace rule\n"
       "  :update                    commit workspace rules to the Stored DKB\n"
@@ -185,8 +185,8 @@ int main(int argc, char** argv) {
         options.strategy = dkb::lfp::LfpStrategy::kNaive;
       } else if (input == ":strategy seminaive") {
         options.strategy = dkb::lfp::LfpStrategy::kSemiNaive;
-      } else if (input == ":strategy native") {
-        options.strategy = dkb::lfp::LfpStrategy::kNative;
+      } else if (input == ":strategy native-tc") {
+        options.strategy = dkb::lfp::LfpStrategy::kNativeTc;
       } else if (input == ":stats") {
         if (last_report.empty()) {
           std::printf("no query yet\n");

@@ -55,7 +55,8 @@ struct ProgramNode {
   std::vector<std::string> predicates;
   /// Non-recursive nodes: all defining rules. Cliques: exit rules only.
   std::vector<CompiledRule> exit_rules;
-  /// Cliques: recursive rules, as the naive and native evaluators read them.
+  /// Cliques: recursive rules, as naive's recompute and the
+  /// transitive-closure matcher read them.
   std::vector<datalog::Rule> recursive_rules;
   /// Cliques: every recursive rule's semi-naive variants, in rule order and
   /// then body order. Their SQL is generated here, once per program, as the

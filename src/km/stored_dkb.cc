@@ -136,6 +136,34 @@ Status StoredDkb::InsertFacts(const std::string& pred,
   return Status::OK();
 }
 
+Status StoredDkb::CheckFactTypes(const std::string& pred,
+                                 const PredicateTypes& types) const {
+  if (!HasBasePredicate(pred)) {
+    if (db_->catalog().HasTable(EdbTableName(pred))) {
+      return Status::AlreadyExists("table " + EdbTableName(pred) +
+                                   " already exists");
+    }
+    return Status::OK();
+  }
+  DKB_ASSIGN_OR_RETURN(ScanSource * table,
+                       db_->catalog().GetSource(EdbTableName(pred)));
+  const Schema& schema = table->schema();
+  if (types.size() != schema.num_columns()) {
+    return Status::InvalidArgument(
+        "facts for " + pred + " have arity " + std::to_string(types.size()) +
+        ", base predicate arity " + std::to_string(schema.num_columns()));
+  }
+  for (size_t i = 0; i < types.size(); ++i) {
+    if (types[i] != schema.column(i).type) {
+      return Status::TypeError("column " + schema.column(i).name + " of " +
+                               table->name() + " expects " +
+                               DataTypeName(schema.column(i).type) +
+                               " but got " + DataTypeName(types[i]));
+    }
+  }
+  return Status::OK();
+}
+
 Status StoredDkb::ClearFacts(const std::string& pred) {
   if (!HasBasePredicate(pred)) {
     return Status::NotFound("base predicate " + pred + " is not defined");

@@ -75,6 +75,14 @@ class StoredDkb {
   Status InsertFacts(const std::string& pred,
                      const std::vector<Tuple>& tuples);
 
+  /// The checks DefineBasePredicate and InsertFacts make for facts of `pred`
+  /// with `types`, ahead of any write: AlreadyExists if `pred` is no base
+  /// predicate but its relation's name is taken, InvalidArgument or
+  /// TypeError if `pred` is a base predicate whose relation does not take
+  /// them, else OK.
+  Status CheckFactTypes(const std::string& pred,
+                        const PredicateTypes& types) const;
+
   /// Deletes all facts of `pred` (relation and dictionary entry remain).
   Status ClearFacts(const std::string& pred);
 

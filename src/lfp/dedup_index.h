@@ -14,9 +14,9 @@ namespace dkb::lfp {
 /// The distinct rows of one shard of an IDB relation, for the semi-naive
 /// termination step: a row derived in an iteration is new iff Insert
 /// accepts it. The index only grows during a clique's fixpoint run, like
-/// the append-only relation it mirrors (NativeRelation::IndexOn's idiom), so
-/// each iteration probes only the rows it derived instead of re-reading the
-/// accumulated relation; a program instance clears it between runs.
+/// the append-only relation it mirrors, so each iteration probes only the
+/// rows it derived instead of re-reading the accumulated relation; a program
+/// instance clears it between runs.
 ///
 /// Rows are keyed on their value ids: an integer is its own id and an
 /// interned VARCHAR its dictionary id (equal strings share one id), so a

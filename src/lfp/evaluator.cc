@@ -165,8 +165,6 @@ const char* StrategyName(LfpStrategy strategy) {
       return "naive";
     case LfpStrategy::kSemiNaive:
       return "semi-naive";
-    case LfpStrategy::kNative:
-      return "native-lfp";
     case LfpStrategy::kNativeTc:
       return "native-lfp+tc";
   }

@@ -15,10 +15,8 @@ namespace dkb::lfp {
 enum class LfpStrategy {
   kNaive,      // full recomputation per iteration (paper §3.3)
   kSemiNaive,  // differential evaluation (Balbin-Ramamohanarao)
-  kNative,     // in-engine LFP operator: in-memory deltas, no table copies,
-               // early-exit termination (paper conclusion #6 ablation)
-  kNativeTc,   // kNative plus recognition of transitive-closure cliques,
-               // evaluated by a specialized BFS operator (conclusion #8)
+  kNativeTc,   // kSemiNaive, except that a transitive-closure clique runs
+               // the specialized BFS operator (paper conclusion #8)
 };
 
 const char* StrategyName(LfpStrategy strategy);

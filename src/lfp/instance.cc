@@ -2,8 +2,8 @@
 
 #include "common/timer.h"
 #include "lfp/naive.h"
-#include "lfp/native_lfp.h"
 #include "lfp/seminaive.h"
+#include "lfp/tc_operator.h"
 
 namespace dkb::lfp {
 
@@ -55,10 +55,10 @@ Status ProgramInstance::Build(ExecutionStats* stats) {
     const km::ProgramNode& node = program_->nodes[i];
     EvalContext ctx(db_, stats, &scopes_[i], &params_);
     Result<std::unique_ptr<NodeRun>> built = Status::Internal("unreachable");
-    if (strategy_ == LfpStrategy::kNative ||
-        strategy_ == LfpStrategy::kNativeTc) {
-      built = BuildNativeNode(*program_, node,
-                              strategy_ == LfpStrategy::kNativeTc);
+    TcShape shape;
+    if (strategy_ == LfpStrategy::kNativeTc &&
+        MatchesTransitiveClosure(node, &shape)) {
+      built = BuildTcNode(*program_, shape);
     } else if (!node.is_clique) {
       built = BuildExitRulesNode(&ctx, *program_, node, i);
     } else if (strategy_ == LfpStrategy::kNaive) {

@@ -18,8 +18,8 @@ namespace dkb::lfp {
 /// node's evaluator state (dedup indexes, windows, temporaries) and every
 /// statement a run executes, each planned once through Database::Plan: the
 /// exit-rule INSERTs, the magic seed, the semi-naive variant SELECTs and the
-/// final SELECT. Naive's per-iteration SQL and the native engine run on the
-/// same relations.
+/// final SELECT. Naive's per-iteration SQL and the transitive-closure
+/// operator run on the same relations.
 ///
 /// Lifecycle: RunProgram builds an instance (relations, node states,
 /// plans), binds the goal's constants (km::QueryParameters) to the seed and

@@ -4,6 +4,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/timer.h"
+#include "storage/table.h"
+
 namespace dkb::lfp {
 
 namespace {
@@ -32,6 +35,34 @@ bool HeadVars(const Rule& rule, std::string* x, std::string* y) {
   *y = head.args[1].var;
   return true;
 }
+
+/// What BuildTcNode returns: the IDB relation gets e+ in one pass.
+class TcNode : public NodeRun {
+ public:
+  TcNode(std::string edge_table, std::string closure_table)
+      : edge_table_(std::move(edge_table)),
+        closure_table_(std::move(closure_table)) {}
+
+  Result<int64_t> Evaluate(EvalContext* ctx) override {
+    ScopedAccumulator acc(&ctx->stats()->t_rhs_ns);
+    DKB_ASSIGN_OR_RETURN(ScanSource * edges, ctx->Source(edge_table_));
+    DKB_ASSIGN_OR_RETURN(ScanSource * closure, ctx->Source(closure_table_));
+    std::vector<Tuple> edge_rows;
+    edges->Scan(
+        [&edge_rows](RowId, const Tuple& row) { edge_rows.push_back(row); },
+        ctx->db()->catalog().read_epoch());
+    std::vector<Tuple> rows;
+    ComputeTransitiveClosure(edge_rows, &rows);
+    for (Tuple& row : rows) {
+      DKB_RETURN_IF_ERROR(closure->Insert(std::move(row)).status());
+    }
+    return 1;
+  }
+
+ private:
+  std::string edge_table_;
+  std::string closure_table_;
+};
 
 }  // namespace
 
@@ -111,6 +142,13 @@ void ComputeTransitiveClosure(const std::vector<Tuple>& edges,
       expand(*node);
     }
   }
+}
+
+std::unique_ptr<NodeRun> BuildTcNode(const km::QueryProgram& program,
+                                     const TcShape& shape) {
+  return std::make_unique<TcNode>(
+      program.bindings.at(shape.edge_predicate).table,
+      program.bindings.at(shape.predicate).table);
 }
 
 }  // namespace dkb::lfp

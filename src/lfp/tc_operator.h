@@ -1,10 +1,12 @@
 #ifndef DKB_LFP_TC_OPERATOR_H_
 #define DKB_LFP_TC_OPERATOR_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "km/codegen.h"
+#include "lfp/eval_context.h"
 #include "storage/tuple.h"
 
 namespace dkb::lfp {
@@ -34,6 +36,15 @@ bool MatchesTransitiveClosure(const km::ProgramNode& node, TcShape* shape);
 /// termination checks. Appends (src, dst) pairs to `out`.
 void ComputeTransitiveClosure(const std::vector<Tuple>& edges,
                               std::vector<Tuple>* out);
+
+/// kNativeTc's node for a clique of `shape`: each run reads the edge
+/// relation through EvalContext::Source, computes its closure with
+/// ComputeTransitiveClosure and inserts the rows (distinct by construction)
+/// into the predicate's IDB relation, all in the RHS bucket. Evaluate
+/// returns 1: a single pass, no fixpoint loop. The node keeps no state
+/// between runs.
+std::unique_ptr<NodeRun> BuildTcNode(const km::QueryProgram& program,
+                                     const TcShape& shape);
 
 }  // namespace dkb::lfp
 

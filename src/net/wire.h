@@ -26,7 +26,12 @@ namespace dkb::net {
 /// peer still parses v2 frames; it is the payload encodings that moved,
 /// which is why Hello's version check rejects the mismatch cleanly before
 /// any other payload is interpreted.
-constexpr uint32_t kProtocolVersion = 2;
+///
+/// v3: the strategy byte of query options lost the generic native engine,
+/// so 2 now means native-tc (v2's native) and 3 is out of range. A v2 peer
+/// gets the version-mismatch error instead of a strategy that silently
+/// means something else.
+constexpr uint32_t kProtocolVersion = 3;
 
 /// Frame layout (all integers little-endian):
 ///

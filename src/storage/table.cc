@@ -237,7 +237,8 @@ size_t Table::Vacuum(Epoch min_pinned) {
 }
 
 size_t Table::ApproxBytes() const {
-  return segments_allocated_.load(std::memory_order_relaxed) *
+  return sizeof(Table) +
+         segments_allocated_.load(std::memory_order_relaxed) *
              sizeof(Segment) +
          chunks_allocated_.load(std::memory_order_relaxed) * sizeof(Chunk) +
          num_slots() * schema_.num_columns() * sizeof(Value);

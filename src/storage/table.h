@@ -128,7 +128,8 @@ class Table : public ScanSource {
   /// the caller (the testbed reclaimer serializes with its writer lock).
   size_t Vacuum(Epoch min_pinned);
 
-  /// Rough resident footprint: allocated segments plus directory chunks.
+  /// Rough resident footprint: the object itself (its inline directory
+  /// makes it several KB), allocated segments plus directory chunks.
   /// Interned VARCHAR payloads live in the global dictionary and are not
   /// counted.
   size_t ApproxBytes() const;

@@ -458,10 +458,33 @@ Status Testbed::Consult(const std::string& program_text) {
     return Status::InvalidArgument(
         "consulted text contains a query; use Query() instead");
   }
+  // Group facts per predicate; every fact of one predicate has its types.
+  std::map<std::string, std::vector<Tuple>> facts;
+  std::map<std::string, km::PredicateTypes> types;
+  for (const datalog::Rule& fact : program.facts) {
+    const datalog::Atom& head = fact.head;
+    km::PredicateTypes sig;
+    Tuple row;
+    for (const datalog::Term& t : head.args) {
+      sig.push_back(t.value.type());
+      row.push_back(t.value);
+    }
+    auto [it, inserted] = types.emplace(head.predicate, sig);
+    if (!inserted && it->second != sig) {
+      return Status::TypeError("facts for " + head.predicate +
+                               " have inconsistent column types");
+    }
+    facts[head.predicate].push_back(std::move(row));
+  }
   uint64_t lsn = 0;
   Status applied;
   {
     WriterLock lock(mu_);
+    // A consult applies whole or not at all, and the WAL logs only what
+    // applies: the facts must fit the base predicates they extend.
+    for (const auto& [pred, sig] : types) {
+      DKB_RETURN_IF_ERROR(stored_->CheckFactTypes(pred, sig));
+    }
     EpochBump bump([this]() { BumpEpoch(); });
     DKB_ASSIGN_OR_RETURN(lsn,
                          LogWal(WalRecordKind::kConsult,
@@ -471,24 +494,7 @@ Status Testbed::Consult(const std::string& program_text) {
       for (datalog::Rule& rule : program.rules) {
         DKB_RETURN_IF_ERROR(workspace_.AddRule(std::move(rule)));
       }
-      // Group facts per predicate, auto-defining base predicates.
-      std::map<std::string, std::vector<Tuple>> facts;
-      std::map<std::string, km::PredicateTypes> types;
-      for (const datalog::Rule& fact : program.facts) {
-        const datalog::Atom& head = fact.head;
-        km::PredicateTypes sig;
-        Tuple row;
-        for (const datalog::Term& t : head.args) {
-          sig.push_back(t.value.type());
-          row.push_back(t.value);
-        }
-        auto [it, inserted] = types.emplace(head.predicate, sig);
-        if (!inserted && it->second != sig) {
-          return Status::TypeError("facts for " + head.predicate +
-                                   " have inconsistent column types");
-        }
-        facts[head.predicate].push_back(std::move(row));
-      }
+      // Auto-define new base predicates, then load the facts.
       for (auto& [pred, rows] : facts) {
         if (!stored_->HasBasePredicate(pred)) {
           DKB_RETURN_IF_ERROR(

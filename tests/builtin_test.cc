@@ -199,7 +199,7 @@ TEST_P(BuiltinE2eTest, StringComparison) {
 INSTANTIATE_TEST_SUITE_P(AllStrategies, BuiltinE2eTest,
                          ::testing::Values(LfpStrategy::kNaive,
                                            LfpStrategy::kSemiNaive,
-                                           LfpStrategy::kNative),
+                                           LfpStrategy::kNativeTc),
                          [](const auto& info) {
                            std::string name = lfp::StrategyName(info.param);
                            std::string out;

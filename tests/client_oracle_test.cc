@@ -43,7 +43,8 @@ const char* const kPrograms[] = {
 };
 
 /// The option matrix each goal runs under: the paper's strategy axes plus
-/// the cache and parallel-LFP extensions.
+/// the cache and parallel-LFP extensions and the transitive-closure
+/// operator.
 std::vector<std::pair<std::string, testbed::QueryOptions>> OptionMatrix() {
   using testbed::QueryOptions;
   return {
@@ -53,6 +54,8 @@ std::vector<std::pair<std::string, testbed::QueryOptions>> OptionMatrix() {
       {"supplementary", QueryOptions::SupplementaryMagic()},
       {"cached", QueryOptions::SemiNaive().WithCache()},
       {"parallel4", QueryOptions::SemiNaive().WithParallelism(4)},
+      {"tc",
+       QueryOptions::SemiNaive().WithStrategy(lfp::LfpStrategy::kNativeTc)},
   };
 }
 
@@ -152,7 +155,7 @@ TEST_F(ClientOracleTest, ExampleSuiteIsByteIdenticalAcrossTransports) {
       ++compared;
     }
   }
-  EXPECT_EQ(compared, 24);
+  EXPECT_EQ(compared, 28);
 }
 
 TEST_F(ClientOracleTest, BatchAndPreparedAgreeWithSequentialQueries) {

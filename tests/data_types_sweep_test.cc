@@ -79,7 +79,7 @@ TEST_P(DataShapeSweepTest, StrategiesAgree) {
     std::set<std::string> reference;
     bool have_reference = false;
     for (auto strategy : {LfpStrategy::kSemiNaive, LfpStrategy::kNaive,
-                          LfpStrategy::kNative, LfpStrategy::kNativeTc}) {
+                          LfpStrategy::kNativeTc}) {
       for (bool magic : {false, true}) {
         testbed::QueryOptions opts =
             (magic ? testbed::QueryOptions::Magic()

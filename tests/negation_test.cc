@@ -304,7 +304,7 @@ TEST_P(NegationE2eTest, NegatedAtomWithConstant) {
 INSTANTIATE_TEST_SUITE_P(AllStrategies, NegationE2eTest,
                          ::testing::Values(LfpStrategy::kNaive,
                                            LfpStrategy::kSemiNaive,
-                                           LfpStrategy::kNative),
+                                           LfpStrategy::kNativeTc),
                          [](const auto& info) {
                            std::string name = lfp::StrategyName(info.param);
                            std::string out;
@@ -363,7 +363,7 @@ TEST(NegationE2eSingleTest, StrategiesAgreeOnLargerWorkload) {
   ASSERT_TRUE((*tb)->Consult(program).ok());
   std::set<std::string> reference;
   for (auto strategy : {LfpStrategy::kNaive, LfpStrategy::kSemiNaive,
-                        LfpStrategy::kNative}) {
+                        LfpStrategy::kNativeTc}) {
     testbed::QueryOptions opts =
         testbed::QueryOptions::SemiNaive().WithStrategy(strategy);
     auto outcome = (*tb)->Query("?- safe(n0, W).", opts);

@@ -509,23 +509,27 @@ TEST_F(NetServerTest, WrongProtocolVersionIsRejected) {
 }
 
 TEST_F(NetServerTest, V1ClientGetsCleanVersionMismatchError) {
-  // The v2 trace context rides inside existing payloads, so a v1 Hello
-  // still parses; the version check is what rejects it — with a real
-  // Error frame naming both versions, not a slammed connection.
-  RawConn conn(server_.port());
-  ASSERT_TRUE(conn.connected());
-  WireWriter w;
-  w.U32(1);
-  conn.SendFrame(MsgType::kHello, 1, w.str());
-  Frame frame;
-  ASSERT_TRUE(conn.ReadFrame(&frame));
-  EXPECT_EQ(frame.type, MsgType::kError);
-  EXPECT_EQ(frame.request_id, 1u);
-  Status status = DecodeErrorPayload(frame.payload);
-  EXPECT_EQ(status.code(), ErrorCode::kProtocolError);
-  EXPECT_NE(status.message().find("version"), std::string::npos)
-      << status.ToString();
-  EXPECT_TRUE(conn.ReadUntilEof());
+  // The v2 trace context and v3 strategy numbering ride inside existing
+  // payloads, so a v1 or v2 Hello still parses; the version check is what
+  // rejects it — with a real Error frame naming both versions, not a
+  // slammed connection.
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    RawConn conn(server_.port());
+    ASSERT_TRUE(conn.connected());
+    WireWriter w;
+    w.U32(version);
+    conn.SendFrame(MsgType::kHello, 1, w.str());
+    Frame frame;
+    ASSERT_TRUE(conn.ReadFrame(&frame));
+    EXPECT_EQ(frame.type, MsgType::kError);
+    EXPECT_EQ(frame.request_id, 1u);
+    Status status = DecodeErrorPayload(frame.payload);
+    EXPECT_EQ(status.code(), ErrorCode::kProtocolError);
+    EXPECT_NE(status.message().find("version"), std::string::npos)
+        << status.ToString();
+    EXPECT_TRUE(conn.ReadUntilEof());
+  }
 }
 
 TEST_F(NetServerTest, StatsAnswersWithoutHello) {

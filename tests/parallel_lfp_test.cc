@@ -72,12 +72,10 @@ void ExpectParallelMatchesSerial(Testbed* tb, const std::string& goal,
 
 TEST(ParallelLfpTest, IndependentCliquesSemiNaive) {
   auto tb = MakeTwoCliqueTestbed();
-  // The in-memory evaluators run on the same wavefront scheduler: each
-  // node loads its inputs and stores its relations before its dependents
-  // start.
+  // The transitive-closure operator runs on the same wavefront scheduler:
+  // each node appends its closure before its dependents start.
   for (lfp::LfpStrategy strategy :
-       {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNative,
-        lfp::LfpStrategy::kNativeTc}) {
+       {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNativeTc}) {
     ExpectParallelMatchesSerial(
         tb.get(), "both(X, Y)",
         QueryOptions::SemiNaive().WithStrategy(strategy));
@@ -110,8 +108,7 @@ TEST(ParallelLfpTest, MagicSetsParallel) {
   auto tb = MakeTreeTestbed(/*depth=*/6);
   std::string root = workload::TreeNodeName(0, 0);
   for (lfp::LfpStrategy strategy :
-       {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNative,
-        lfp::LfpStrategy::kNativeTc}) {
+       {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNativeTc}) {
     ExpectParallelMatchesSerial(tb.get(), "ancestor('" + root + "', W)",
                                 QueryOptions::Magic().WithStrategy(strategy));
     ExpectParallelMatchesSerial(

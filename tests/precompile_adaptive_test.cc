@@ -165,7 +165,6 @@ TEST(QueryFormTest, OneFormServesManyConstants) {
   const std::pair<const char*, lfp::LfpStrategy> strategies[] = {
       {"naive", lfp::LfpStrategy::kNaive},
       {"seminaive", lfp::LfpStrategy::kSemiNaive},
-      {"native", lfp::LfpStrategy::kNative},
       {"native-tc", lfp::LfpStrategy::kNativeTc}};
   for (const auto& [name, strategy] : strategies) {
     configs.push_back({std::string(name) + "/plain",
@@ -369,7 +368,6 @@ TEST(ProgramInstanceTest, ReusedFormAnswersLikeAFreshCompile) {
   const std::pair<const char*, lfp::LfpStrategy> strategies[] = {
       {"naive", lfp::LfpStrategy::kNaive},
       {"seminaive", lfp::LfpStrategy::kSemiNaive},
-      {"native", lfp::LfpStrategy::kNative},
       {"native-tc", lfp::LfpStrategy::kNativeTc}};
   const std::pair<const char*, QueryOptions> rewrites[] = {
       {"plain", QueryOptions::SemiNaive()},
@@ -399,8 +397,8 @@ TEST(ProgramInstanceTest, ReusedFormAnswersLikeAFreshCompile) {
 
 TEST(ProgramInstanceTest, WarmHitPlansAndBuildsNothing) {
   for (lfp::LfpStrategy strategy :
-       {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNative,
-        lfp::LfpStrategy::kNativeTc, lfp::LfpStrategy::kNaive}) {
+       {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNativeTc,
+        lfp::LfpStrategy::kNaive}) {
     SCOPED_TRACE(lfp::StrategyName(strategy));
     std::unique_ptr<Testbed> tb = MakeFamily();
     const QueryOptions opts =

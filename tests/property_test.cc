@@ -121,7 +121,7 @@ TEST_P(DifferentialTest, AllEvaluatorsAgree) {
     bool supplementary;
   };
   for (auto strategy : {LfpStrategy::kSemiNaive, LfpStrategy::kNaive,
-                        LfpStrategy::kNative, LfpStrategy::kNativeTc}) {
+                        LfpStrategy::kNativeTc}) {
     for (Config config :
          {Config{false, false}, Config{true, false}, Config{true, true}}) {
       testbed::QueryOptions opts =

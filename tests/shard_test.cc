@@ -25,8 +25,9 @@
 namespace dkb {
 namespace {
 
-/// The paper's strategy axes plus the cache and parallel-LFP extensions —
-/// the same matrix the transport oracle runs.
+/// The paper's strategy axes plus the cache and parallel-LFP extensions and
+/// the transitive-closure operator, which appends to possibly-sharded IDB
+/// relations itself — the same matrix the transport oracle runs.
 std::vector<std::pair<std::string, testbed::QueryOptions>> OptionMatrix() {
   using testbed::QueryOptions;
   return {
@@ -36,6 +37,8 @@ std::vector<std::pair<std::string, testbed::QueryOptions>> OptionMatrix() {
       {"supplementary", QueryOptions::SupplementaryMagic()},
       {"cached", QueryOptions::SemiNaive().WithCache()},
       {"parallel4", QueryOptions::SemiNaive().WithParallelism(4)},
+      {"tc",
+       QueryOptions::SemiNaive().WithStrategy(lfp::LfpStrategy::kNativeTc)},
   };
 }
 

@@ -122,6 +122,15 @@ TEST(TableTest, ClearedTableRefillsPastItsSlots) {
   EXPECT_EQ(count, second);
 }
 
+// The object itself counts: its inline directory makes an empty table
+// several KB, which sys.shards and idle program instances report.
+TEST(TableTest, ApproxBytesCountsTheTableItself) {
+  Table t("parent", TwoColSchema());
+  EXPECT_GE(t.ApproxBytes(), sizeof(Table));
+  ASSERT_TRUE(t.Insert(Row("a", "b")).ok());
+  EXPECT_GT(t.ApproxBytes(), sizeof(Table));
+}
+
 TEST(TableTest, IndexMaintainedOnInsertAndDelete) {
   Table t("parent", TwoColSchema());
   ASSERT_TRUE(

@@ -149,7 +149,7 @@ TEST(SupplementaryTest, AllStrategiesAgreeOnAncestor) {
   std::set<std::string> reference;
   for (auto strategy :
        {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNaive,
-        lfp::LfpStrategy::kNative}) {
+        lfp::LfpStrategy::kNativeTc}) {
     sup.WithStrategy(strategy);
     auto outcome = tb->Query("?- ancestor('t0_1', W).", sup);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();

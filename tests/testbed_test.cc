@@ -97,12 +97,12 @@ TEST_F(TestbedTest, StrategiesAgreeOnTree) {
 
   QueryOptions semi = QueryOptions::SemiNaive();
   QueryOptions naive = QueryOptions::Naive();
-  QueryOptions native =
-      QueryOptions::SemiNaive().WithStrategy(LfpStrategy::kNative);
+  QueryOptions tc =
+      QueryOptions::SemiNaive().WithStrategy(LfpStrategy::kNativeTc);
 
   QueryResult a = Query("?- ancestor('t0_0', W).", semi);
   QueryResult b = Query("?- ancestor('t0_0', W).", naive);
-  QueryResult c = Query("?- ancestor('t0_0', W).", native);
+  QueryResult c = Query("?- ancestor('t0_0', W).", tc);
   EXPECT_EQ(a.rows.size(), 62u);  // all descendants of the root
   EXPECT_EQ(AnswerSet(a), AnswerSet(b));
   EXPECT_EQ(AnswerSet(a), AnswerSet(c));
@@ -117,7 +117,7 @@ TEST_F(TestbedTest, MagicAgreesWithUnoptimized) {
   ASSERT_TRUE(tb_->AddFacts("parent", tree.ToTuples()).ok());
 
   for (auto strategy : {LfpStrategy::kSemiNaive, LfpStrategy::kNaive,
-                        LfpStrategy::kNative}) {
+                        LfpStrategy::kNativeTc}) {
     QueryOptions plain = QueryOptions::SemiNaive().WithStrategy(strategy);
     QueryOptions magic = QueryOptions::Magic().WithStrategy(strategy);
     // Query rooted at an interior node: magic restricts to the subtree.
@@ -193,7 +193,7 @@ TEST_F(TestbedTest, NonLinearAncestorAgreesWithLinear) {
           .ok());
   ASSERT_TRUE(tb_->AddFacts("parent", data.ToTuples()).ok());
   for (auto strategy :
-       {LfpStrategy::kSemiNaive, LfpStrategy::kNaive, LfpStrategy::kNative}) {
+       {LfpStrategy::kSemiNaive, LfpStrategy::kNaive, LfpStrategy::kNativeTc}) {
     QueryOptions opts = QueryOptions::SemiNaive().WithStrategy(strategy);
     QueryResult linear = Query("?- ancestor('l0_0', W).", opts);
     QueryResult quad = Query("?- anc2('l0_0', W).", opts);
@@ -207,7 +207,7 @@ TEST_F(TestbedTest, CyclicDataTerminates) {
   Consult(workload::AncestorRules() +
           "parent(a, b).\nparent(b, c).\nparent(c, a).\n");
   for (auto strategy :
-       {LfpStrategy::kSemiNaive, LfpStrategy::kNaive, LfpStrategy::kNative}) {
+       {LfpStrategy::kSemiNaive, LfpStrategy::kNaive, LfpStrategy::kNativeTc}) {
     QueryOptions opts = QueryOptions::SemiNaive().WithStrategy(strategy);
     QueryResult r = Query("?- ancestor(a, W).", opts);
     EXPECT_EQ(AnswerSet(r), (std::set<std::string>{"a|", "b|", "c|"}));
@@ -273,8 +273,7 @@ TEST_F(TestbedTest, ConsultRejectsQueries) {
 }
 
 constexpr LfpStrategy kAllStrategies[] = {
-    LfpStrategy::kNaive, LfpStrategy::kSemiNaive, LfpStrategy::kNative,
-    LfpStrategy::kNativeTc};
+    LfpStrategy::kNaive, LfpStrategy::kSemiNaive, LfpStrategy::kNativeTc};
 
 TEST_F(TestbedTest, RepeatedQueriesDoNotLeakTables) {
   Consult(workload::AncestorRules() + "parent(a, b).\nparent(b, c).\n");

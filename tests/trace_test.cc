@@ -244,7 +244,7 @@ TEST(QueryTraceTest, ParallelLfpTraceIsDeterministicProgramOrder) {
 
   for (lfp::LfpStrategy strategy :
        {lfp::LfpStrategy::kSemiNaive, lfp::LfpStrategy::kNaive,
-        lfp::LfpStrategy::kNative, lfp::LfpStrategy::kNativeTc}) {
+        lfp::LfpStrategy::kNativeTc}) {
     SCOPED_TRACE(lfp::StrategyName(strategy));
     const QueryOptions base = QueryOptions::SemiNaive().WithStrategy(strategy);
     auto serial = tb->Query("all(X, Y)", QueryOptions(base).WithTrace());

@@ -66,7 +66,7 @@ int Usage() {
       << "                   [--query GOAL]... [--plan] [--metrics]\n"
       << "                   [--sys VIEW]...  (dump sys.* views afterwards)\n"
       << "                   [--magic] [--supplementary] [--adaptive]\n"
-      << "                   [--strategy naive|semi-naive|native|native-tc]\n"
+      << "                   [--strategy naive|semi-naive|native-tc]\n"
       << "                   [--parallelism N]\n"
       << "                   [--connect host:port]  (run against dkb_server)\n"
       << "                   <program.dkb>\n";
@@ -150,8 +150,6 @@ bool ResolveStrategy(const std::string& name, dkb::lfp::LfpStrategy* out) {
     *out = dkb::lfp::LfpStrategy::kNaive;
   } else if (name == "semi-naive") {
     *out = dkb::lfp::LfpStrategy::kSemiNaive;
-  } else if (name == "native") {
-    *out = dkb::lfp::LfpStrategy::kNative;
   } else if (name == "native-tc") {
     *out = dkb::lfp::LfpStrategy::kNativeTc;
   } else {
