@@ -24,7 +24,8 @@ void RunCase(int r_ws, Table* table) {
   }
   auto stats = Unwrap(fx.tb->UpdateStoredDkb(), "UpdateStoredDkb");
   double total = static_cast<double>(std::max<int64_t>(1, stats.total_us()));
-  table->Row({r_ws, kRs, stats.closure_edges, stats.t_extract_us / total,
+  table->Row({r_ws, kRs, stats.closure_edges, stats.composite_rules,
+              stats.affected_preds, stats.t_extract_us / total,
               stats.t_tc_us / total, stats.t_typecheck_us / total,
               stats.t_dict_us / total, stats.t_store_us / total,
               stats.total_us()});
@@ -40,6 +41,7 @@ void Table8UpdateBreakdown(Report* report) {
                  "source form is a small share");
 
   Table table({Count("R_ws"), Count("R_s"), Count("closure_edges"),
+               Count("composite_rules"), Count("affected_preds"),
                Percent("extract"), Percent("tc"), Percent("typecheck"),
                Percent("dict"), Percent("store"), Micros("total")});
   RunCase(SmokeSize(36, 6), &table);

@@ -78,10 +78,7 @@ Status StoredDkb::RestoreFromDatabase() {
 
 Status StoredDkb::DefineBasePredicate(const std::string& pred,
                                       const PredicateTypes& types) {
-  if (HasBasePredicate(pred)) {
-    return Status::AlreadyExists("base predicate " + pred +
-                                 " already defined");
-  }
+  DKB_RETURN_IF_ERROR(CheckNewBasePredicate(pred));
   std::string ddl = "CREATE TABLE " + EdbTableName(pred) + " (";
   for (size_t i = 0; i < types.size(); ++i) {
     if (i > 0) ddl += ", ";
@@ -118,9 +115,7 @@ bool StoredDkb::HasBasePredicate(const std::string& pred) const {
 
 Status StoredDkb::InsertFacts(const std::string& pred,
                               const std::vector<Tuple>& tuples) {
-  if (!HasBasePredicate(pred)) {
-    return Status::NotFound("base predicate " + pred + " is not defined");
-  }
+  DKB_RETURN_IF_ERROR(CheckFacts(pred, tuples));
   DKB_ASSIGN_OR_RETURN(ScanSource * table,
                        db_->catalog().GetSource(EdbTableName(pred)));
   RowBatch batch;
@@ -136,30 +131,44 @@ Status StoredDkb::InsertFacts(const std::string& pred,
   return Status::OK();
 }
 
-Status StoredDkb::CheckFactTypes(const std::string& pred,
-                                 const PredicateTypes& types) const {
+Status StoredDkb::CheckFacts(const std::string& pred,
+                             const std::vector<Tuple>& tuples) const {
   if (!HasBasePredicate(pred)) {
-    if (db_->catalog().HasTable(EdbTableName(pred))) {
-      return Status::AlreadyExists("table " + EdbTableName(pred) +
-                                   " already exists");
-    }
-    return Status::OK();
+    return Status::NotFound("base predicate " + pred + " is not defined");
   }
   DKB_ASSIGN_OR_RETURN(ScanSource * table,
                        db_->catalog().GetSource(EdbTableName(pred)));
   const Schema& schema = table->schema();
-  if (types.size() != schema.num_columns()) {
-    return Status::InvalidArgument(
-        "facts for " + pred + " have arity " + std::to_string(types.size()) +
-        ", base predicate arity " + std::to_string(schema.num_columns()));
-  }
-  for (size_t i = 0; i < types.size(); ++i) {
-    if (types[i] != schema.column(i).type) {
-      return Status::TypeError("column " + schema.column(i).name + " of " +
-                               table->name() + " expects " +
-                               DataTypeName(schema.column(i).type) +
-                               " but got " + DataTypeName(types[i]));
+  for (size_t r = 0; r < tuples.size(); ++r) {
+    const Tuple& row = tuples[r];
+    if (row.size() != schema.num_columns()) {
+      return Status::InvalidArgument(
+          "fact " + std::to_string(r + 1) + " for " + pred + " has arity " +
+          std::to_string(row.size()) + ", base predicate arity " +
+          std::to_string(schema.num_columns()));
     }
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (row[i].is_null() || row[i].type() == schema.column(i).type) {
+        continue;
+      }
+      return Status::TypeError(
+          "fact " + std::to_string(r + 1) + " for " + pred + ": column " +
+          schema.column(i).name + " of " + table->name() + " expects " +
+          DataTypeName(schema.column(i).type) + " but got " +
+          DataTypeName(row[i].type()));
+    }
+  }
+  return Status::OK();
+}
+
+Status StoredDkb::CheckNewBasePredicate(const std::string& pred) const {
+  if (HasBasePredicate(pred)) {
+    return Status::AlreadyExists("base predicate " + pred +
+                                 " already defined");
+  }
+  if (db_->catalog().HasTable(EdbTableName(pred))) {
+    return Status::AlreadyExists("table " + EdbTableName(pred) +
+                                 " already exists");
   }
   return Status::OK();
 }
@@ -297,42 +306,8 @@ Result<bool> StoredDkb::StoreRuleSource(const datalog::Rule& rule) {
   return true;
 }
 
-Result<std::vector<datalog::Rule>> StoredDkb::AllStoredRules() {
-  DKB_ASSIGN_OR_RETURN(
-      std::vector<Tuple> rows,
-      db_->QueryRows("SELECT ruletext FROM rulesource ORDER BY 1"));
-  std::vector<datalog::Rule> rules;
-  rules.reserve(rows.size());
-  for (const Tuple& row : rows) {
-    DKB_ASSIGN_OR_RETURN(datalog::Rule rule,
-                         datalog::ParseRule(row[0].as_string()));
-    rules.push_back(std::move(rule));
-  }
-  return rules;
-}
-
 Result<int64_t> StoredDkb::NumStoredRules() {
   return db_->QueryCount("SELECT COUNT(*) FROM rulesource");
-}
-
-Status StoredDkb::UpsertIdbDictionary(const std::string& pred,
-                                      const PredicateTypes& types) {
-  std::string lit = Value(pred).ToSqlLiteral();
-  DKB_RETURN_IF_ERROR(
-      db_->Execute("DELETE FROM idbrel WHERE predname = " + lit).status());
-  DKB_RETURN_IF_ERROR(
-      db_->Execute("DELETE FROM idbcol WHERE predname = " + lit).status());
-  DKB_RETURN_IF_ERROR(db_->Execute("INSERT INTO idbrel VALUES (" + lit +
-                                   ", " + std::to_string(types.size()) + ")")
-                          .status());
-  if (types.empty()) return Status::OK();
-  std::string sql = "INSERT INTO idbcol VALUES ";
-  for (size_t i = 0; i < types.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += "(" + lit + ", " + std::to_string(i) + ", '" +
-           TypeToDict(types[i]) + "')";
-  }
-  return db_->Execute(sql).status();
 }
 
 Status StoredDkb::UpsertIdbDictionaryBatch(
@@ -401,51 +376,6 @@ Status StoredDkb::MergeReachableBatch(
   }
   if (first) return Status::OK();  // nothing new
   return db_->Execute(sql).status();
-}
-
-namespace {
-
-/// Multi-row INSERT for reachablepreds pairs (one statement per call).
-std::string ReachableInsertSql(const std::string& from_literal,
-                               const std::set<std::string>& to) {
-  std::string sql = "INSERT INTO reachablepreds VALUES ";
-  bool first = true;
-  for (const std::string& t : to) {
-    if (!first) sql += ", ";
-    first = false;
-    sql += "(" + from_literal + ", " + Value(t).ToSqlLiteral() + ")";
-  }
-  return sql;
-}
-
-}  // namespace
-
-Status StoredDkb::ReplaceReachable(const std::string& from,
-                                   const std::set<std::string>& to) {
-  std::string lit = Value(from).ToSqlLiteral();
-  DKB_RETURN_IF_ERROR(
-      db_->Execute("DELETE FROM reachablepreds WHERE frompredname = " + lit)
-          .status());
-  if (to.empty()) return Status::OK();
-  return db_->Execute(ReachableInsertSql(lit, to)).status();
-}
-
-Status StoredDkb::MergeReachable(const std::string& from,
-                                 const std::set<std::string>& to) {
-  std::string lit = Value(from).ToSqlLiteral();
-  DKB_ASSIGN_OR_RETURN(
-      std::vector<Tuple> rows,
-      db_->QueryRows(
-          "SELECT topredname FROM reachablepreds WHERE frompredname = " +
-          lit));
-  std::set<std::string> existing;
-  for (const Tuple& row : rows) existing.insert(row[0].as_string());
-  std::set<std::string> missing;
-  for (const std::string& t : to) {
-    if (existing.count(t) == 0) missing.insert(t);
-  }
-  if (missing.empty()) return Status::OK();
-  return db_->Execute(ReachableInsertSql(lit, missing)).status();
 }
 
 Result<std::set<std::string>> StoredDkb::StoredUpstream(

@@ -71,17 +71,21 @@ class StoredDkb {
   /// True if `pred` is a registered base predicate.
   bool HasBasePredicate(const std::string& pred) const;
 
-  /// Bulk-loads facts through the embedded interface (validated inserts).
+  /// Bulk-loads facts through the embedded interface. The facts are checked
+  /// with CheckFacts first, so they apply whole or not at all.
   Status InsertFacts(const std::string& pred,
                      const std::vector<Tuple>& tuples);
 
-  /// The checks DefineBasePredicate and InsertFacts make for facts of `pred`
-  /// with `types`, ahead of any write: AlreadyExists if `pred` is no base
-  /// predicate but its relation's name is taken, InvalidArgument or
-  /// TypeError if `pred` is a base predicate whose relation does not take
-  /// them, else OK.
-  Status CheckFactTypes(const std::string& pred,
-                        const PredicateTypes& types) const;
+  /// The checks InsertFacts makes ahead of any write: NotFound if `pred` is
+  /// no base predicate, InvalidArgument if a row's arity differs from the
+  /// predicate's, TypeError if a non-NULL value's type differs from its
+  /// column's, else OK.
+  Status CheckFacts(const std::string& pred,
+                    const std::vector<Tuple>& tuples) const;
+
+  /// The check DefineBasePredicate makes ahead of any write: AlreadyExists
+  /// if `pred` is a base predicate or its relation's name is taken, else OK.
+  Status CheckNewBasePredicate(const std::string& pred) const;
 
   /// Deletes all facts of `pred` (relation and dictionary entry remain).
   Status ClearFacts(const std::string& pred);
@@ -111,35 +115,18 @@ class StoredDkb {
   /// duplicates). Returns true if stored, false if it already existed.
   Result<bool> StoreRuleSource(const datalog::Rule& rule);
 
-  /// All stored rules (diagnostics / tests).
-  Result<std::vector<datalog::Rule>> AllStoredRules();
-
   Result<int64_t> NumStoredRules();
 
-  /// Registers/updates the IDB dictionary entry for a derived predicate.
-  Status UpsertIdbDictionary(const std::string& pred,
-                             const PredicateTypes& types);
-
-  /// Batched form: replaces the dictionary entries of all `preds` with four
-  /// statements total (the update processor maintains dozens of predicates
-  /// per commit).
+  /// Replaces the IDB dictionary entries of all `preds` with four
+  /// statements total.
   Status UpsertIdbDictionaryBatch(
       const std::map<std::string, PredicateTypes>& preds);
 
-  /// Batched reachability merge: one lookup plus one multi-row insert for
-  /// all (from -> to-set) pairs.
+  /// Adds the reachablepreds rows (from, to) not already recorded, with one
+  /// lookup plus one multi-row insert. Rule storage is add-only, so
+  /// reachability grows monotonically and merging is sufficient.
   Status MergeReachableBatch(
       const std::map<std::string, std::set<std::string>>& pairs);
-
-  /// Replaces the reachablepreds rows with frompredname == `from`.
-  Status ReplaceReachable(const std::string& from,
-                          const std::set<std::string>& to);
-
-  /// Adds reachablepreds rows (from, t) for every t in `to` that is not
-  /// already recorded. Rule storage is add-only in the testbed, so
-  /// reachability grows monotonically and merging is sufficient.
-  Status MergeReachable(const std::string& from,
-                        const std::set<std::string>& to);
 
   /// Predicates reachable from `preds` according to reachablepreds.
   Result<std::set<std::string>> StoredReachable(
@@ -155,8 +142,6 @@ class StoredDkb {
       const std::set<std::string>& preds);
 
  private:
-  static std::string InListSql(const std::set<std::string>& values);
-
   Database* db_;
   Options options_;
   int64_t next_rule_id_ = 1;

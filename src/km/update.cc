@@ -30,10 +30,13 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
     return stats;
   }
 
-  // Step 1 (t_extract): gather the portion of the stored DKB affected by
-  // the update — the rules reachable *from* the update's predicates
-  // (downstream) plus the rules of predicates that can reach them
-  // (upstream; their reachability grows too).
+  // Step 1 (t_extract): gather the portion of the stored DKB the update
+  // touches. The stored rules downstream of the update's predicates close
+  // the composite PCG; the stored rules of the predicates that reach an
+  // updated head (its upstream) are the other rules whose reachability and
+  // types can change. The heads and their upstream are the affected
+  // predicates. A predicate that reaches only a body predicate gains
+  // nothing, because nothing below that body predicate changed.
   std::vector<datalog::Rule> composite = idb_new;
   auto merge_rules = [&composite](std::vector<datalog::Rule> more) {
     for (datalog::Rule& rule : more) {
@@ -43,10 +46,12 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
       }
     }
   };
+  std::set<std::string> affected;
   {
     ScopedAccumulator acc(&ns.extract);
     std::set<std::string> update_preds;
     for (const datalog::Rule& rule : idb_new) {
+      affected.insert(rule.head.predicate);
       update_preds.insert(rule.head.predicate);
       for (const datalog::Atom& atom : rule.body) {
         update_preds.insert(atom.predicate);
@@ -56,12 +61,14 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
                          stored_->ExtractRelevantRules(update_preds));
     merge_rules(std::move(downstream));
     DKB_ASSIGN_OR_RETURN(std::set<std::string> upstream,
-                         stored_->StoredUpstream(update_preds));
+                         stored_->StoredUpstream(affected));
     DKB_ASSIGN_OR_RETURN(std::vector<datalog::Rule> upstream_rules,
                          stored_->RulesForHeads(upstream));
     merge_rules(std::move(upstream_rules));
+    affected.insert(upstream.begin(), upstream.end());
   }
   stats.composite_rules = static_cast<int64_t>(composite.size());
+  stats.affected_preds = static_cast<int64_t>(affected.size());
 
   // Steps 2-3 (t_tc): transitive closure of the *composite* PCG only —
   // this is the incremental-maintenance saving the paper measures.
@@ -110,15 +117,20 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
     DKB_ASSIGN_OR_RETURN(types, TypeCheck(composite, known_types));
   }
 
-  // Steps 5-6 (t_dict): dictionary + compiled-form maintenance. Rule
-  // storage is add-only, so reachability is merged monotonically.
+  // Steps 5-6 (t_dict): dictionary + compiled-form maintenance of the
+  // affected predicates. The other composite heads keep their types and
+  // reachability. Rule storage is add-only, so reachability is merged
+  // monotonically.
   {
     ScopedAccumulator acc(&ns.dict);
-    DKB_RETURN_IF_ERROR(
-        stored_->UpsertIdbDictionaryBatch(types.derived_types));
+    std::map<std::string, PredicateTypes> affected_types;
+    for (const auto& [pred, sig] : types.derived_types) {
+      if (affected.count(pred) > 0) affected_types.emplace(pred, sig);
+    }
+    DKB_RETURN_IF_ERROR(stored_->UpsertIdbDictionaryBatch(affected_types));
     std::map<std::string, std::set<std::string>> by_from;
     for (const auto& [from, to] : closure) {
-      if (heads.count(from) > 0) by_from[from].insert(to);
+      if (affected.count(from) > 0) by_from[from].insert(to);
     }
     DKB_RETURN_IF_ERROR(stored_->MergeReachableBatch(by_from));
   }

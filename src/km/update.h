@@ -20,6 +20,7 @@ struct UpdateStats {
   int64_t rules_stored = 0;    // new rulesource rows
   int64_t closure_edges = 0;   // |TC| of the composite PCG (the paper's R_c)
   int64_t composite_rules = 0;
+  int64_t affected_preds = 0;  // predicates whose dictionary rows it wrote
 
   int64_t total_us() const {
     return t_extract_us + t_tc_us + t_typecheck_us + t_dict_us + t_store_us;
@@ -31,8 +32,12 @@ struct UpdateStats {
 /// structures.
 ///
 /// With compiled_rule_storage enabled, the transitive closure is recomputed
-/// only over the *composite* PCG (workspace rules plus the stored rules
-/// relevant to them) — not over the whole stored rule base. Without it,
+/// only over the *composite* PCG — the workspace rules, the stored rules
+/// downstream of their predicates, and the stored rules of the predicates
+/// upstream of the updated heads — not over the whole stored rule base.
+/// Only the *affected* predicates (the updated heads and their stored
+/// upstream) can gain reachable predicates or a type, so only their
+/// dictionary and reachability rows are written. Without compiled storage,
 /// only the source form is stored (the fast-update configuration of
 /// Fig 15).
 class UpdateProcessor {

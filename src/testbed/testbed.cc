@@ -482,8 +482,10 @@ Status Testbed::Consult(const std::string& program_text) {
     WriterLock lock(mu_);
     // A consult applies whole or not at all, and the WAL logs only what
     // applies: the facts must fit the base predicates they extend.
-    for (const auto& [pred, sig] : types) {
-      DKB_RETURN_IF_ERROR(stored_->CheckFactTypes(pred, sig));
+    for (const auto& [pred, rows] : facts) {
+      DKB_RETURN_IF_ERROR(stored_->HasBasePredicate(pred)
+                              ? stored_->CheckFacts(pred, rows)
+                              : stored_->CheckNewBasePredicate(pred));
     }
     EpochBump bump([this]() { BumpEpoch(); });
     DKB_ASSIGN_OR_RETURN(lsn,
@@ -574,6 +576,8 @@ Status Testbed::AddFacts(const std::string& pred,
   Status applied;
   {
     WriterLock lock(mu_);
+    // The WAL logs only what applies: every row must fit the predicate.
+    DKB_RETURN_IF_ERROR(stored_->CheckFacts(pred, rows));
     EpochBump bump([this]() { BumpEpoch(/*programs_may_change=*/false); });
     DKB_ASSIGN_OR_RETURN(
         lsn, LogWal(WalRecordKind::kAddFacts, AddFactsPayload(pred, rows)));

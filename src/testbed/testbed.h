@@ -82,7 +82,10 @@ class Testbed {
   Status DefineBase(const std::string& pred,
                     const km::PredicateTypes& types) DKB_EXCLUDES(mu_);
 
-  /// Bulk-loads facts for a base predicate.
+  /// Bulk-loads facts for a base predicate. The rows apply whole or not at
+  /// all: an undefined predicate, a row of another arity or a value of
+  /// another type (NULL fits any column) is rejected before the WAL record
+  /// is written.
   Status AddFacts(const std::string& pred, const std::vector<Tuple>& rows)
       DKB_EXCLUDES(mu_);
 

@@ -634,6 +634,46 @@ TEST_F(NetServerTest, OversizedFrameGetsErrorFrameThenClose) {
   EXPECT_TRUE(conn.ReadUntilEof());
 }
 
+// A remote AddFacts with a short row, a long row, a value of the wrong type
+// at row 5,001 or an unknown predicate gets an error reply, stores none of
+// its rows, and the connection keeps serving.
+TEST_F(NetServerTest, RejectedAddFactsKeepsConnectionServing) {
+  auto client = Connect();
+  ASSERT_TRUE(
+      client->DefineBase("p", {DataType::kVarchar, DataType::kVarchar}).ok());
+  struct Case {
+    std::string name;
+    std::string pred;
+    Tuple bad;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"short_row", "p", {Value("x")}, StatusCode::kInvalidArgument},
+      {"long_row", "p", {Value("x"), Value("y"), Value("z")},
+       StatusCode::kInvalidArgument},
+      {"bad_type", "p", {Value("x"), Value(int64_t{7})},
+       StatusCode::kTypeError},
+      {"unknown_pred", "nope", {Value("x"), Value("y")},
+       StatusCode::kNotFound}};
+  int64_t stored = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<Tuple> rows;
+    for (int i = 0; i < 5000; ++i) {
+      rows.push_back({Value("r" + std::to_string(i)), Value("s")});
+    }
+    rows.push_back(c.bad);
+    Status rejected = client->AddFacts(c.pred, rows);
+    EXPECT_EQ(rejected.code(), c.code) << rejected.ToString();
+    ASSERT_TRUE(client->AddFacts("p", {{Value(c.name), Value("ok")}}).ok());
+    ++stored;
+    auto count = client->ExecuteSql("SELECT COUNT(*) FROM edb_p");
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    ASSERT_EQ(count->rows.size(), 1u);
+    EXPECT_EQ(count->rows[0][0].as_int(), stored);
+  }
+}
+
 TEST_F(NetServerTest, RemoteClientFullSurface) {
   auto client = Connect();
   ASSERT_TRUE(client->Consult("anc(X,Y) :- par(X,Y).\n"

@@ -253,8 +253,8 @@ TEST(RecoveryTest, UserTablesOfLfpNamesSurviveQueriesAndRecovery) {
   }
 }
 
-/// What a rejected consult must leave alone: the workspace rules, the rows
-/// of edb_p and sys.wal's last_lsn.
+/// What a rejected consult or fact load must leave alone: the workspace
+/// rules, the rows of edb_p and sys.wal's last_lsn.
 std::vector<std::set<std::string>> ConsultState(Testbed* tb) {
   std::vector<std::string> rules = tb->ListRuleTexts();
   return {std::set<std::string>(rules.begin(), rules.end()),
@@ -295,6 +295,56 @@ TEST(RecoveryTest, RejectedConsultAppliesAndLogsNothing) {
       }
       live = ConsultState(tb->get());
       Status rejected = (*tb)->Consult(c.rejected);
+      EXPECT_EQ(rejected.code(), c.code) << rejected.ToString();
+      EXPECT_EQ(ConsultState(tb->get()), live);
+    }
+    auto recovered = Testbed::Create(TestbedOptions{}.WithWalDir(dir));
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(ConsultState(recovered->get()), live);
+  }
+}
+
+/// 5,000 rows that fit p(VARCHAR, VARCHAR), then `bad`: the bad row lands in
+/// the fifth 1,024-row batch.
+std::vector<Tuple> RowsEndingIn(Tuple bad) {
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 5000; ++i) {
+    rows.push_back({Value("r" + std::to_string(i)), Value("s")});
+  }
+  rows.push_back(std::move(bad));
+  return rows;
+}
+
+// AddFacts applies whole or not at all, and logs only what applies: a short
+// row, a long row, a value of the wrong type at row 5,001 and an unknown
+// predicate are each rejected before the WAL record is written, so none of
+// the 5,000 good rows before them is stored, live or after recovery.
+TEST(RecoveryTest, RejectedAddFactsAppliesAndLogsNothing) {
+  struct Case {
+    std::string name;
+    std::string pred;
+    Tuple bad;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"short_row", "p", {Value("x")}, StatusCode::kInvalidArgument},
+      {"long_row", "p", {Value("x"), Value("y"), Value("z")},
+       StatusCode::kInvalidArgument},
+      {"bad_type", "p", {Value("x"), Value(int64_t{7})},
+       StatusCode::kTypeError},
+      {"unknown_pred", "nope", {Value("x"), Value("y")},
+       StatusCode::kNotFound}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string dir = FreshDir("recovery_rejected_facts_" + c.name);
+    std::vector<std::set<std::string>> live;
+    {
+      auto tb = Testbed::Create(TestbedOptions{}.WithWalDir(dir));
+      ASSERT_TRUE(tb.ok()) << tb.status().ToString();
+      ASSERT_TRUE((*tb)->Consult("s(X) :- p(X, Y).\np(a, b).\n").ok());
+      ASSERT_TRUE((*tb)->AddFacts("p", {{Value("c"), Value()}}).ok());
+      live = ConsultState(tb->get());
+      Status rejected = (*tb)->AddFacts(c.pred, RowsEndingIn(c.bad));
       EXPECT_EQ(rejected.code(), c.code) << rejected.ToString();
       EXPECT_EQ(ConsultState(tb->get()), live);
     }

@@ -226,8 +226,15 @@ TEST_F(StoredDkbTest, IncrementalUpdateExtendsUpstreamReachability) {
   // First commit: s depends on p; w is an unrelated branch under s.
   Commit({"s(X,Y) :- p(X,Y).", "s(X,Y) :- w(X,Y).", "p(X,Y) :- e(X,Y).",
           "w(X,Y) :- e(X,Y)."});
-  // Second commit adds a new rule giving p a new dependency on q.
-  Commit({"p(X,Y) :- q(X,Y).", "q(X,Y) :- g(X,Y)."});
+  // Second commit adds a new rule giving p a new dependency on q. Only the
+  // heads p and q and p's stored upstream s are affected; w is not.
+  Workspace ws;
+  ASSERT_TRUE(ws.AddRule(R("p(X,Y) :- q(X,Y).")).ok());
+  ASSERT_TRUE(ws.AddRule(R("q(X,Y) :- g(X,Y).")).ok());
+  UpdateProcessor proc(stored_.get());
+  auto stats = proc.Update(ws);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->affected_preds, 3);
   auto reach = stored_->StoredReachable({"s"});
   ASSERT_TRUE(reach.ok());
   // s must now reach q and g (through p) while keeping w and e.
@@ -250,7 +257,38 @@ TEST_F(StoredDkbTest, UpdateStatsBreakdownPopulated) {
   EXPECT_EQ(stats->rules_stored, 2);
   EXPECT_EQ(stats->composite_rules, 2);
   EXPECT_EQ(stats->closure_edges, 3);  // a->b, a->e, b->e
+  EXPECT_EQ(stats->affected_preds, 2);
   EXPECT_GE(stats->total_us(), 0);
+}
+
+// The k-th rule update of the write_mix workload's shape hangs a fresh head
+// off a stored closure. Every earlier wr<j> reaches only the body predicates
+// wanc and wpar, so it gains nothing from the update: the composite is the
+// new rule plus wanc's two rules, and only the new head is written, however
+// many such rules are stored.
+TEST_F(StoredDkbTest, WriteMixUpdatesPayPerAffectedPredicate) {
+  Init();
+  ASSERT_TRUE(stored_
+                  ->DefineBasePredicate(
+                      "wpar", {DataType::kVarchar, DataType::kVarchar})
+                  .ok());
+  Commit({"wanc(X, Y) :- wpar(X, Y).",
+          "wanc(X, Y) :- wpar(X, Z), wanc(Z, Y)."});
+  UpdateProcessor proc(stored_.get());
+  for (int k = 1; k <= 200; ++k) {
+    SCOPED_TRACE("wr" + std::to_string(k));
+    Workspace ws;
+    ASSERT_TRUE(ws.AddRule(R("wr" + std::to_string(k) +
+                             "(X, Y) :- wanc(X, Z), wpar(Z, Y)."))
+                    .ok());
+    auto stats = proc.Update(ws);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(stats->rules_stored, 1);
+    ASSERT_EQ(stats->composite_rules, 3);
+    ASSERT_EQ(stats->closure_edges, 4);
+    ASSERT_EQ(stats->affected_preds, 1);
+  }
+  EXPECT_EQ(*stored_->NumStoredRules(), 202);
 }
 
 TEST_F(StoredDkbTest, UpdateWithUnknownBasePredicateFails) {
