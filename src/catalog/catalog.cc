@@ -122,29 +122,6 @@ Status Catalog::RegisterVirtualTable(const std::string& name, Schema schema,
   return Status::OK();
 }
 
-bool Catalog::HasVirtualTable(const std::string& name) const {
-  ReaderLock lock(mu_);
-  return virtuals_.count(Key(name)) > 0;
-}
-
-std::vector<std::string> Catalog::VirtualTableNames() const {
-  ReaderLock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(virtuals_.size());
-  for (const auto& [key, entry] : virtuals_) names.push_back(key);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-Result<Schema> Catalog::VirtualTableSchema(const std::string& name) const {
-  ReaderLock lock(mu_);
-  auto it = virtuals_.find(Key(name));
-  if (it == virtuals_.end()) {
-    return Status::NotFound("virtual table " + name + " does not exist");
-  }
-  return it->second.schema;
-}
-
 Result<ResolvedSource> Catalog::ResolveScanSource(
     const std::string& name) const {
   VirtualTableProvider provider;

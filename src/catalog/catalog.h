@@ -102,15 +102,6 @@ class Catalog {
                               VirtualTableProvider provider)
       DKB_EXCLUDES(mu_);
 
-  bool HasVirtualTable(const std::string& name) const DKB_EXCLUDES(mu_);
-
-  /// Registered virtual-table names, sorted.
-  std::vector<std::string> VirtualTableNames() const DKB_EXCLUDES(mu_);
-
-  /// Declared schema of a virtual table; NotFound if absent.
-  Result<Schema> VirtualTableSchema(const std::string& name) const
-      DKB_EXCLUDES(mu_);
-
   /// Resolves a FROM-list name: stored tables win, then virtual tables
   /// (whose provider runs here, materializing a fresh snapshot).
   Result<ResolvedSource> ResolveScanSource(const std::string& name) const

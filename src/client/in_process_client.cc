@@ -108,8 +108,7 @@ Result<UpdateStoredStats> InProcessClient::UpdateStoredDkb() {
 }
 
 Status InProcessClient::ClearWorkspace() {
-  testbed_->ClearWorkspace();
-  return Status::OK();
+  return testbed_->ClearWorkspace();
 }
 
 Result<std::vector<std::string>> InProcessClient::ListRules() {

@@ -183,40 +183,30 @@ Result<Frame> RemoteClient::Call(MsgType type, std::string_view payload,
   return frame;
 }
 
+Result<Frame> RemoteClient::Commit(const Mutation& m, MsgType expected) {
+  return Call(net::MutationRequest(m.kind), EncodeMutation(m), expected);
+}
+
 Status RemoteClient::Consult(const std::string& program_text) {
-  WireWriter w;
-  w.Str(program_text);
-  return Call(MsgType::kConsult, w.str(), MsgType::kOk).status();
+  return Commit({WalRecordKind::kConsult, program_text}).status();
 }
 
 Status RemoteClient::AddRule(const std::string& rule_text) {
-  WireWriter w;
-  w.Str(rule_text);
-  return Call(MsgType::kAddRule, w.str(), MsgType::kOk).status();
+  return Commit({WalRecordKind::kAddRule, rule_text}).status();
 }
 
 Status RemoteClient::RetractRule(const std::string& rule_text) {
-  WireWriter w;
-  w.Str(rule_text);
-  return Call(MsgType::kRetractRule, w.str(), MsgType::kOk).status();
+  return Commit({WalRecordKind::kRetractRule, rule_text}).status();
 }
 
 Status RemoteClient::DefineBase(const std::string& pred,
                                 const std::vector<DataType>& types) {
-  WireWriter w;
-  w.Str(pred);
-  w.U16(static_cast<uint16_t>(types.size()));
-  for (DataType type : types) w.U8(static_cast<uint8_t>(type));
-  return Call(MsgType::kDefineBase, w.str(), MsgType::kOk).status();
+  return Commit({WalRecordKind::kDefineBase, pred, types}).status();
 }
 
 Status RemoteClient::AddFacts(const std::string& pred,
                               const std::vector<Tuple>& rows) {
-  WireWriter w;
-  w.Str(pred);
-  w.U32(static_cast<uint32_t>(rows.size()));
-  for (const Tuple& row : rows) w.Row(row);
-  return Call(MsgType::kAddFacts, w.str(), MsgType::kOk).status();
+  return Commit({WalRecordKind::kAddFacts, pred, {}, rows}).status();
 }
 
 std::string RemoteClient::EncodeQueryPayload(
@@ -345,10 +335,9 @@ Result<std::vector<QueryResultSet>> RemoteClient::Execute(
 }
 
 Result<QueryResultSet> RemoteClient::ExecuteSql(const std::string& statement) {
-  WireWriter w;
-  w.Str(statement);
-  DKB_ASSIGN_OR_RETURN(Frame frame,
-                       Call(MsgType::kSql, w.str(), MsgType::kResultSets));
+  DKB_ASSIGN_OR_RETURN(
+      Frame frame,
+      Commit({WalRecordKind::kSql, statement}, MsgType::kResultSets));
   DKB_ASSIGN_OR_RETURN(std::vector<QueryResultSet> sets,
                        DecodeResultSets(frame));
   if (sets.size() != 1) {
@@ -359,8 +348,8 @@ Result<QueryResultSet> RemoteClient::ExecuteSql(const std::string& statement) {
 }
 
 Result<UpdateStoredStats> RemoteClient::UpdateStoredDkb() {
-  DKB_ASSIGN_OR_RETURN(Frame frame,
-                       Call(MsgType::kUpdateStored, "", MsgType::kUpdated));
+  DKB_ASSIGN_OR_RETURN(
+      Frame frame, Commit({WalRecordKind::kUpdateStored}, MsgType::kUpdated));
   WireReader r(frame.payload);
   UpdateStoredStats stats;
   if (!r.I64(&stats.rules_stored) || !r.I64(&stats.total_us) || !r.Done()) {
@@ -370,7 +359,7 @@ Result<UpdateStoredStats> RemoteClient::UpdateStoredDkb() {
 }
 
 Status RemoteClient::ClearWorkspace() {
-  return Call(MsgType::kClearWorkspace, "", MsgType::kOk).status();
+  return Commit({WalRecordKind::kClearWorkspace}).status();
 }
 
 Result<net::StatsReply> RemoteClient::FetchServerStats(uint8_t sections) {

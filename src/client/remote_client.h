@@ -104,6 +104,9 @@ class RemoteClient : public Client {
   /// SendFrame + ReceiveFrame + expected-type check.
   Result<net::Frame> Call(net::MsgType type, std::string_view payload,
                           net::MsgType expected);
+  /// Call with the mutation request of `m.kind` and m's encoding.
+  Result<net::Frame> Commit(const Mutation& m,
+                            net::MsgType expected = net::MsgType::kOk);
 
   /// Encodes a kQuery payload, stamping a fresh client-generated trace id
   /// and the sampling flag (on when the options ask for a trace) so the

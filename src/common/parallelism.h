@@ -10,9 +10,10 @@ namespace dkb {
 /// as the `threads == 0` fallback, and lfp::EvalOptions::parallelism
 /// carries the resolved lfp_parallelism into one ExecuteProgram call.
 ///
-/// One policy instance is process-wide (GlobalParallelismPolicy); queries
-/// may carry an override through testbed::QueryOptions::WithPolicy, which
-/// wins for the fields a query-level knob exists for (lfp_parallelism).
+/// One policy instance is process-wide (GlobalParallelismPolicy); a query
+/// may carry an override in testbed::QueryOptions::policy (set through
+/// WithParallelism), which wins for the fields a query-level knob exists
+/// for (lfp_parallelism).
 struct ParallelismPolicy {
   /// Worker threads in the global pool. 0 = auto: DKB_THREADS when set,
   /// otherwise hardware_concurrency - 1 (the caller participates too).
@@ -30,19 +31,6 @@ struct ParallelismPolicy {
   size_t hash_build_min_rows = 8192;
   /// Rows per scan morsel (grid-cell granularity within a shard).
   size_t morsel_rows = 4096;
-
-  ParallelismPolicy& WithThreads(int n) {
-    threads = n;
-    return *this;
-  }
-  ParallelismPolicy& WithLfpParallelism(int n) {
-    lfp_parallelism = n;
-    return *this;
-  }
-  ParallelismPolicy& WithMorselRows(size_t n) {
-    morsel_rows = n;
-    return *this;
-  }
 
   /// `threads` resolved against DKB_THREADS and the hardware: what the
   /// global pool is (or would be) sized to.

@@ -68,7 +68,6 @@ class RowBatch {
 
   /// Column accessors addressed by *physical* row index (for vectorized
   /// expression kernels that iterate a selection themselves).
-  const Value& AtPhysical(size_t row, size_t c) const { return cols_[c][row]; }
   const std::vector<Value>& column(size_t c) const { return cols_[c]; }
   std::vector<Value>& column(size_t c) { return cols_[c]; }
 
@@ -146,12 +145,6 @@ class RowBatch {
   /// Debug rendering: one line per visible row, values '|'-separated, with
   /// a physical/visible count header. Not for user-facing output.
   std::string ToString() const;
-
-  void Swap(RowBatch& other) {
-    cols_.swap(other.cols_);
-    sel_.swap(other.sel_);
-    std::swap(sel_active_, other.sel_active_);
-  }
 
  private:
   std::vector<std::vector<Value>> cols_;

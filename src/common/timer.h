@@ -28,11 +28,6 @@ class WallTimer {
         .count();
   }
 
-  /// Elapsed time in milliseconds (floating point).
-  double ElapsedMillis() const {
-    return static_cast<double>(ElapsedMicros()) / 1000.0;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -74,4 +74,10 @@ std::string Rule::ToString() const {
   return out;
 }
 
+std::set<std::string> HeadPredicates(const std::vector<Rule>& rules) {
+  std::set<std::string> out;
+  for (const Rule& rule : rules) out.insert(rule.head.predicate);
+  return out;
+}
+
 }  // namespace dkb::datalog

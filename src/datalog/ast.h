@@ -1,6 +1,7 @@
 #ifndef DKB_DATALOG_AST_H_
 #define DKB_DATALOG_AST_H_
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -111,6 +112,9 @@ struct Program {
   std::vector<Rule> facts;   // ground facts
   std::vector<Atom> queries;  // ?- goals
 };
+
+/// The head predicates of `rules`: the predicates they define.
+std::set<std::string> HeadPredicates(const std::vector<Rule>& rules);
 
 }  // namespace dkb::datalog
 

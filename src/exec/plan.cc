@@ -945,29 +945,4 @@ void AggregateNode::CloseImpl() {
   child_->Close();
 }
 
-CountNode::CountNode(PlanNodePtr child, std::string column_name)
-    : child_(std::move(child)) {
-  set_schema(Schema({Column{std::move(column_name), DataType::kInteger}}));
-}
-
-Status CountNode::OpenImpl() {
-  emitted_ = false;
-  return child_->Open();
-}
-
-Result<bool> CountNode::NextBatchImpl(RowBatch* out) {
-  out->Reset(1);
-  if (emitted_) return false;
-  int64_t count = 0;
-  RowBatch scratch;
-  while (true) {
-    DKB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&scratch));
-    if (!more) break;
-    count += static_cast<int64_t>(scratch.size());
-  }
-  emitted_ = true;
-  out->AppendRow(Tuple{Value(count)});
-  return true;
-}
-
 }  // namespace dkb::exec

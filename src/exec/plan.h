@@ -643,25 +643,6 @@ class AggregateNode : public PlanNode {
   size_t pos_ = 0;
 };
 
-/// COUNT(*): consumes the child and emits one row [count].
-class CountNode : public PlanNode {
- public:
-  explicit CountNode(PlanNodePtr child, std::string column_name);
-
-  Status OpenImpl() override;
-  Result<bool> NextBatchImpl(RowBatch* out) override;
-  void CloseImpl() override { child_->Close(); }
-  std::string Name() const override { return "Count"; }
-
-  std::vector<const PlanNode*> Children() const override {
-    return {child_.get()};
-  }
-
- private:
-  PlanNodePtr child_;
-  bool emitted_ = false;
-};
-
 }  // namespace dkb::exec
 
 #endif  // DKB_EXEC_PLAN_H_

@@ -14,6 +14,7 @@ namespace dkb::km::analysis {
 namespace {
 
 using datalog::Atom;
+using datalog::HeadPredicates;
 using datalog::Rule;
 using datalog::Term;
 
@@ -232,19 +233,13 @@ std::set<std::pair<std::string, std::string>> ComputeAchievableAdornments(
   return done;
 }
 
-std::set<std::string> HeadsOf(const std::vector<Rule>& rules) {
-  std::set<std::string> out;
-  for (const Rule& rule : rules) out.insert(rule.head.predicate);
-  return out;
-}
-
 }  // namespace
 
 AnalysisResult AnalyzeProgram(const AnalyzerInput& input,
                               const AnalyzerOptions& options) {
   AnalysisResult result;
   result.rules = input.rules;
-  const std::set<std::string> defined = HeadsOf(input.rules);
+  const std::set<std::string> defined = HeadPredicates(input.rules);
 
   // Pass 1: syntactic duplicate elimination (keep the first occurrence).
   if (options.prune_duplicates) {
@@ -285,7 +280,7 @@ AnalysisResult AnalyzeProgram(const AnalyzerInput& input,
     bool changed = true;
     while (changed) {
       changed = false;
-      std::set<std::string> heads = HeadsOf(result.rules);
+      std::set<std::string> heads = HeadPredicates(result.rules);
       std::vector<Rule> alive;
       for (Rule& rule : result.rules) {
         std::string empty_dep;
@@ -371,13 +366,13 @@ AnalysisResult AnalyzeProgram(const AnalyzerInput& input,
   if (input.goal != nullptr && defined.count(input.goal->predicate) > 0 &&
       input.base_predicates.count(input.goal->predicate) == 0) {
     result.goal_provably_empty =
-        HeadsOf(result.rules).count(input.goal->predicate) == 0;
+        HeadPredicates(result.rules).count(input.goal->predicate) == 0;
   }
 
   // Pass 6: adornment dataflow from the goal (left-to-right SIP, mirroring
   // the magic-sets rewrite), flagging predicates the rewrite cannot guard.
   if (options.compute_adornments && input.goal != nullptr) {
-    std::set<std::string> derived = HeadsOf(result.rules);
+    std::set<std::string> derived = HeadPredicates(result.rules);
     result.adornments =
         ComputeAchievableAdornments(result.rules, *input.goal, derived);
     magic::Adornment goal_ad =

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/str_util.h"
 #include "km/naming.h"
 
 namespace dkb::km {
@@ -68,6 +69,8 @@ Status GenerateVariants(const QueryProgram& program, size_t node_index,
 }
 
 }  // namespace
+
+std::string ProgramNode::Label() const { return StrJoin(predicates, ","); }
 
 Schema PredicateBinding::RelationSchema() const {
   std::vector<Column> out;

@@ -64,6 +64,10 @@ struct ProgramNode {
   /// time library binds and plans each statement once per program instance
   /// (lfp/instance.h).
   std::vector<RuleVariant> variants;
+
+  /// The node's predicates, comma-joined: its label in NodeStats, trace
+  /// span names and the plan summary.
+  std::string Label() const;
 };
 
 /// The "object program" the Knowledge Manager hands to the run time library

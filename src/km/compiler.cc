@@ -13,14 +13,8 @@ namespace dkb::km {
 namespace {
 
 using datalog::Atom;
+using datalog::HeadPredicates;
 using datalog::Rule;
-
-/// Derived predicates = heads of the rule set.
-std::set<std::string> HeadsOf(const std::vector<Rule>& rules) {
-  std::set<std::string> out;
-  for (const Rule& rule : rules) out.insert(rule.head.predicate);
-  return out;
-}
 
 /// Estimates the fraction of extensional tuples relevant to the query by a
 /// bounded breadth-first expansion from the query constants over the binary
@@ -208,7 +202,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   stats->rules_relevant = static_cast<int64_t>(relevant.size());
   out.relevant_rules = relevant;
 
-  std::set<std::string> derived = HeadsOf(relevant);
+  std::set<std::string> derived = HeadPredicates(relevant);
   stats->preds_relevant = static_cast<int64_t>(derived.size());
 
   if (derived.count(query.predicate) == 0 &&
@@ -251,7 +245,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // bounds the magic rewrite. The pruned rule set is what gets compiled.
   magic::AdornmentFilter adornment_filter;
   bool have_adornment_filter = false;
-  if (options.analyze) {
+  {
     ScopedAccumulator acc(&ns.analyze);
     trace::ScopedSpan phase_span(options.span, "analyze");
     analysis::AnalyzerInput input;
@@ -275,7 +269,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
     // that surviving rules still reference (e.g. only negatively).
     bool adopt = !analyzed.goal_provably_empty;
     if (adopt) {
-      std::set<std::string> surviving = HeadsOf(analyzed.rules);
+      std::set<std::string> surviving = HeadPredicates(analyzed.rules);
       for (const Rule& rule : analyzed.rules) {
         for (const Atom& atom : rule.body) {
           if (atom.is_builtin()) continue;
@@ -290,7 +284,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
       stats->rules_pruned =
           static_cast<int64_t>(relevant.size() - analyzed.rules.size());
       relevant = analyzed.rules;
-      derived = HeadsOf(relevant);
+      derived = HeadPredicates(relevant);
       adornment_filter.allowed = analyzed.adornments;
       have_adornment_filter = true;
     }
@@ -308,9 +302,9 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
     DKB_ASSIGN_OR_RETURN(
         double selectivity,
         EstimateSelectivity(query, base_preds, base_types, stored_,
-                            options.adaptive_threshold));
+                            kAdaptiveMagicThreshold));
     stats->estimated_selectivity = selectivity;
-    apply_magic = selectivity < options.adaptive_threshold;
+    apply_magic = selectivity < kAdaptiveMagicThreshold;
   }
   if (apply_magic) {
     ScopedAccumulator acc(&ns.opt);
@@ -323,7 +317,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
     stats->magic_applied = rewrite.rewritten;
     eval_rules = std::move(rewrite.rules);
     effective_query = rewrite.adorned_query;
-    derived = HeadsOf(eval_rules);
+    derived = HeadPredicates(eval_rules);
   }
 
   // Cliques + evaluation order list (t_eol).

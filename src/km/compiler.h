@@ -65,9 +65,12 @@ enum class MagicMode {
   /// (conclusion #4 / §4.2 step 5): estimate the query's selectivity with a
   /// bounded exploration of the extensional database from the query
   /// constants, and enable the optimization only when the estimated
-  /// relevant fraction is below CompilerOptions::adaptive_threshold.
+  /// relevant fraction is below kAdaptiveMagicThreshold.
   kAdaptive,
 };
+
+/// Adaptive mode applies magic when the estimated D_rel/D_tot is below this.
+inline constexpr double kAdaptiveMagicThreshold = 0.6;
 
 struct CompilerOptions {
   /// Flight-recorder query id to stamp into CompilationStats (observability
@@ -76,13 +79,6 @@ struct CompilerOptions {
   MagicMode magic_mode = MagicMode::kOff;
   /// Rewrite flavour when magic is applied (generalized vs supplementary).
   magic::MagicVariant magic_variant = magic::MagicVariant::kGeneralized;
-  /// Adaptive mode: apply magic when est. D_rel/D_tot < this threshold.
-  double adaptive_threshold = 0.6;
-  /// Run the static analyzer (km/analysis) before optimization: prune
-  /// duplicate/unsatisfiable/dead rules and bound the magic rewrite to the
-  /// achievable adornment set. On by default; off reproduces the
-  /// pre-analysis pipeline (ablation).
-  bool analyze = true;
   /// Parent trace span for this compilation; when set, each Table 4 phase
   /// (setup, extract, read, ...) becomes a child span. Null (the default)
   /// disables tracing at the cost of a pointer test per phase.

@@ -7,11 +7,6 @@
 
 namespace dkb::km {
 
-std::vector<std::string> EvalNode::DefinedPredicates() const {
-  if (kind == Kind::kClique) return clique.predicates;
-  return {predicate};
-}
-
 Result<EvaluationOrder> BuildEvaluationOrder(
     const std::vector<datalog::Rule>& rules,
     const std::set<std::string>& derived) {

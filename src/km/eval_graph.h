@@ -31,9 +31,6 @@ struct EvalNode {
   // kPredicate:
   std::string predicate;
   std::vector<datalog::Rule> rules;
-
-  /// Predicates defined by this node.
-  std::vector<std::string> DefinedPredicates() const;
 };
 
 /// The evaluation order list (paper §2.3): nodes topologically sorted so

@@ -8,27 +8,27 @@
 
 namespace dkb::km {
 
-Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
-  UpdateStats stats;
+Result<UpdatePlan> UpdateProcessor::Check(const Workspace& workspace) {
+  UpdatePlan plan;
+  UpdateStats& stats = plan.stats;
+  const std::vector<datalog::Rule>& idb_new = workspace.rules();
+  // A base predicate's facts live in its edb_ relation; a rule for it would
+  // make it derived as well, and its stored facts would stop answering.
+  for (const datalog::Rule& rule : idb_new) {
+    if (stored_->HasBasePredicate(rule.head.predicate)) {
+      return Status::SemanticError("update defines base predicate " +
+                                   rule.head.predicate +
+                                   " by a rule: " + rule.ToString());
+    }
+  }
+  // Without compiled rule-storage structures the update only stores the
+  // source form of the rules (paper Fig 15), so nothing else is checked.
+  if (!stored_->options().compiled_rule_storage) return plan;
+
   // Each step's time in nanoseconds, rounded into stats once at the end.
   struct {
-    int64_t extract = 0, tc = 0, typecheck = 0, dict = 0, store = 0;
+    int64_t extract = 0, tc = 0, typecheck = 0;
   } ns;
-  const std::vector<datalog::Rule>& idb_new = workspace.rules();
-
-  if (!stored_->options().compiled_rule_storage) {
-    // Without compiled rule-storage structures the update is simply the
-    // time to store the source form of the rules (paper Fig 15).
-    {
-      ScopedAccumulator acc(&ns.store);
-      for (const datalog::Rule& rule : idb_new) {
-        DKB_ASSIGN_OR_RETURN(bool added, stored_->StoreRuleSource(rule));
-        if (added) ++stats.rules_stored;
-      }
-    }
-    stats.t_store_us = NanosToMicros(ns.store);
-    return stats;
-  }
 
   // Step 1 (t_extract): gather the portion of the stored DKB the update
   // touches. The stored rules downstream of the update's predicates close
@@ -46,7 +46,7 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
       }
     }
   };
-  std::set<std::string> affected;
+  std::set<std::string>& affected = plan.affected;
   {
     ScopedAccumulator acc(&ns.extract);
     std::set<std::string> update_preds;
@@ -73,7 +73,6 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
   // Steps 2-3 (t_tc): transitive closure of the *composite* PCG only —
   // this is the incremental-maintenance saving the paper measures.
   Pcg pcg;
-  std::vector<std::pair<std::string, std::string>> closure;
   std::set<std::string> heads;
   {
     ScopedAccumulator acc(&ns.tc);
@@ -81,15 +80,14 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
       pcg.AddRule(rule);
       heads.insert(rule.head.predicate);
     }
-    closure = pcg.TransitiveClosure();
-    stats.closure_edges = static_cast<int64_t>(closure.size());
+    plan.closure = pcg.TransitiveClosure();
+    stats.closure_edges = static_cast<int64_t>(plan.closure.size());
   }
 
   // Step 4 (t_typecheck): semantic/type check of the composite rule set.
   // Body predicates outside the composite are typed from the EDB or IDB
   // data dictionaries (upstream rules may reference derived predicates
   // whose defining rules are unaffected by this update).
-  TypeCheckResult types;
   {
     ScopedAccumulator acc(&ns.typecheck);
     std::set<std::string> external;
@@ -114,23 +112,37 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
             "update refers to unknown predicate " + p);
       }
     }
-    DKB_ASSIGN_OR_RETURN(types, TypeCheck(composite, known_types));
+    DKB_ASSIGN_OR_RETURN(TypeCheckResult types,
+                         TypeCheck(composite, known_types));
+    plan.derived_types = std::move(types.derived_types);
   }
+  stats.t_extract_us = NanosToMicros(ns.extract);
+  stats.t_tc_us = NanosToMicros(ns.tc);
+  stats.t_typecheck_us = NanosToMicros(ns.typecheck);
+  return plan;
+}
+
+Result<UpdateStats> UpdateProcessor::Apply(const Workspace& workspace,
+                                           const UpdatePlan& plan) {
+  UpdateStats stats = plan.stats;
+  struct {
+    int64_t dict = 0, store = 0;
+  } ns;
 
   // Steps 5-6 (t_dict): dictionary + compiled-form maintenance of the
   // affected predicates. The other composite heads keep their types and
   // reachability. Rule storage is add-only, so reachability is merged
   // monotonically.
-  {
+  if (stored_->options().compiled_rule_storage) {
     ScopedAccumulator acc(&ns.dict);
     std::map<std::string, PredicateTypes> affected_types;
-    for (const auto& [pred, sig] : types.derived_types) {
-      if (affected.count(pred) > 0) affected_types.emplace(pred, sig);
+    for (const auto& [pred, sig] : plan.derived_types) {
+      if (plan.affected.count(pred) > 0) affected_types.emplace(pred, sig);
     }
     DKB_RETURN_IF_ERROR(stored_->UpsertIdbDictionaryBatch(affected_types));
     std::map<std::string, std::set<std::string>> by_from;
-    for (const auto& [from, to] : closure) {
-      if (affected.count(from) > 0) by_from[from].insert(to);
+    for (const auto& [from, to] : plan.closure) {
+      if (plan.affected.count(from) > 0) by_from[from].insert(to);
     }
     DKB_RETURN_IF_ERROR(stored_->MergeReachableBatch(by_from));
   }
@@ -138,17 +150,19 @@ Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
   // Step 7 (t_store): store the source form of the new rules.
   {
     ScopedAccumulator acc(&ns.store);
-    for (const datalog::Rule& rule : idb_new) {
+    for (const datalog::Rule& rule : workspace.rules()) {
       DKB_ASSIGN_OR_RETURN(bool added, stored_->StoreRuleSource(rule));
       if (added) ++stats.rules_stored;
     }
   }
-  stats.t_extract_us = NanosToMicros(ns.extract);
-  stats.t_tc_us = NanosToMicros(ns.tc);
-  stats.t_typecheck_us = NanosToMicros(ns.typecheck);
   stats.t_dict_us = NanosToMicros(ns.dict);
   stats.t_store_us = NanosToMicros(ns.store);
   return stats;
+}
+
+Result<UpdateStats> UpdateProcessor::Update(const Workspace& workspace) {
+  DKB_ASSIGN_OR_RETURN(UpdatePlan plan, Check(workspace));
+  return Apply(workspace, plan);
 }
 
 }  // namespace dkb::km

@@ -2,6 +2,11 @@
 #define DKB_KM_UPDATE_H_
 
 #include <cstdint>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "km/stored_dkb.h"
@@ -27,6 +32,15 @@ struct UpdateStats {
   }
 };
 
+/// What an update's check (steps 1-4) decided, for its apply (steps 5-7)
+/// to write.
+struct UpdatePlan {
+  std::set<std::string> affected;  // predicates whose dictionary rows change
+  std::vector<std::pair<std::string, std::string>> closure;  // composite TC
+  std::map<std::string, PredicateTypes> derived_types;
+  UpdateStats stats;  // the check's counts and phase times
+};
+
 /// Stored D/KB update processor (paper §4.3): commits the Workspace rules
 /// into the Stored DKB, incrementally maintaining the compiled rule-storage
 /// structures.
@@ -44,6 +58,19 @@ class UpdateProcessor {
  public:
   explicit UpdateProcessor(StoredDkb* stored) : stored_(stored) {}
 
+  /// Steps 1-4, which read the stored DKB and write nothing. SemanticError
+  /// when a rule's head is a base predicate or a body predicate is neither
+  /// stored nor defined by the update; TypeError when the composite rule
+  /// set does not type-check. Without compiled storage only the head check
+  /// runs.
+  Result<UpdatePlan> Check(const Workspace& workspace);
+
+  /// Steps 5-7: writes the dictionary rows `plan` decided and stores the
+  /// source form of the workspace rules `plan` was checked against.
+  Result<UpdateStats> Apply(const Workspace& workspace,
+                            const UpdatePlan& plan);
+
+  /// Check, then Apply.
   Result<UpdateStats> Update(const Workspace& workspace);
 
  private:

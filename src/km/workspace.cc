@@ -4,17 +4,24 @@
 
 namespace dkb::km {
 
-Status Workspace::AddRule(datalog::Rule rule) {
+Status Workspace::CheckRule(const datalog::Rule& rule) {
   if (rule.is_fact()) {
     return Status::InvalidArgument(
         "facts belong in the extensional database, not the workspace: " +
         rule.ToString());
   }
-  if (std::find(rules_.begin(), rules_.end(), rule) != rules_.end()) {
-    return Status::OK();  // idempotent
-  }
+  return Status::OK();
+}
+
+Status Workspace::AddRule(datalog::Rule rule) {
+  DKB_RETURN_IF_ERROR(CheckRule(rule));
+  if (Contains(rule)) return Status::OK();  // idempotent
   rules_.push_back(std::move(rule));
   return Status::OK();
+}
+
+bool Workspace::Contains(const datalog::Rule& rule) const {
+  return std::find(rules_.begin(), rules_.end(), rule) != rules_.end();
 }
 
 bool Workspace::RemoveRule(const datalog::Rule& rule) {
@@ -24,18 +31,8 @@ bool Workspace::RemoveRule(const datalog::Rule& rule) {
   return true;
 }
 
-std::vector<datalog::Rule> Workspace::RulesFor(const std::string& pred) const {
-  std::vector<datalog::Rule> out;
-  for (const datalog::Rule& rule : rules_) {
-    if (rule.head.predicate == pred) out.push_back(rule);
-  }
-  return out;
-}
-
 std::set<std::string> Workspace::HeadPredicates() const {
-  std::set<std::string> out;
-  for (const datalog::Rule& rule : rules_) out.insert(rule.head.predicate);
-  return out;
+  return datalog::HeadPredicates(rules_);
 }
 
 std::set<std::string> Workspace::UndefinedBodyPredicates() const {
@@ -47,14 +44,6 @@ std::set<std::string> Workspace::UndefinedBodyPredicates() const {
     }
   }
   return out;
-}
-
-std::vector<analysis::Diagnostic> Workspace::Lint(
-    const std::set<std::string>& base_predicates) const {
-  analysis::AnalyzerInput input;
-  input.rules = rules_;
-  input.base_predicates = base_predicates;
-  return analysis::AnalyzeProgram(input).diagnostics();
 }
 
 }  // namespace dkb::km

@@ -1,14 +1,12 @@
 #ifndef DKB_KM_WORKSPACE_H_
 #define DKB_KM_WORKSPACE_H_
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "datalog/ast.h"
-#include "km/analysis/analyzer.h"
 
 namespace dkb::km {
 
@@ -21,9 +19,16 @@ class Workspace {
  public:
   Workspace() = default;
 
+  /// The check AddRule makes: InvalidArgument for a fact — ground facts
+  /// belong in the extensional database — else OK.
+  static Status CheckRule(const datalog::Rule& rule);
+
   /// Adds a rule; duplicate clauses (structural equality) are ignored.
-  /// Facts are rejected — ground facts belong in the extensional database.
+  /// Facts are rejected (CheckRule).
   Status AddRule(datalog::Rule rule);
+
+  /// True if a rule structurally equal to `rule` is in the workspace.
+  bool Contains(const datalog::Rule& rule) const;
 
   /// Removes a rule by structural equality; false if absent.
   bool RemoveRule(const datalog::Rule& rule);
@@ -33,24 +38,12 @@ class Workspace {
   const std::vector<datalog::Rule>& rules() const { return rules_; }
   size_t num_rules() const { return rules_.size(); }
 
-  /// Rules whose head predicate is `pred`.
-  std::vector<datalog::Rule> RulesFor(const std::string& pred) const;
-
   /// Predicates defined by at least one workspace rule.
   std::set<std::string> HeadPredicates() const;
 
   /// Predicates appearing in rule bodies but defined by no workspace rule
   /// (they must be base predicates or Stored-D/KB derived predicates).
   std::set<std::string> UndefinedBodyPredicates() const;
-
-  /// Runs the goal-independent static-analysis passes (duplicate rules,
-  /// unsatisfiable bodies, definedness, stratification) over the workspace
-  /// rules. `base_predicates` lists the predicates known to be defined
-  /// outside the workspace (EDB relations, Stored-D/KB heads). The
-  /// workspace itself is not modified; pruning decisions stay with the
-  /// compiler.
-  std::vector<analysis::Diagnostic> Lint(
-      const std::set<std::string>& base_predicates) const;
 
  private:
   std::vector<datalog::Rule> rules_;

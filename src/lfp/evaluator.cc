@@ -13,17 +13,6 @@ namespace dkb::lfp {
 
 namespace {
 
-/// Predicates defined by a node, comma-joined (NodeStats label and trace
-/// span names).
-std::string NodeLabel(const km::ProgramNode& node) {
-  std::string label;
-  for (const std::string& p : node.predicates) {
-    if (!label.empty()) label += ",";
-    label += p;
-  }
-  return label;
-}
-
 /// Evaluates program node `node_index` end to end through its NodeRun,
 /// appending its NodeStats to ctx's stats. `node_span` (may be null) becomes
 /// the node's trace span: the evaluators hang per-iteration children off it
@@ -36,7 +25,7 @@ Status RunOneNode(EvalContext* ctx, const km::QueryProgram& program,
   ctx->set_span(node_span);
   DKB_ASSIGN_OR_RETURN(const int64_t iterations, run->Evaluate(ctx));
   NodeStats ns = std::move(ctx->node());
-  ns.label = NodeLabel(node);
+  ns.label = node.Label();
   ns.is_clique = node.is_clique;
   ns.iterations = iterations;
   ctx->set_span(nullptr);
@@ -106,7 +95,7 @@ Status RunNodes(Database* db, const km::QueryProgram& program,
     EvalContext node_ctx(db, &locals[i], &(*scopes)[i], params);
     if (parent != nullptr) {
       node_spans[i] = parent->context()->Detach(
-          "node:" + NodeLabel(program.nodes[i]));
+          "node:" + program.nodes[i].Label());
     }
     results[i] = RunOneNode(&node_ctx, program, i, (*runs)[i].get(),
                             node_spans[i].get());

@@ -598,6 +598,40 @@ std::string Server::BuildStatsReply(uint32_t request_id,
   return EncodeFrame(MsgType::kStatsOk, request_id, w.Take());
 }
 
+std::string Server::HandleMutation(
+    uint32_t request_id, WalRecordKind kind, std::string_view payload,
+    RequestContext* rctx,
+    const std::function<std::string(const Status&)>& error) {
+  auto mutation = DecodeMutation(kind, payload);
+  if (!mutation.ok()) {
+    return error(Status::ProtocolError(mutation.status().message()));
+  }
+  const bool sql = kind == WalRecordKind::kSql;
+  if (sql) rctx->decode_us = rctx->SinceArrivalUs() - rctx->queue_us;
+  const int64_t exec_start = rctx->SinceArrivalUs();
+  auto committed = testbed_->Commit(*mutation);
+  if (!committed.ok()) return error(committed.status());
+  if (kind == WalRecordKind::kUpdateStored) {
+    WireWriter w;
+    w.I64(committed->update.rules_stored);
+    w.I64(committed->update.total_us());
+    return EncodeFrame(MsgType::kUpdated, request_id, w.Take());
+  }
+  if (!sql) return EncodeFrame(MsgType::kOk, request_id, "");
+  rctx->execute_us = rctx->SinceArrivalUs() - exec_start;
+  WireResultSet rs;
+  rs.schema = std::move(committed->result.schema);
+  rs.rows = std::move(committed->result.rows);
+  rs.rows_affected = committed->result.rows_affected;
+  const int64_t encode_start = rctx->SinceArrivalUs();
+  WireWriter w;
+  w.U32(1);
+  EncodeResultSet(&w, rs);
+  rctx->encode_us = rctx->SinceArrivalUs() - encode_start;
+  w.U32(0);  // trace section: SQL statements carry no span tree
+  return EncodeFrame(MsgType::kResultSets, request_id, w.Take());
+}
+
 std::string Server::HandleRequest(Connection* conn, ConnState* state,
                                   const Frame& frame, RequestContext* rctx,
                                   bool* close_conn) {
@@ -608,7 +642,6 @@ std::string Server::HandleRequest(Connection* conn, ConnState* state,
     }
     return EncodeFrame(MsgType::kError, id, EncodeErrorPayload(status));
   };
-  auto ok = [id]() { return EncodeFrame(MsgType::kOk, id, ""); };
 
   if (!IsRequestType(static_cast<uint8_t>(frame.type))) {
     return error(Status::ProtocolError(
@@ -659,77 +692,13 @@ std::string Server::HandleRequest(Connection* conn, ConnState* state,
     return EncodeFrame(MsgType::kHelloOk, id, w.Take());
   }
 
+  if (std::optional<WalRecordKind> kind = MutationKind(frame.type)) {
+    return HandleMutation(id, *kind, frame.payload, rctx, error);
+  }
+
   switch (frame.type) {
     case MsgType::kHello:
       return error(Status::ProtocolError("duplicate Hello"));
-
-    case MsgType::kConsult: {
-      std::string program;
-      if (!r.Str(&program) || !r.Done()) {
-        return error(Status::ProtocolError("malformed Consult payload"));
-      }
-      Status status = testbed_->Consult(program);
-      return status.ok() ? ok() : error(status);
-    }
-
-    case MsgType::kAddRule:
-    case MsgType::kRetractRule: {
-      std::string rule;
-      if (!r.Str(&rule) || !r.Done()) {
-        return error(Status::ProtocolError("malformed rule payload"));
-      }
-      Status status = frame.type == MsgType::kAddRule
-                          ? testbed_->AddRule(rule)
-                          : testbed_->RetractRule(rule);
-      return status.ok() ? ok() : error(status);
-    }
-
-    case MsgType::kDefineBase: {
-      std::string pred;
-      uint16_t n = 0;
-      if (!r.Str(&pred) || !r.U16(&n)) {
-        return error(Status::ProtocolError("malformed DefineBase payload"));
-      }
-      km::PredicateTypes types;
-      types.reserve(n);
-      for (uint16_t i = 0; i < n; ++i) {
-        uint8_t type = 0;
-        if (!r.U8(&type) ||
-            type > static_cast<uint8_t>(DataType::kVarchar) ||
-            type == static_cast<uint8_t>(DataType::kInvalid)) {
-          return error(Status::ProtocolError("bad column type byte"));
-        }
-        types.push_back(static_cast<DataType>(type));
-      }
-      if (!r.Done()) {
-        return error(Status::ProtocolError("malformed DefineBase payload"));
-      }
-      Status status = testbed_->DefineBase(pred, types);
-      return status.ok() ? ok() : error(status);
-    }
-
-    case MsgType::kAddFacts: {
-      std::string pred;
-      uint32_t nrows = 0;
-      if (!r.Str(&pred) || !r.U32(&nrows) ||
-          nrows > r.remaining() / 2) {
-        return error(Status::ProtocolError("malformed AddFacts payload"));
-      }
-      std::vector<Tuple> rows;
-      rows.reserve(nrows);
-      for (uint32_t i = 0; i < nrows; ++i) {
-        Tuple row;
-        if (!r.Row(&row)) {
-          return error(Status::ProtocolError("malformed AddFacts row"));
-        }
-        rows.push_back(std::move(row));
-      }
-      if (!r.Done()) {
-        return error(Status::ProtocolError("malformed AddFacts payload"));
-      }
-      Status status = testbed_->AddFacts(pred, rows);
-      return status.ok() ? ok() : error(status);
-    }
 
     case MsgType::kPrepare: {
       WireQueryOptions opts;
@@ -814,50 +783,6 @@ std::string Server::HandleRequest(Connection* conn, ConnState* state,
                         frame.payload.size(), error);
     }
 
-    case MsgType::kSql: {
-      std::string statement;
-      if (!r.Str(&statement) || !r.Done()) {
-        return error(Status::ProtocolError("malformed Sql payload"));
-      }
-      rctx->decode_us = rctx->SinceArrivalUs() - rctx->queue_us;
-      const int64_t exec_start = rctx->SinceArrivalUs();
-      auto result = testbed_->ExecuteSql(statement);
-      if (!result.ok()) return error(result.status());
-      rctx->execute_us = rctx->SinceArrivalUs() - exec_start;
-      WireResultSet rs;
-      rs.schema = std::move(result->schema);
-      rs.rows = std::move(result->rows);
-      rs.rows_affected = result->rows_affected;
-      const int64_t encode_start = rctx->SinceArrivalUs();
-      WireWriter w;
-      w.U32(1);
-      EncodeResultSet(&w, rs);
-      rctx->encode_us = rctx->SinceArrivalUs() - encode_start;
-      w.U32(0);  // trace section: SQL statements carry no span tree
-      return EncodeFrame(MsgType::kResultSets, id, w.Take());
-    }
-
-    case MsgType::kUpdateStored: {
-      if (!r.Done()) {
-        return error(Status::ProtocolError("unexpected UpdateStored payload"));
-      }
-      auto stats = testbed_->UpdateStoredDkb();
-      if (!stats.ok()) return error(stats.status());
-      WireWriter w;
-      w.I64(stats->rules_stored);
-      w.I64(stats->total_us());
-      return EncodeFrame(MsgType::kUpdated, id, w.Take());
-    }
-
-    case MsgType::kClearWorkspace: {
-      if (!r.Done()) {
-        return error(
-            Status::ProtocolError("unexpected ClearWorkspace payload"));
-      }
-      testbed_->ClearWorkspace();
-      return ok();
-    }
-
     case MsgType::kListRules: {
       if (!r.Done()) {
         return error(Status::ProtocolError("unexpected ListRules payload"));
@@ -871,7 +796,7 @@ std::string Server::HandleRequest(Connection* conn, ConnState* state,
 
     case MsgType::kCloseSession: {
       *close_conn = true;
-      return ok();
+      return EncodeFrame(MsgType::kOk, id, "");
     }
 
     default:

@@ -172,6 +172,14 @@ class Server {
       std::vector<QuerySpec>& specs, RequestContext* rctx,
       size_t request_payload_bytes,
       const std::function<std::string(const Status&)>& error);
+  /// A mutation request of `kind`: decodes the payload through the one
+  /// mutation codec (a payload it rejects is a ProtocolError) and commits
+  /// it. kSql answers with its result set, kUpdateStored with kUpdated, the
+  /// other kinds with kOk.
+  std::string HandleMutation(
+      uint32_t request_id, WalRecordKind kind, std::string_view payload,
+      RequestContext* rctx,
+      const std::function<std::string(const Status&)>& error);
   /// The kStatsOk response for a sessionless (or in-session) Stats request.
   std::string BuildStatsReply(uint32_t request_id, uint8_t sections) const;
   bool SendAll(Connection* conn, std::string_view data);

@@ -1,12 +1,42 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <utility>
 
 namespace dkb::net {
 
 bool IsRequestType(uint8_t type) {
   return type >= static_cast<uint8_t>(MsgType::kHello) &&
          type <= static_cast<uint8_t>(MsgType::kStats);
+}
+
+namespace {
+
+constexpr std::pair<MsgType, WalRecordKind> kMutationRequests[] = {
+    {MsgType::kConsult, WalRecordKind::kConsult},
+    {MsgType::kAddRule, WalRecordKind::kAddRule},
+    {MsgType::kRetractRule, WalRecordKind::kRetractRule},
+    {MsgType::kDefineBase, WalRecordKind::kDefineBase},
+    {MsgType::kAddFacts, WalRecordKind::kAddFacts},
+    {MsgType::kSql, WalRecordKind::kSql},
+    {MsgType::kUpdateStored, WalRecordKind::kUpdateStored},
+    {MsgType::kClearWorkspace, WalRecordKind::kClearWorkspace},
+};
+
+}  // namespace
+
+std::optional<WalRecordKind> MutationKind(MsgType type) {
+  for (const auto& [request, kind] : kMutationRequests) {
+    if (request == type) return kind;
+  }
+  return std::nullopt;
+}
+
+MsgType MutationRequest(WalRecordKind kind) {
+  for (const auto& [request, mutation] : kMutationRequests) {
+    if (mutation == kind) return request;
+  }
+  return MsgType::kError;  // unreachable: every kind has a request
 }
 
 const char* MsgTypeName(MsgType type) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "storage/codec.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
+#include "storage/wal.h"
 #include "testbed/options.h"
 
 namespace dkb::net {
@@ -48,21 +50,23 @@ constexpr size_t kFrameHeaderLen = 5;  // type + request_id
 constexpr uint32_t kDefaultMaxFrameLen = 16u * 1024 * 1024;
 
 /// Message types. Requests have the high bit clear, responses set it; the
-/// values are wire-stable (append only, never renumber).
+/// values are wire-stable (append only, never renumber). A mutation request
+/// (MutationKind) carries the EncodeMutation payload of its WalRecordKind
+/// (storage/wal.h).
 enum class MsgType : uint8_t {
   // Requests (client -> server).
   kHello = 0x01,          // u32 protocol_version
-  kConsult = 0x02,        // str program_text
-  kAddRule = 0x03,        // str rule_text
-  kRetractRule = 0x04,    // str rule_text
-  kDefineBase = 0x05,     // str pred, u16 n, n x u8 DataType
-  kAddFacts = 0x06,       // str pred, u32 nrows, nrows x tuple
+  kConsult = 0x02,        // mutation
+  kAddRule = 0x03,        // mutation
+  kRetractRule = 0x04,    // mutation
+  kDefineBase = 0x05,     // mutation
+  kAddFacts = 0x06,       // mutation
   kPrepare = 0x07,        // query options, str goal
   kExecute = 0x08,        // u32 n, n x u32 statement_id
   kQuery = 0x09,          // query options, u32 n, n x str goal
-  kSql = 0x0A,            // str statement
-  kUpdateStored = 0x0B,   // (empty)
-  kClearWorkspace = 0x0C, // (empty)
+  kSql = 0x0A,            // mutation
+  kUpdateStored = 0x0B,   // mutation
+  kClearWorkspace = 0x0C, // mutation
   kListRules = 0x0D,      // (empty)
   kCloseSession = 0x0E,   // (empty); server replies kOk then closes
   kStats = 0x0F,          // u8 sections bitmask; sessionless (no Hello
@@ -81,6 +85,13 @@ enum class MsgType : uint8_t {
 
 /// True for the type values a client may send (the request half of MsgType).
 bool IsRequestType(uint8_t type);
+
+/// The WalRecordKind a mutation request carries; nullopt for the other
+/// types.
+std::optional<WalRecordKind> MutationKind(MsgType type);
+
+/// The request type that carries a mutation of `kind`.
+MsgType MutationRequest(WalRecordKind kind);
 
 /// Human-readable name of a message type ("Query", "HelloOk", ...);
 /// "Unknown" for values outside the enum. Used for sys.server row names

@@ -42,6 +42,11 @@ void PreparedStatement::ClearBindings() {
   std::fill(bound_.begin(), bound_.end(), false);
 }
 
+bool PreparedStatement::read_only() const {
+  return stmt_ != nullptr && (stmt_->kind == sql::StatementKind::kSelect ||
+                              stmt_->kind == sql::StatementKind::kExplain);
+}
+
 Result<QueryResult> PreparedStatement::Execute() {
   if (stmt_ == nullptr) {
     return Status::InvalidArgument("Execute on an invalid PreparedStatement");

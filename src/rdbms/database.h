@@ -37,6 +37,8 @@ class PreparedStatement {
 
   bool valid() const { return stmt_ != nullptr; }
   size_t param_count() const;
+  /// True for a SELECT or EXPLAIN, which leaves no durable state behind.
+  bool read_only() const;
 
   /// Binds parameter `index` (0-based) to `value`.
   Status Bind(size_t index, Value value);

@@ -31,19 +31,12 @@ class EpochSource {
   Epoch committed() const { return committed_.load(std::memory_order_acquire); }
 
   /// Epoch the in-flight write batch stamps its rows with. Becomes the
-  /// committed epoch once the batch's EpochBump advances the counter.
+  /// committed epoch once the testbed's commit advances the counter.
   Epoch write_epoch() const { return committed() + 1; }
 
   /// Commits the in-flight batch; returns the new committed epoch.
   Epoch Advance() {
     return committed_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  }
-
-  /// Recovery only: restores the counter saved in a checkpoint so epochs
-  /// keep ascending across restarts. Never valid once readers exist.
-  void Restore(Epoch committed) {
-    committed_.store(committed < 1 ? 1 : committed,
-                     std::memory_order_release);
   }
 
  private:

@@ -102,6 +102,105 @@ Status ScanRecords(
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// Mutation codec
+// ---------------------------------------------------------------------------
+
+Status Mutation::Validate() const {
+  if (kind != WalRecordKind::kDefineBase) return Status::OK();
+  if (types.empty() || types.size() > UINT16_MAX) {
+    return Status::InvalidArgument(
+        "base predicate " + text + " needs 1 to 65535 columns, not " +
+        std::to_string(types.size()));
+  }
+  for (DataType type : types) {
+    if (type != DataType::kInteger && type != DataType::kVarchar) {
+      return Status::InvalidArgument("base predicate " + text +
+                                     " has a column of type " +
+                                     DataTypeName(type));
+    }
+  }
+  return Status::OK();
+}
+
+std::string EncodeMutation(const Mutation& m) {
+  codec::Writer w;
+  switch (m.kind) {
+    case WalRecordKind::kUpdateStored:
+    case WalRecordKind::kClearWorkspace:
+      break;
+    case WalRecordKind::kDefineBase:
+      w.Str(m.text);
+      w.U16(static_cast<uint16_t>(m.types.size()));
+      for (DataType type : m.types) w.U8(static_cast<uint8_t>(type));
+      break;
+    case WalRecordKind::kAddFacts:
+      w.Str(m.text);
+      w.U32(static_cast<uint32_t>(m.rows.size()));
+      for (const Tuple& row : m.rows) w.Row(row);
+      break;
+    default:  // the text kinds
+      w.Str(m.text);
+      break;
+  }
+  return w.Take();
+}
+
+Result<Mutation> DecodeMutation(WalRecordKind kind, std::string_view payload) {
+  auto malformed = [kind](const std::string& why) {
+    return Status::InvalidArgument(
+        "malformed payload for mutation kind " +
+        std::to_string(static_cast<int>(kind)) + ": " + why);
+  };
+  Mutation m(kind);
+  codec::Reader r(payload);
+  switch (kind) {
+    case WalRecordKind::kUpdateStored:
+    case WalRecordKind::kClearWorkspace:
+      break;
+    case WalRecordKind::kConsult:
+    case WalRecordKind::kAddRule:
+    case WalRecordKind::kRetractRule:
+    case WalRecordKind::kSql:
+      r.Str(&m.text);
+      break;
+    case WalRecordKind::kDefineBase: {
+      uint16_t n = 0;
+      if (!r.Str(&m.text) || !r.U16(&n)) break;
+      m.types.reserve(n);
+      for (uint16_t i = 0; i < n; ++i) {
+        uint8_t type = 0;
+        if (!r.U8(&type)) break;
+        if (type != static_cast<uint8_t>(DataType::kInteger) &&
+            type != static_cast<uint8_t>(DataType::kVarchar)) {
+          return malformed("column type byte " + std::to_string(type));
+        }
+        m.types.push_back(static_cast<DataType>(type));
+      }
+      break;
+    }
+    case WalRecordKind::kAddFacts: {
+      uint32_t n = 0;
+      if (!r.Str(&m.text) || !r.U32(&n)) break;
+      // Every row takes at least its u16 column count.
+      if (n > r.remaining() / 2) {
+        return malformed(std::to_string(n) + " rows in " +
+                         std::to_string(r.remaining()) + " bytes");
+      }
+      m.rows.resize(n);
+      for (Tuple& row : m.rows) {
+        if (!r.Row(&row)) break;
+      }
+      break;
+    }
+    default:
+      return malformed("unknown kind");
+  }
+  if (!r.Done()) return malformed("truncated or trailing bytes");
+  DKB_RETURN_IF_ERROR(m.Validate());
+  return m;
+}
+
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
                                        Options options) {
   std::string data;

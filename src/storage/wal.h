@@ -7,27 +7,73 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "common/sync.h"
+#include "common/value.h"
+#include "storage/tuple.h"
 
 namespace dkb {
 
 /// Kinds of redo records. These are *logical* testbed operations, not
-/// physical page deltas: replaying the sequence through the normal write
-/// paths reproduces the exact post-crash state (the write paths are
-/// deterministic, including hash-partition layout). Values are
-/// format-stable — append only, never renumber.
+/// physical page deltas: replaying the sequence through the testbed's commit
+/// path reproduces the exact post-crash state (the write paths are
+/// deterministic, including hash-partition layout). Each record's payload is
+/// the EncodeMutation of one Mutation of its kind (below), and the wire's
+/// mutation requests carry the same bytes. Values are format-stable —
+/// append only, never renumber.
 enum class WalRecordKind : uint8_t {
-  kConsult = 1,         // str program_text
-  kAddRule = 2,         // str rule_text
-  kRetractRule = 3,     // str rule_text
-  kDefineBase = 4,      // str pred, u16 n, n x u8 DataType
-  kAddFacts = 5,        // str pred, u32 nrows, nrows x Row
-  kUpdateStored = 6,    // (empty)
-  kClearWorkspace = 7,  // (empty)
-  kSql = 8,             // str statement
+  kConsult = 1,
+  kAddRule = 2,
+  kRetractRule = 3,
+  kDefineBase = 4,
+  kAddFacts = 5,
+  kUpdateStored = 6,
+  kClearWorkspace = 7,
+  kSql = 8,
 };
+
+/// One testbed write: what a WAL record logs and a wire mutation request
+/// carries. The fields each kind uses, in payload order (storage/codec.h
+/// primitives):
+///
+///   kConsult         str text (the program)
+///   kAddRule         str text (the rule)
+///   kRetractRule     str text (the rule)
+///   kDefineBase      str text (the predicate), u16 n, n x u8 DataType
+///   kAddFacts        str text (the predicate), u32 n, n x Row
+///   kUpdateStored    (empty)
+///   kClearWorkspace  (empty)
+///   kSql             str text (the statement)
+struct Mutation {
+  Mutation(WalRecordKind kind, std::string text = {},
+           std::vector<DataType> types = {}, std::vector<Tuple> rows = {})
+      : kind(kind),
+        text(std::move(text)),
+        types(std::move(types)),
+        rows(std::move(rows)) {}
+
+  WalRecordKind kind;
+  std::string text;
+  std::vector<DataType> types;  // kDefineBase
+  std::vector<Tuple> rows;      // kAddFacts
+
+  /// The checks the fields must pass whatever the testbed holds:
+  /// InvalidArgument for a kDefineBase with no columns, more than a u16
+  /// count holds, or a column type other than INTEGER or VARCHAR.
+  Status Validate() const;
+};
+
+/// The payload bytes of `m`.
+std::string EncodeMutation(const Mutation& m);
+
+/// Parses a payload of `kind` and validates it: InvalidArgument for an
+/// unknown kind, a payload that ends early or runs on, a row count the
+/// payload cannot hold, a byte that names no column type, or fields that
+/// Mutation::Validate rejects.
+Result<Mutation> DecodeMutation(WalRecordKind kind, std::string_view payload);
 
 /// Write-ahead redo log.
 ///
@@ -37,13 +83,19 @@ enum class WalRecordKind : uint8_t {
 ///   u32 crc      CRC-32 over (lsn || kind || payload)
 ///   u64 lsn      monotonically increasing, never reused within a log's life
 ///   u8  kind     WalRecordKind
-///   payload      len bytes (storage/codec.h encoding per kind)
+///   payload      len bytes: EncodeMutation of the record's Mutation
 ///
 /// A torn tail (short header, short payload, or CRC mismatch) marks the end
-/// of the valid prefix: Open truncates it away, Replay stops there. Records
-/// are logged *before* the operation applies (log-before-apply); replay
-/// re-drives the same operations and ignores their errors, so an operation
-/// that half-applied before the crash converges to the same state.
+/// of the valid prefix: Open truncates it away, Replay stops there.
+///
+/// Check, log, apply: the testbed checks everything that can reject a write
+/// before it appends the record, so the log holds only writes that apply
+/// whole, and then applies it. SQL is the exception: its record is logged
+/// once the statement parses, because a multi-row statement can fail part
+/// way with no rollback, and replay must repeat whatever part applied.
+/// Replay runs each record through the same check and apply, and skips a
+/// record whose check fails (older logs hold writes that were logged before
+/// they were rejected); a payload DecodeMutation rejects stops recovery.
 ///
 /// Durability: Append assigns the LSN and stages bytes; WaitDurable(lsn)
 /// blocks until the record is written (and fsync'd, when Options::fsync).

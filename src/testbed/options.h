@@ -35,7 +35,7 @@ struct TestbedOptions {
   /// Durability directory. Empty (the default) keeps the classic in-memory
   /// testbed. When set, the directory holds the write-ahead log (dkb.wal)
   /// and the newest checkpoint (dkb.ckpt): every mutating operation is
-  /// logged before it applies, Checkpoint() writes a columnar image and
+  /// checked, logged, then applied, Checkpoint() writes a columnar image and
   /// truncates the log, and Create() recovers by loading the checkpoint and
   /// replaying the WAL tail.
   std::string wal_dir;
@@ -48,21 +48,6 @@ struct TestbedOptions {
   /// row versions no pinned session can see. <= 0 disables the thread.
   int64_t vacuum_interval_ms = 100;
 
-  /// Rule storage without the compiled form (paper Fig 15's ablation).
-  static TestbedOptions SourceOnlyRules() {
-    TestbedOptions o;
-    o.stored.compiled_rule_storage = false;
-    return o;
-  }
-
-  TestbedOptions& WithEdbIndex(bool on) {
-    stored.index_edb_first_column = on;
-    return *this;
-  }
-  TestbedOptions& WithCompiledRuleStorage(bool on) {
-    stored.compiled_rule_storage = on;
-    return *this;
-  }
   TestbedOptions& WithFlightRecorderCapacity(size_t n) {
     flight_recorder_capacity = n;
     return *this;
@@ -177,10 +162,6 @@ struct QueryOptions {
   QueryOptions& WithParallelism(int n) {
     if (!policy.has_value()) policy = GlobalParallelismPolicy();
     policy->lfp_parallelism = n;
-    return *this;
-  }
-  QueryOptions& WithPolicy(ParallelismPolicy p) {
-    policy = p;
     return *this;
   }
   /// The parallelism knobs this query runs with: the explicit per-query

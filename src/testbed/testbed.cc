@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <utility>
 
@@ -14,36 +13,12 @@
 #include "common/str_util.h"
 #include "common/timer.h"
 #include "datalog/parser.h"
-#include "storage/codec.h"
 #include "testbed/session.h"
 #include "testbed/sys_views.h"
 
 namespace dkb::testbed {
 
 namespace {
-
-/// Bumps the epoch when the enclosing writer scope exits, success or not:
-/// a failed write may still have partially applied, and a conservative
-/// refresh in open sessions is always correct.
-class EpochBump {
- public:
-  explicit EpochBump(std::function<void()> bump) : bump_(std::move(bump)) {}
-  ~EpochBump() { bump_(); }
-
- private:
-  std::function<void()> bump_;
-};
-
-/// Predicates defined by a program node, comma-joined (plan-summary label;
-/// matches the labels the LFP run time puts on NodeStats and trace spans).
-std::string NodeLabel(const km::ProgramNode& node) {
-  std::string label;
-  for (const std::string& p : node.predicates) {
-    if (!label.empty()) label += ",";
-    label += p;
-  }
-  return label;
-}
 
 /// The compiler options a query's options select.
 km::CompilerOptions CompilerOptionsFor(const QueryOptions& options) {
@@ -66,49 +41,6 @@ QueryResult TextResult(const std::string& text) {
     if (!line.empty()) result.rows.push_back(Tuple{Value(line)});
   }
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// WAL payload encoding (storage/codec.h; formats documented per record kind
-// in storage/wal.h).
-// ---------------------------------------------------------------------------
-
-std::string StrPayload(const std::string& s) {
-  codec::Writer w;
-  w.Str(s);
-  return w.Take();
-}
-
-std::string DefineBasePayload(const std::string& pred,
-                              const km::PredicateTypes& types) {
-  codec::Writer w;
-  w.Str(pred);
-  w.U16(static_cast<uint16_t>(types.size()));
-  for (DataType t : types) w.U8(static_cast<uint8_t>(t));
-  return w.Take();
-}
-
-std::string AddFactsPayload(const std::string& pred,
-                            const std::vector<Tuple>& rows) {
-  codec::Writer w;
-  w.Str(pred);
-  w.U32(static_cast<uint32_t>(rows.size()));
-  for (const Tuple& row : rows) w.Row(row);
-  return w.Take();
-}
-
-/// SELECT / EXPLAIN statements leave no durable state behind and are not
-/// logged; everything else (DDL, DML, pragmas we may grow) is.
-bool IsReadOnlySql(const std::string& statement) {
-  const size_t i = statement.find_first_not_of(" \t\r\n");
-  if (i == std::string::npos) return true;
-  const std::string head = AsciiLower(statement.substr(i, 8));
-  return StartsWith(head, "select") || StartsWith(head, "explain");
-}
-
-Status MalformedWal(const char* kind) {
-  return Status::InvalidArgument(std::string("malformed WAL payload for ") +
-                                 kind + " record");
 }
 
 }  // namespace
@@ -153,12 +85,11 @@ Result<std::unique_ptr<Testbed>> Testbed::Create(TestbedOptions options) {
 // Durability: WAL logging, recovery, checkpoints
 // ---------------------------------------------------------------------------
 
-Result<uint64_t> Testbed::LogWal(WalRecordKind kind,
-                                 std::string_view payload) {
+Result<uint64_t> Testbed::LogWal(const Mutation& m) {
   if (wal_ == nullptr || wal_replaying_.load(std::memory_order_relaxed)) {
     return uint64_t{0};
   }
-  return wal_->Append(kind, payload);
+  return wal_->Append(m.kind, EncodeMutation(m));
 }
 
 Status Testbed::WaitWal(uint64_t lsn) {
@@ -200,85 +131,16 @@ Status Testbed::RecoverFromDisk() {
   Status replayed = Wal::Replay(
       wal_path_, ckpt_lsn,
       [this](uint64_t /*lsn*/, WalRecordKind kind, std::string_view payload) {
-        return ApplyWalRecord(kind, payload);
+        DKB_ASSIGN_OR_RETURN(Mutation m, DecodeMutation(kind, payload));
+        // The log is deterministic, so the outcome is dropped: a record
+        // whose check fails now (logged by a build that logged before
+        // checking) applied nothing then either, and a SQL statement fails
+        // at the same row it failed at before the crash.
+        (void)Commit(m);
+        return Status::OK();
       });
   wal_replaying_.store(false, std::memory_order_release);
   return replayed;
-}
-
-Status Testbed::ApplyWalRecord(WalRecordKind kind, std::string_view payload) {
-  // Operation outcomes are deliberately dropped: the log is deterministic,
-  // so an op that failed (or half-applied) before the crash fails the same
-  // way here and the state still converges.
-  codec::Reader r(payload);
-  switch (kind) {
-    case WalRecordKind::kConsult: {
-      std::string text;
-      if (!r.Str(&text) || !r.Done()) return MalformedWal("consult");
-      (void)Consult(text);
-      return Status::OK();
-    }
-    case WalRecordKind::kAddRule: {
-      std::string text;
-      if (!r.Str(&text) || !r.Done()) return MalformedWal("add-rule");
-      (void)AddRule(text);
-      return Status::OK();
-    }
-    case WalRecordKind::kRetractRule: {
-      std::string text;
-      if (!r.Str(&text) || !r.Done()) return MalformedWal("retract-rule");
-      (void)RetractRule(text);
-      return Status::OK();
-    }
-    case WalRecordKind::kDefineBase: {
-      std::string pred;
-      uint16_t n = 0;
-      if (!r.Str(&pred) || !r.U16(&n)) return MalformedWal("define-base");
-      km::PredicateTypes types;
-      types.reserve(n);
-      for (uint16_t i = 0; i < n; ++i) {
-        uint8_t t = 0;
-        if (!r.U8(&t)) return MalformedWal("define-base");
-        types.push_back(static_cast<DataType>(t));
-      }
-      if (!r.Done()) return MalformedWal("define-base");
-      (void)DefineBase(pred, types);
-      return Status::OK();
-    }
-    case WalRecordKind::kAddFacts: {
-      std::string pred;
-      uint32_t n = 0;
-      if (!r.Str(&pred) || !r.U32(&n)) return MalformedWal("add-facts");
-      std::vector<Tuple> rows;
-      rows.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        Tuple row;
-        if (!r.Row(&row)) return MalformedWal("add-facts");
-        rows.push_back(std::move(row));
-      }
-      if (!r.Done()) return MalformedWal("add-facts");
-      (void)AddFacts(pred, rows);
-      return Status::OK();
-    }
-    case WalRecordKind::kUpdateStored: {
-      if (!r.Done()) return MalformedWal("update-stored");
-      (void)UpdateStoredDkb();
-      return Status::OK();
-    }
-    case WalRecordKind::kClearWorkspace: {
-      if (!r.Done()) return MalformedWal("clear-workspace");
-      ClearWorkspace();
-      return Status::OK();
-    }
-    case WalRecordKind::kSql: {
-      std::string statement;
-      if (!r.Str(&statement) || !r.Done()) return MalformedWal("sql");
-      (void)ExecuteSql(statement);
-      return Status::OK();
-    }
-  }
-  return Status::InvalidArgument("unknown WAL record kind " +
-                                 std::to_string(static_cast<int>(kind)));
 }
 
 Result<CheckpointInfo> Testbed::LoadCheckpointInternal(
@@ -448,193 +310,208 @@ void Testbed::VacuumPass() {
 }
 
 // ---------------------------------------------------------------------------
-// Write operations (logged, epoch-bumped)
+// Writes: one commit path (check, log, apply)
 // ---------------------------------------------------------------------------
 
-Status Testbed::Consult(const std::string& program_text) {
-  DKB_ASSIGN_OR_RETURN(datalog::Program program,
-                       datalog::ParseProgram(program_text));
-  if (!program.queries.empty()) {
-    return Status::InvalidArgument(
-        "consulted text contains a query; use Query() instead");
-  }
-  // Group facts per predicate; every fact of one predicate has its types.
-  std::map<std::string, std::vector<Tuple>> facts;
-  std::map<std::string, km::PredicateTypes> types;
-  for (const datalog::Rule& fact : program.facts) {
-    const datalog::Atom& head = fact.head;
-    km::PredicateTypes sig;
-    Tuple row;
-    for (const datalog::Term& t : head.args) {
-      sig.push_back(t.value.type());
-      row.push_back(t.value);
-    }
-    auto [it, inserted] = types.emplace(head.predicate, sig);
-    if (!inserted && it->second != sig) {
-      return Status::TypeError("facts for " + head.predicate +
-                               " have inconsistent column types");
-    }
-    facts[head.predicate].push_back(std::move(row));
-  }
+struct Testbed::Staged {
+  datalog::Program program;                         // kConsult
+  std::map<std::string, std::vector<Tuple>> facts;  // kConsult, per predicate
+  std::map<std::string, km::PredicateTypes> fact_types;
+  datalog::Rule rule;         // kAddRule, kRetractRule
+  bool read_only = false;     // kSql: a SELECT or EXPLAIN, never logged
+  km::UpdatePlan plan;        // kUpdateStored
+};
+
+Result<CommitOutcome> Testbed::Commit(const Mutation& mutation) {
+  Staged staged;
+  DKB_RETURN_IF_ERROR(ParseMutation(mutation, &staged));
   uint64_t lsn = 0;
-  Status applied;
+  Result<CommitOutcome> applied = Status::Internal("unreachable");
   {
     WriterLock lock(mu_);
-    // A consult applies whole or not at all, and the WAL logs only what
-    // applies: the facts must fit the base predicates they extend.
-    for (const auto& [pred, rows] : facts) {
-      DKB_RETURN_IF_ERROR(stored_->HasBasePredicate(pred)
-                              ? stored_->CheckFacts(pred, rows)
-                              : stored_->CheckNewBasePredicate(pred));
+    DKB_RETURN_IF_ERROR(CheckMutation(mutation, &staged));
+    if (!staged.read_only) {
+      DKB_ASSIGN_OR_RETURN(lsn, LogWal(mutation));
     }
-    EpochBump bump([this]() { BumpEpoch(); });
-    DKB_ASSIGN_OR_RETURN(lsn,
-                         LogWal(WalRecordKind::kConsult,
-                                StrPayload(program_text)));
-    applied = [&]() -> Status {
-      cache_.InvalidateOn(HeadsOf(program.rules));
-      for (datalog::Rule& rule : program.rules) {
+    applied = ApplyMutation(mutation, &staged);
+    // Fact loads leave every compiled program valid.
+    if (!staged.read_only) {
+      BumpEpoch(mutation.kind != WalRecordKind::kAddFacts);
+    }
+  }
+  DKB_RETURN_IF_ERROR(WaitWal(lsn));
+  return applied;
+}
+
+Status Testbed::ParseMutation(const Mutation& m, Staged* staged) {
+  DKB_RETURN_IF_ERROR(m.Validate());
+  switch (m.kind) {
+    case WalRecordKind::kConsult: {
+      DKB_ASSIGN_OR_RETURN(staged->program, datalog::ParseProgram(m.text));
+      if (!staged->program.queries.empty()) {
+        return Status::InvalidArgument(
+            "consulted text contains a query; use Query() instead");
+      }
+      // Group facts per predicate; every fact of one predicate has its
+      // types.
+      for (const datalog::Rule& fact : staged->program.facts) {
+        const datalog::Atom& head = fact.head;
+        km::PredicateTypes sig;
+        Tuple row;
+        for (const datalog::Term& t : head.args) {
+          sig.push_back(t.value.type());
+          row.push_back(t.value);
+        }
+        auto [it, inserted] = staged->fact_types.emplace(head.predicate, sig);
+        if (!inserted && it->second != sig) {
+          return Status::TypeError("facts for " + head.predicate +
+                                   " have inconsistent column types");
+        }
+        staged->facts[head.predicate].push_back(std::move(row));
+      }
+      return Status::OK();
+    }
+    case WalRecordKind::kAddRule:
+    case WalRecordKind::kRetractRule: {
+      DKB_ASSIGN_OR_RETURN(staged->rule, datalog::ParseRule(m.text));
+      return m.kind == WalRecordKind::kAddRule
+                 ? km::Workspace::CheckRule(staged->rule)
+                 : Status::OK();
+    }
+    case WalRecordKind::kSql: {
+      // The parsed statement's kind decides whether it is logged.
+      DKB_ASSIGN_OR_RETURN(PreparedStatement statement, db_.Prepare(m.text));
+      if (statement.param_count() > 0) {
+        return Status::InvalidArgument(
+            "a statement run on its own takes no ? parameters: " + m.text);
+      }
+      staged->read_only = statement.read_only();
+      return Status::OK();
+    }
+    default:
+      return Status::OK();
+  }
+}
+
+Status Testbed::CheckMutation(const Mutation& m, Staged* staged) {
+  switch (m.kind) {
+    case WalRecordKind::kConsult:
+      // The facts must fit the base predicates they extend, or be able to
+      // define new ones.
+      for (const auto& [pred, rows] : staged->facts) {
+        DKB_RETURN_IF_ERROR(stored_->HasBasePredicate(pred)
+                                ? stored_->CheckFacts(pred, rows)
+                                : stored_->CheckNewBasePredicate(pred));
+      }
+      return Status::OK();
+    case WalRecordKind::kRetractRule:
+      if (!workspace_.Contains(staged->rule)) {
+        return Status::NotFound("no such workspace rule: " +
+                                staged->rule.ToString());
+      }
+      return Status::OK();
+    case WalRecordKind::kDefineBase:
+      return stored_->CheckNewBasePredicate(m.text);
+    case WalRecordKind::kAddFacts:
+      return stored_->CheckFacts(m.text, m.rows);
+    case WalRecordKind::kUpdateStored: {
+      km::UpdateProcessor processor(stored_.get());
+      DKB_ASSIGN_OR_RETURN(staged->plan, processor.Check(workspace_));
+      return Status::OK();
+    }
+    default:
+      return Status::OK();
+  }
+}
+
+Result<CommitOutcome> Testbed::ApplyMutation(const Mutation& m,
+                                             Staged* staged) {
+  CommitOutcome outcome;
+  switch (m.kind) {
+    case WalRecordKind::kConsult:
+      cache_.InvalidateOn(datalog::HeadPredicates(staged->program.rules));
+      for (datalog::Rule& rule : staged->program.rules) {
         DKB_RETURN_IF_ERROR(workspace_.AddRule(std::move(rule)));
       }
       // Auto-define new base predicates, then load the facts.
-      for (auto& [pred, rows] : facts) {
+      for (const auto& [pred, rows] : staged->facts) {
         if (!stored_->HasBasePredicate(pred)) {
           DKB_RETURN_IF_ERROR(
-              stored_->DefineBasePredicate(pred, types[pred]));
+              stored_->DefineBasePredicate(pred, staged->fact_types[pred]));
         }
         DKB_RETURN_IF_ERROR(stored_->InsertFacts(pred, rows));
       }
-      return Status::OK();
-    }();
+      break;
+    case WalRecordKind::kAddRule:
+      cache_.InvalidateOn({staged->rule.head.predicate});
+      DKB_RETURN_IF_ERROR(workspace_.AddRule(std::move(staged->rule)));
+      break;
+    case WalRecordKind::kRetractRule:
+      cache_.InvalidateOn({staged->rule.head.predicate});
+      workspace_.RemoveRule(staged->rule);
+      break;
+    case WalRecordKind::kDefineBase:
+      DKB_RETURN_IF_ERROR(stored_->DefineBasePredicate(m.text, m.types));
+      break;
+    case WalRecordKind::kAddFacts:
+      DKB_RETURN_IF_ERROR(stored_->InsertFacts(m.text, m.rows));
+      break;
+    case WalRecordKind::kUpdateStored: {
+      cache_.InvalidateOn(workspace_.HeadPredicates());
+      km::UpdateProcessor processor(stored_.get());
+      DKB_ASSIGN_OR_RETURN(outcome.update,
+                           processor.Apply(workspace_, staged->plan));
+      break;
+    }
+    case WalRecordKind::kClearWorkspace:
+      cache_.InvalidateOn(workspace_.HeadPredicates());
+      workspace_.Clear();
+      break;
+    case WalRecordKind::kSql:
+      DKB_ASSIGN_OR_RETURN(outcome.result, db_.Execute(m.text));
+      break;
   }
-  DKB_RETURN_IF_ERROR(WaitWal(lsn));
-  return applied;
+  return outcome;
 }
 
-std::set<std::string> Testbed::HeadsOf(
-    const std::vector<datalog::Rule>& rules) {
-  std::set<std::string> heads;
-  for (const datalog::Rule& rule : rules) heads.insert(rule.head.predicate);
-  return heads;
+Status Testbed::Consult(const std::string& program_text) {
+  return Commit({WalRecordKind::kConsult, program_text}).status();
 }
 
 Status Testbed::AddRule(const std::string& rule_text) {
-  DKB_ASSIGN_OR_RETURN(datalog::Rule rule, datalog::ParseRule(rule_text));
-  uint64_t lsn = 0;
-  Status applied;
-  {
-    WriterLock lock(mu_);
-    EpochBump bump([this]() { BumpEpoch(); });
-    DKB_ASSIGN_OR_RETURN(
-        lsn, LogWal(WalRecordKind::kAddRule, StrPayload(rule_text)));
-    cache_.InvalidateOn({rule.head.predicate});
-    applied = workspace_.AddRule(std::move(rule));
-  }
-  DKB_RETURN_IF_ERROR(WaitWal(lsn));
-  return applied;
+  return Commit({WalRecordKind::kAddRule, rule_text}).status();
 }
 
 Status Testbed::RetractRule(const std::string& rule_text) {
-  DKB_ASSIGN_OR_RETURN(datalog::Rule rule, datalog::ParseRule(rule_text));
-  uint64_t lsn = 0;
-  Status applied;
-  {
-    WriterLock lock(mu_);
-    EpochBump bump([this]() { BumpEpoch(); });
-    DKB_ASSIGN_OR_RETURN(
-        lsn, LogWal(WalRecordKind::kRetractRule, StrPayload(rule_text)));
-    if (!workspace_.RemoveRule(rule)) {
-      applied =
-          Status::NotFound("no such workspace rule: " + rule.ToString());
-    } else {
-      cache_.InvalidateOn({rule.head.predicate});
-      applied = Status::OK();
-    }
-  }
-  DKB_RETURN_IF_ERROR(WaitWal(lsn));
-  return applied;
+  return Commit({WalRecordKind::kRetractRule, rule_text}).status();
 }
 
 Status Testbed::DefineBase(const std::string& pred,
                            const km::PredicateTypes& types) {
-  uint64_t lsn = 0;
-  Status applied;
-  {
-    WriterLock lock(mu_);
-    EpochBump bump([this]() { BumpEpoch(); });
-    DKB_ASSIGN_OR_RETURN(lsn, LogWal(WalRecordKind::kDefineBase,
-                                     DefineBasePayload(pred, types)));
-    applied = stored_->DefineBasePredicate(pred, types);
-  }
-  DKB_RETURN_IF_ERROR(WaitWal(lsn));
-  return applied;
+  return Commit({WalRecordKind::kDefineBase, pred, types}).status();
 }
 
-Status Testbed::AddFacts(const std::string& pred,
-                         const std::vector<Tuple>& rows) {
-  uint64_t lsn = 0;
-  Status applied;
-  {
-    WriterLock lock(mu_);
-    // The WAL logs only what applies: every row must fit the predicate.
-    DKB_RETURN_IF_ERROR(stored_->CheckFacts(pred, rows));
-    EpochBump bump([this]() { BumpEpoch(/*programs_may_change=*/false); });
-    DKB_ASSIGN_OR_RETURN(
-        lsn, LogWal(WalRecordKind::kAddFacts, AddFactsPayload(pred, rows)));
-    applied = stored_->InsertFacts(pred, rows);
-  }
-  DKB_RETURN_IF_ERROR(WaitWal(lsn));
-  return applied;
+Status Testbed::AddFacts(const std::string& pred, std::vector<Tuple> rows) {
+  return Commit({WalRecordKind::kAddFacts, pred, {}, std::move(rows)})
+      .status();
 }
 
-void Testbed::ClearWorkspace() {
-  uint64_t lsn = 0;
-  {
-    WriterLock lock(mu_);
-    EpochBump bump([this]() { BumpEpoch(); });
-    auto logged = LogWal(WalRecordKind::kClearWorkspace, {});
-    if (logged.ok()) lsn = *logged;
-    cache_.InvalidateOn(HeadsOf(workspace_.rules()));
-    workspace_.Clear();
-  }
-  (void)WaitWal(lsn);
+Status Testbed::ClearWorkspace() {
+  return Commit({WalRecordKind::kClearWorkspace}).status();
 }
 
 Result<km::UpdateStats> Testbed::UpdateStoredDkb() {
-  uint64_t lsn = 0;
-  Result<km::UpdateStats> applied = Status::Internal("unreachable");
-  {
-    WriterLock lock(mu_);
-    EpochBump bump([this]() { BumpEpoch(); });
-    DKB_ASSIGN_OR_RETURN(lsn, LogWal(WalRecordKind::kUpdateStored, {}));
-    cache_.InvalidateOn(HeadsOf(workspace_.rules()));
-    km::UpdateProcessor processor(stored_.get());
-    applied = processor.Update(workspace_);
-  }
-  DKB_RETURN_IF_ERROR(WaitWal(lsn));
-  return applied;
+  DKB_ASSIGN_OR_RETURN(CommitOutcome outcome,
+                       Commit({WalRecordKind::kUpdateStored}));
+  return outcome.update;
 }
 
 Result<QueryResult> Testbed::ExecuteSql(const std::string& statement) {
-  // Exclusive: arbitrary SQL may be DDL/DML, and even read-only statements
-  // may scan sys.* virtual tables whose providers expect the writer-side
-  // protocol of a running query.
-  const bool read_only = IsReadOnlySql(statement);
-  uint64_t lsn = 0;
-  Result<QueryResult> result = Status::Internal("unreachable");
-  {
-    WriterLock lock(mu_);
-    if (!read_only) {
-      EpochBump bump([this]() { BumpEpoch(); });
-      DKB_ASSIGN_OR_RETURN(
-          lsn, LogWal(WalRecordKind::kSql, StrPayload(statement)));
-      result = db_.Execute(statement);
-    } else {
-      result = db_.Execute(statement);
-    }
-  }
-  DKB_RETURN_IF_ERROR(WaitWal(lsn));
-  return result;
+  // Exclusive even for a SELECT: it may scan sys.* virtual tables whose
+  // providers expect the writer-side protocol of a running query.
+  DKB_ASSIGN_OR_RETURN(CommitOutcome outcome,
+                       Commit({WalRecordKind::kSql, statement}));
+  return std::move(outcome.result);
 }
 
 // ---------------------------------------------------------------------------
@@ -735,7 +612,7 @@ Result<QueryOutcome> Testbed::QueryImpl(Database* db,
   report.plan.rules_pruned = report.compile.rules_pruned;
   for (const km::ProgramNode& node : program.nodes) {
     PlanSummary::Node pn;
-    pn.label = NodeLabel(node);
+    pn.label = node.Label();
     pn.is_clique = node.is_clique;
     pn.exit_rules = static_cast<int64_t>(node.exit_rules.size());
     pn.recursive_rules = static_cast<int64_t>(node.recursive_rules.size());

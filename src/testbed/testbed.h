@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -47,6 +46,13 @@ struct QueryOutcome {
   QueryReport report;
 };
 
+/// What a committed Mutation returns besides its status: the Stored-DKB
+/// update's statistics for kUpdateStored, the statement's result for kSql.
+struct CommitOutcome {
+  km::UpdateStats update;
+  QueryResult result;
+};
+
 /// The D/KBMS testbed facade (paper Fig 5): a Workspace DKB, a Stored DKB
 /// living inside the relational DBMS, the query compiler, and the run time
 /// library, wired together behind the session operations a user performs.
@@ -64,10 +70,23 @@ class Testbed {
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
+  /// The one write path: the typed writes below, the server's mutation
+  /// requests and WAL replay all commit through it. Under the writer lock
+  /// it checks everything that can reject `mutation`, writing nothing; then
+  /// it logs the record, applies it, advances the epoch and drops the cached
+  /// programs it may change. It waits for the record to be durable after
+  /// the lock drops, so concurrent writers share one group-commit fsync. A
+  /// rejected mutation changes nothing and logs nothing. SQL is checked
+  /// only for parsing, since a multi-row statement can fail part way; a
+  /// SELECT or EXPLAIN is neither logged nor advances the epoch.
+  Result<CommitOutcome> Commit(const Mutation& mutation) DKB_EXCLUDES(mu_);
+
   /// Loads a Datalog program: proper rules go to the Workspace DKB, ground
   /// facts to the extensional database (base predicates are auto-defined
   /// from the types of the first fact's constants). Queries in the text are
-  /// rejected — use Query().
+  /// rejected — use Query(). The program applies whole or not at all: facts
+  /// of one predicate with two row types, or facts that do not fit the
+  /// base predicate they extend, reject it.
   Status Consult(const std::string& program_text) DKB_EXCLUDES(mu_);
 
   /// Adds a single rule ("anc(X,Y) :- par(X,Y).") to the workspace.
@@ -78,7 +97,8 @@ class Testbed {
   /// unaffected. Returns NotFound if no such workspace rule exists.
   Status RetractRule(const std::string& rule_text) DKB_EXCLUDES(mu_);
 
-  /// Declares a base predicate with explicit column types.
+  /// Declares a base predicate with explicit column types: at least one,
+  /// each INTEGER or VARCHAR.
   Status DefineBase(const std::string& pred,
                     const km::PredicateTypes& types) DKB_EXCLUDES(mu_);
 
@@ -86,7 +106,7 @@ class Testbed {
   /// all: an undefined predicate, a row of another arity or a value of
   /// another type (NULL fits any column) is rejected before the WAL record
   /// is written.
-  Status AddFacts(const std::string& pred, const std::vector<Tuple>& rows)
+  Status AddFacts(const std::string& pred, std::vector<Tuple> rows)
       DKB_EXCLUDES(mu_);
 
   /// Compiles and executes a D/KB query ("?- anc(john, X)." or just
@@ -112,6 +132,8 @@ class Testbed {
       DKB_EXCLUDES(mu_);
 
   /// Commits the Workspace rules into the Stored DKB (paper §4.3).
+  /// Rejected, storing nothing, when a rule's head is a base predicate, a
+  /// body predicate is unknown or the rules do not type-check.
   Result<km::UpdateStats> UpdateStoredDkb() DKB_EXCLUDES(mu_);
 
   /// Runs one raw SQL statement under the writer lock. This is the safe
@@ -158,7 +180,7 @@ class Testbed {
   /// exactly the rows with begin <= E < end (storage/epoch.h).
   uint64_t epoch() const { return epochs_.committed(); }
 
-  void ClearWorkspace() DKB_EXCLUDES(mu_);
+  Status ClearWorkspace() DKB_EXCLUDES(mu_);
 
   /// One row of sys.sessions: an open Session's id, the epoch its snapshot
   /// was cloned at, and how many queries it has run.
@@ -254,10 +276,17 @@ class Testbed {
 
   explicit Testbed(TestbedOptions options);
 
-  /// Predicates whose programs must be invalidated when `rules` are added
-  /// or cleared.
-  static std::set<std::string> HeadsOf(
-      const std::vector<datalog::Rule>& rules);
+  /// A mutation's parsed form and what its check decided, carried from the
+  /// check to the apply.
+  struct Staged;
+
+  /// Commit's three steps. Parse validates the fields and parses the text
+  /// kinds, outside the lock; Check makes every check that reads testbed
+  /// state; Apply writes. Neither of the first two writes anything.
+  Status ParseMutation(const Mutation& m, Staged* staged);
+  Status CheckMutation(const Mutation& m, Staged* staged) DKB_REQUIRES(mu_);
+  Result<CommitOutcome> ApplyMutation(const Mutation& m, Staged* staged)
+      DKB_REQUIRES(mu_);
 
   /// The compile-then-evaluate pipeline shared by Testbed::Query (against
   /// the testbed's own state, under the writer lock) and Session::Query
@@ -288,18 +317,12 @@ class Testbed {
     if (programs_may_change) program_epoch_ = epochs_.committed();
   }
 
-  /// Appends one redo record under the writer lock; returns its LSN, or 0
-  /// when no WAL is configured or the record is itself being replayed.
-  /// Callers release the lock, then WaitWal(lsn) — so the next writer can
+  /// Appends the redo record of `m` under the writer lock; returns its LSN,
+  /// or 0 when no WAL is configured or the record is itself being replayed.
+  /// Commit releases the lock, then WaitWal(lsn) — so the next writer can
   /// append into the same group-commit fsync batch while this one waits.
-  Result<uint64_t> LogWal(WalRecordKind kind, std::string_view payload)
-      DKB_REQUIRES(mu_);
+  Result<uint64_t> LogWal(const Mutation& m) DKB_REQUIRES(mu_);
   Status WaitWal(uint64_t lsn) DKB_EXCLUDES(mu_);
-
-  /// Recovery: decodes one WAL record and re-drives the matching public
-  /// operation. Operation errors are swallowed — replay of a deterministic
-  /// log converges to the pre-crash state even through ops that failed.
-  Status ApplyWalRecord(WalRecordKind kind, std::string_view payload);
 
   /// Create() with wal_dir: load checkpoint (or initialize fresh), open the
   /// WAL, replay the tail.
@@ -370,8 +393,8 @@ class Testbed {
   std::string wal_path_;
   std::string ckpt_path_;
   std::unique_ptr<Wal> wal_;
-  /// True while Create replays the log: replayed operations re-enter the
-  /// public write paths and must not re-log themselves.
+  /// True while Create replays the log: replayed records commit through
+  /// Commit and must not re-log themselves.
   std::atomic<bool> wal_replaying_{false};
 
   /// Background MVCC reclaimer: frees row versions no pinned session can

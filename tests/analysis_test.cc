@@ -482,18 +482,6 @@ TEST_F(AnalysisCompilerTest, MagicPathAlsoPrunes) {
   EXPECT_EQ(outcome->result.rows.size(), 2u);
 }
 
-TEST_F(AnalysisCompilerTest, AnalyzerCanBeDisabled) {
-  ASSERT_TRUE(tb_->Consult("p(X) :- q(X), 1 > 2.\nq(1).\n").ok());
-  QueryCompiler compiler(&tb_->workspace(), &tb_->stored());
-  CompilerOptions copts;
-  copts.analyze = false;
-  CompilationStats stats;
-  auto compiled = compiler.Compile(Goal("?- p(W)."), copts, &stats);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  EXPECT_EQ(stats.rules_pruned, 0);
-  EXPECT_TRUE(compiled->analysis.diagnostics().empty());
-}
-
 TEST_F(AnalysisCompilerTest, LintWorkspaceReportsWorkspaceProblems) {
   ASSERT_TRUE(tb_->Consult("num(1).\n").ok());
   ASSERT_TRUE(tb_->AddRule("p(X) :- num(X), X < 0, X > 0.").ok());

@@ -166,14 +166,6 @@ TEST_F(ExecPlanTest, LimitNode) {
   EXPECT_EQ(Drain(&limit).size(), 3u);  // reopen resets the count
 }
 
-TEST_F(ExecPlanTest, CountNode) {
-  auto scan = std::make_unique<SeqScanNode>(table_, KeyLessThan(7), &stats_);
-  CountNode count(std::move(scan), "n");
-  auto rows = Drain(&count);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0], Value(static_cast<int64_t>(7)));
-}
-
 TEST_F(ExecPlanTest, SetOpSemantics) {
   auto make_scan = [&](int64_t bound) {
     return std::make_unique<SeqScanNode>(table_, KeyLessThan(bound), &stats_);

@@ -593,15 +593,40 @@ TEST_F(NetServerTest, MalformedPayloadKeepsConnectionUsable) {
   RawConn conn(server_.port());
   ASSERT_TRUE(conn.connected());
   ASSERT_TRUE(conn.Hello());
-  // kDefineBase with a garbage payload: well-framed, undecodable.
-  conn.SendFrame(MsgType::kDefineBase, 11, "\x01garbage");
-  Frame frame;
-  ASSERT_TRUE(conn.ReadFrame(&frame));
-  EXPECT_EQ(frame.type, MsgType::kError);
-  EXPECT_EQ(frame.request_id, 11u);
-  conn.SendFrame(MsgType::kListRules, 12, "");
-  ASSERT_TRUE(conn.ReadFrame(&frame));
-  EXPECT_EQ(frame.type, MsgType::kRuleList);
+  // Well-framed, undecodable mutation payloads: garbage, a column type byte
+  // that names no type, an empty column list, and a row count the payload
+  // cannot hold.
+  WireWriter bad_type;
+  bad_type.Str("q");
+  bad_type.U16(1);
+  bad_type.U8(200);
+  WireWriter no_columns;
+  no_columns.Str("q");
+  no_columns.U16(0);
+  WireWriter too_many_rows;
+  too_many_rows.Str("q");
+  too_many_rows.U32(UINT32_MAX);
+  const struct {
+    MsgType type;
+    std::string payload;
+  } cases[] = {{MsgType::kDefineBase, "\x01garbage"},
+               {MsgType::kDefineBase, bad_type.str()},
+               {MsgType::kDefineBase, no_columns.str()},
+               {MsgType::kAddFacts, too_many_rows.str()}};
+  uint32_t id = 10;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(id);
+    conn.SendFrame(c.type, ++id, c.payload);
+    Frame frame;
+    ASSERT_TRUE(conn.ReadFrame(&frame));
+    EXPECT_EQ(frame.type, MsgType::kError);
+    EXPECT_EQ(frame.request_id, id);
+    EXPECT_EQ(DecodeErrorPayload(frame.payload).code(),
+              ErrorCode::kProtocolError);
+    conn.SendFrame(MsgType::kListRules, ++id, "");
+    ASSERT_TRUE(conn.ReadFrame(&frame));
+    EXPECT_EQ(frame.type, MsgType::kRuleList);
+  }
 }
 
 TEST_F(NetServerTest, FramingViolationGetsErrorFrameThenClose) {

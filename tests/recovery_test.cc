@@ -4,7 +4,7 @@
 // applied the same operations without crashing.
 //
 // Every operation below returns only after its redo record is durable
-// (log-before-apply + group-commit fsync), so "the child finished the
+// (check, log, apply, then a group-commit fsync), so "the child finished the
 // workload and then was killed" implies "recovery reproduces the workload".
 
 #include <gtest/gtest.h>
@@ -14,11 +14,14 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "storage/codec.h"
 #include "testbed/testbed.h"
 #include "workload/data_gen.h"
 #include "workload/queries.h"
@@ -253,8 +256,8 @@ TEST(RecoveryTest, UserTablesOfLfpNamesSurviveQueriesAndRecovery) {
   }
 }
 
-/// What a rejected consult or fact load must leave alone: the workspace
-/// rules, the rows of edb_p and sys.wal's last_lsn.
+/// What a rejected write must leave alone: the workspace rules, the rows of
+/// edb_p and sys.wal's last_lsn.
 std::vector<std::set<std::string>> ConsultState(Testbed* tb) {
   std::vector<std::string> rules = tb->ListRuleTexts();
   return {std::set<std::string>(rules.begin(), rules.end()),
@@ -351,6 +354,101 @@ TEST(RecoveryTest, RejectedAddFactsAppliesAndLogsNothing) {
     auto recovered = Testbed::Create(TestbedOptions{}.WithWalDir(dir));
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_EQ(ConsultState(recovered->get()), live);
+  }
+}
+
+// Every write but SQL checks everything that can reject it before its WAL
+// record is written, and SQL is logged only once it parses: each of these
+// writes returns its error and moves neither the log, the commit epoch nor
+// the query cache, live or after recovery.
+TEST(RecoveryTest, RejectedWriteAppliesAndLogsNothing) {
+  struct Case {
+    std::string name;
+    std::function<Status(Testbed*)> write;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"retract_absent_rule",
+       [](Testbed* tb) { return tb->RetractRule("s(X) :- q(X)."); },
+       StatusCode::kNotFound},
+      {"define_existing_base",
+       [](Testbed* tb) { return tb->DefineBase("p", {DataType::kVarchar}); },
+       StatusCode::kAlreadyExists},
+      {"define_no_columns", [](Testbed* tb) { return tb->DefineBase("z", {}); },
+       StatusCode::kInvalidArgument},
+      {"define_invalid_type",
+       [](Testbed* tb) { return tb->DefineBase("y", {DataType::kInvalid}); },
+       StatusCode::kInvalidArgument},
+      {"add_fact_as_rule", [](Testbed* tb) { return tb->AddRule("p(a)."); },
+       StatusCode::kInvalidArgument},
+      {"sql_parse_error",
+       [](Testbed* tb) { return tb->ExecuteSql("INSER INTO x").status(); },
+       StatusCode::kInvalidArgument},
+      {"update_unknown_body",
+       [](Testbed* tb) { return tb->UpdateStoredDkb().status(); },
+       StatusCode::kSemanticError}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string dir = FreshDir("recovery_rejected_write_" + c.name);
+    std::vector<std::set<std::string>> live;
+    {
+      auto tb = Testbed::Create(TestbedOptions{}.WithWalDir(dir));
+      ASSERT_TRUE(tb.ok()) << tb.status().ToString();
+      Testbed* t = tb->get();
+      ASSERT_TRUE(t->Consult("s(X) :- p(X).\np(a).\n").ok());
+      ASSERT_TRUE(t->AddRule("bad(X) :- p(X), ghost(X).").ok());
+      ASSERT_TRUE(t->Query("?- s(W).", QueryOptions{}.WithCache()).ok());
+      live = ConsultState(t);
+      const int64_t appends = t->WalSnapshot().appends;
+      const uint64_t epoch = t->epoch();
+      const size_t cached = t->query_cache().size();
+      const int64_t invalidated = t->query_cache().stats().invalidated;
+      Status rejected = c.write(t);
+      EXPECT_EQ(rejected.code(), c.code) << rejected.ToString();
+      EXPECT_EQ(ConsultState(t), live);
+      EXPECT_EQ(t->WalSnapshot().appends, appends);
+      EXPECT_EQ(t->epoch(), epoch);
+      EXPECT_EQ(t->query_cache().size(), cached);
+      EXPECT_EQ(t->query_cache().stats().invalidated, invalidated);
+    }
+    auto recovered = Testbed::Create(TestbedOptions{}.WithWalDir(dir));
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(ConsultState(recovered->get()), live);
+  }
+}
+
+// A record whose payload the mutation codec rejects stops recovery with
+// InvalidArgument instead of replaying as something else: a column type
+// byte that names no type, and a row count the payload cannot hold.
+TEST(RecoveryTest, MalformedRecordStopsRecovery) {
+  codec::Writer bad_type;
+  bad_type.Str("q");
+  bad_type.U16(1);
+  bad_type.U8(200);
+  codec::Writer too_many_rows;
+  too_many_rows.Str("q");
+  too_many_rows.U32(UINT32_MAX);
+  const struct {
+    std::string name;
+    WalRecordKind kind;
+    std::string payload;
+  } cases[] = {{"type_byte_200", WalRecordKind::kDefineBase, bad_type.str()},
+               {"rows_2_32", WalRecordKind::kAddFacts, too_many_rows.str()}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string dir = FreshDir("recovery_malformed_" + c.name);
+    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+    {
+      auto wal = Wal::Open(dir + "/dkb.wal", Wal::Options{});
+      ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+      auto lsn = (*wal)->Append(c.kind, c.payload);
+      ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
+      ASSERT_TRUE((*wal)->WaitDurable(*lsn).ok());
+    }
+    auto tb = Testbed::Create(TestbedOptions{}.WithWalDir(dir));
+    ASSERT_FALSE(tb.ok());
+    EXPECT_EQ(tb.status().code(), StatusCode::kInvalidArgument)
+        << tb.status().ToString();
   }
 }
 

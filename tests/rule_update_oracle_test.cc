@@ -7,8 +7,9 @@
 // dictionary relations must equal those of a fresh testbed that commits
 // every rule accepted so far in one update: reachablepreds, idbrel and
 // idbcol as multisets, rulesource by rule text. A rejected update must
-// leave every dictionary table unchanged. The same holds after the WAL
-// directory is reopened, with a checkpoint cut midway through the sequence.
+// leave every dictionary table unchanged and write no WAL record. The same
+// holds after the WAL directory is reopened, with a checkpoint cut midway
+// through the sequence.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -58,6 +59,13 @@ DictState Snapshot(Testbed* tb) {
     }
   }
   return state;
+}
+
+/// sys.wal's last_lsn, rendered.
+std::string LastLsn(Testbed* tb) {
+  auto result = tb->ExecuteSql("SELECT last_lsn FROM sys.wal");
+  if (!result.ok()) return "error: " + result.status().ToString();
+  return result->rows.at(0).at(0).ToString();
 }
 
 void ExpectSameDictionaries(const DictState& got, const DictState& want) {
@@ -289,11 +297,15 @@ TEST_P(RuleUpdateOracleTest, IncrementalUpdatesMatchOneUpdateFromScratch) {
     for (const std::string& rule : u.rules) {
       ASSERT_TRUE(live->AddRule(rule).ok()) << rule;
     }
+    const std::string lsn_before = LastLsn(live.get());
     auto stats = live->UpdateStoredDkb();
-    live->ClearWorkspace();
+    const std::string lsn_after = LastLsn(live.get());
+    ASSERT_TRUE(live->ClearWorkspace().ok());
     if (u.ill_typed) {
       EXPECT_FALSE(stats.ok());
       ExpectSameDictionaries(Snapshot(live.get()), before);
+      // A rejected update is not logged.
+      EXPECT_EQ(lsn_after, lsn_before);
     } else {
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       sequence.Accept(u);

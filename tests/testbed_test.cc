@@ -240,6 +240,25 @@ TEST_F(TestbedTest, WorkspaceAndStoredRulesCombine) {
   EXPECT_EQ(AnswerSet(r), (std::set<std::string>{"b|"}));
 }
 
+// A rule headed by a base predicate would make it derived as well, and its
+// stored facts would stop answering: the update rejects it, naming the
+// predicate, and stores nothing.
+TEST_F(TestbedTest, UpdateRejectsRuleHeadedByBasePredicate) {
+  Consult("e(a, b).\nf(c, d).\n");
+  ASSERT_TRUE(tb_->AddRule("e(X, Y) :- f(X, Y).").ok());
+  auto update = tb_->UpdateStoredDkb();
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().code(), StatusCode::kSemanticError);
+  EXPECT_NE(update.status().message().find("base predicate e "),
+            std::string::npos)
+      << update.status().ToString();
+  ASSERT_TRUE(tb_->ClearWorkspace().ok());
+  EXPECT_EQ(AnswerSet(Query("?- e(a, W).")), (std::set<std::string>{"b|"}));
+  auto idb = tb_->ExecuteSql("SELECT * FROM idbrel WHERE predname = 'e'");
+  ASSERT_TRUE(idb.ok()) << idb.status().ToString();
+  EXPECT_TRUE(idb->rows.empty());
+}
+
 TEST_F(TestbedTest, QueryErrors) {
   Consult(workload::AncestorRules() + "parent(a, b).\n");
   // Unknown predicate.
