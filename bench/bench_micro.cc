@@ -1,15 +1,23 @@
 // Engine micro-benchmarks: the relational primitives the testbed leans on,
 // each timed alone — bulk insert, scan, index probe, hash and index joins,
 // set difference, SQL parsing (the per-statement overhead of the
-// embedded-SQL interface) and an INSERT ... SELECT round trip.
+// embedded-SQL interface), an INSERT ... SELECT round trip — and the WAL's
+// two primitives: staging a record (Wal::Append) and making it durable
+// (Append + WaitDurable with fdatasync) on a scratch log under /tmp.
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/timer.h"
 #include "rdbms/database.h"
 #include "sql/parser.h"
+#include "storage/wal.h"
 #include "workload/data_gen.h"
 
 namespace dkb::bench {
@@ -52,6 +60,36 @@ int64_t Rows(Database* db, const std::string& sql) {
   return static_cast<int64_t>(Unwrap(db->QueryRows(sql), "query").size());
 }
 
+/// A fresh scratch log, opened with fdatasync on; the caller removes the
+/// file once the log has closed.
+std::unique_ptr<Wal> OpenScratchWal(const std::string& path,
+                                    bool group_commit) {
+  std::remove(path.c_str());
+  return Unwrap(
+      Wal::Open(path, Wal::Options{.fsync = true, .group_commit = group_commit}),
+      "Wal::Open");
+}
+
+/// Median microseconds of one durable commit of `payload`: Append, then
+/// WaitDurable, `appends` times in a row on a fresh scratch log.
+double DurableAppendP50(const std::string& path, bool group_commit,
+                        int appends, const std::string& payload) {
+  std::unique_ptr<Wal> wal = OpenScratchWal(path, group_commit);
+  std::vector<int64_t> nanos;
+  nanos.reserve(appends);
+  for (int i = 0; i < appends; ++i) {
+    WallTimer timer;
+    const uint64_t lsn =
+        Unwrap(wal->Append(WalRecordKind::kAddFacts, payload), "Wal::Append");
+    CheckOk(wal->WaitDurable(lsn), "Wal::WaitDurable");
+    nanos.push_back(timer.ElapsedNanos());
+  }
+  wal.reset();
+  std::remove(path.c_str());
+  std::nth_element(nanos.begin(), nanos.begin() + appends / 2, nanos.end());
+  return static_cast<double>(nanos[appends / 2]) / 1000.0;
+}
+
 }  // namespace
 
 void Micro(Report* report) {
@@ -59,7 +97,8 @@ void Micro(Report* report) {
                  "SIGMOD'88 D/KB testbed, the DBMS interface of the design "
                  "discussion (embedded-SQL statement overhead)",
                  "per-statement costs of a few us; joins scale with the "
-                 "tree, and an index nested-loop join beats the hash join");
+                 "tree, and an index nested-loop join beats the hash join; "
+                 "a durable WAL append costs one fdatasync");
 
   Table table({Text("case"), Text("input"), Count("rows_per_op"),
                Micros("per_op", 2), Ratio("m_rows_per_s", 1)});
@@ -147,6 +186,35 @@ void Micro(Report* report) {
                    .rows_affected;
     });
     row("insert_select_round_trip", tree + std::to_string(d), copied, us);
+  }
+  {
+    // A 230-byte record, the size of a one-row fact commit's frame.
+    const std::string payload(213, 'x');
+    const std::string path =
+        "/tmp/dkb_bench_micro_" + std::to_string(::getpid()) + ".wal";
+    std::unique_ptr<Wal> wal = OpenScratchWal(path, /*group_commit=*/true);
+    const int ops = Reps(2000, 20);
+    const int64_t batch = MedianMicros(Reps(5, 1), [&]() {
+      uint64_t lsn = 0;
+      WallTimer timer;
+      for (int i = 0; i < ops; ++i) {
+        lsn = Unwrap(wal->Append(WalRecordKind::kAddFacts, payload),
+                     "Wal::Append");
+      }
+      const int64_t us = timer.ElapsedMicros();
+      CheckOk(wal->WaitDurable(lsn), "Wal::WaitDurable");
+      return us;
+    });
+    wal.reset();
+    std::remove(path.c_str());
+    row("wal_append", "230 B, group commit", 1,
+        static_cast<double>(batch) / ops);
+    const int appends = Reps(3000, 20);
+    for (bool group_commit : {false, true}) {
+      row("wal_durable_append",
+          group_commit ? "230 B, group commit" : "230 B, direct", 1,
+          DurableAppendP50(path, group_commit, appends, payload));
+    }
   }
   report->Add(std::move(table));
 }

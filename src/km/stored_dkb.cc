@@ -161,7 +161,7 @@ Status StoredDkb::CheckFacts(const std::string& pred,
   return Status::OK();
 }
 
-Status StoredDkb::CheckNewBasePredicate(const std::string& pred) const {
+Status StoredDkb::CheckNewBasePredicate(const std::string& pred) {
   if (HasBasePredicate(pred)) {
     return Status::AlreadyExists("base predicate " + pred +
                                  " already defined");
@@ -169,6 +169,19 @@ Status StoredDkb::CheckNewBasePredicate(const std::string& pred) const {
   if (db_->catalog().HasTable(EdbTableName(pred))) {
     return Status::AlreadyExists("table " + EdbTableName(pred) +
                                  " already exists");
+  }
+  // Facts of a derived predicate would sit beside its rules and never
+  // answer a query.
+  if (!select_idb_pred_.valid()) {
+    DKB_ASSIGN_OR_RETURN(
+        select_idb_pred_,
+        db_->Prepare("SELECT arity FROM idbrel WHERE predname = ?"));
+  }
+  DKB_RETURN_IF_ERROR(select_idb_pred_.Bind(0, Value(pred)));
+  DKB_ASSIGN_OR_RETURN(QueryResult derived, select_idb_pred_.Execute());
+  if (!derived.rows.empty()) {
+    return Status::AlreadyExists("predicate " + pred +
+                                 " is derived by stored rules");
   }
   return Status::OK();
 }

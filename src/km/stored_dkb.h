@@ -84,8 +84,9 @@ class StoredDkb {
                     const std::vector<Tuple>& tuples) const;
 
   /// The check DefineBasePredicate makes ahead of any write: AlreadyExists
-  /// if `pred` is a base predicate or its relation's name is taken, else OK.
-  Status CheckNewBasePredicate(const std::string& pred) const;
+  /// if `pred` is a base predicate, its relation's name is taken or the
+  /// stored rules derive it (idbrel lists it), else OK.
+  Status CheckNewBasePredicate(const std::string& pred);
 
   /// Deletes all facts of `pred` (relation and dictionary entry remain).
   Status ClearFacts(const std::string& pred);
@@ -150,6 +151,8 @@ class StoredDkb {
   // (prepared lazily on first use; the rulesource schema never changes).
   PreparedStatement select_rule_by_head_;
   PreparedStatement insert_rule_;
+  // CheckNewBasePredicate's idbrel probe, prepared on first use.
+  PreparedStatement select_idb_pred_;
 };
 
 }  // namespace dkb::km

@@ -15,6 +15,7 @@
 #include "storage/codec.h"
 #include "storage/index.h"
 #include "storage/table.h"
+#include "storage/wal.h"
 
 namespace dkb {
 
@@ -109,7 +110,10 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
     return Status::Unavailable("checkpoint: rename to " + path + ": " +
                                std::strerror(errno));
   }
-  return Status::OK();
+  // The rename is durable only once the directory is: without this, a
+  // power loss after the caller truncates the WAL could bring back the old
+  // image beside an emptied log.
+  return SyncParentDirectory(path);
 }
 
 Result<std::string> ReadWholeFile(const std::string& path) {

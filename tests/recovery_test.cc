@@ -267,24 +267,37 @@ std::vector<std::set<std::string>> ConsultState(Testbed* tb) {
 
 // A consult applies whole or not at all, and logs only what applies: facts
 // of one predicate with two row types, facts that do not fit an existing
-// base predicate, or facts whose relation name a user table holds are
-// rejected before the WAL record is written, so no rule of the consult
-// stays behind, live or after recovery.
+// base predicate, facts whose relation name a user table holds, or facts
+// (and a DefineBase) of a predicate the stored rules derive are rejected
+// before the WAL record is written, so no rule of the consult stays behind,
+// live or after recovery.
 TEST(RecoveryTest, RejectedConsultAppliesAndLogsNothing) {
+  auto consult = [](std::string text) {
+    return [text](Testbed* tb) { return tb->Consult(text); };
+  };
   struct Case {
     std::string name;
     std::string facts;  // consulted first
     std::string sql;    // run next
-    std::string rejected;
+    bool store;         // then UpdateStoredDkb and ClearWorkspace
+    std::function<Status(Testbed*)> rejected;
     StatusCode code;
   };
+  const std::string derived_g = "p(a).\nf(c, d).\ng(X, Y) :- f(X, Y).\n";
   const Case cases[] = {
-      {"inconsistent", "", "", "q(X) :- p(X).\np(a).\np(1).\n",
+      {"inconsistent", "", "", false, consult("q(X) :- p(X).\np(a).\np(1).\n"),
        StatusCode::kTypeError},
-      {"base_mismatch", "p(a).\n", "", "r(X) :- p(X).\np(1).\n",
-       StatusCode::kTypeError},
-      {"table_taken", "", "CREATE TABLE edb_p (c0 VARCHAR)",
-       "r(X) :- p(X).\np(a).\n", StatusCode::kAlreadyExists}};
+      {"base_mismatch", "p(a).\n", "", false,
+       consult("r(X) :- p(X).\np(1).\n"), StatusCode::kTypeError},
+      {"table_taken", "", "CREATE TABLE edb_p (c0 VARCHAR)", false,
+       consult("r(X) :- p(X).\np(a).\n"), StatusCode::kAlreadyExists},
+      {"derived_facts", derived_g, "", true,
+       consult("r(X) :- p(X).\ng(a, b).\n"), StatusCode::kAlreadyExists},
+      {"derived_define_base", derived_g, "", true,
+       [](Testbed* tb) {
+         return tb->DefineBase("g", {DataType::kVarchar, DataType::kVarchar});
+       },
+       StatusCode::kAlreadyExists}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     std::string dir = FreshDir("recovery_rejected_" + c.name);
@@ -296,8 +309,12 @@ TEST(RecoveryTest, RejectedConsultAppliesAndLogsNothing) {
       if (!c.sql.empty()) {
         ASSERT_TRUE((*tb)->ExecuteSql(c.sql).ok());
       }
+      if (c.store) {
+        ASSERT_TRUE((*tb)->UpdateStoredDkb().ok());
+        ASSERT_TRUE((*tb)->ClearWorkspace().ok());
+      }
       live = ConsultState(tb->get());
-      Status rejected = (*tb)->Consult(c.rejected);
+      Status rejected = c.rejected(tb->get());
       EXPECT_EQ(rejected.code(), c.code) << rejected.ToString();
       EXPECT_EQ(ConsultState(tb->get()), live);
     }
