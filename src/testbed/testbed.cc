@@ -98,7 +98,13 @@ Status Testbed::WaitWal(uint64_t lsn) {
 }
 
 Status Testbed::RecoverFromDisk() {
-  if (::mkdir(options_.wal_dir.c_str(), 0755) != 0 && errno != EEXIST) {
+  if (::mkdir(options_.wal_dir.c_str(), 0755) == 0) {
+    // A new directory's own name must be durable before the log and the
+    // checkpoint inside it are.
+    if (options_.wal_fsync) {
+      DKB_RETURN_IF_ERROR(SyncParentDirectory(options_.wal_dir));
+    }
+  } else if (errno != EEXIST) {
     return Status::Unavailable("mkdir " + options_.wal_dir + ": " +
                                std::strerror(errno));
   }
