@@ -1,9 +1,10 @@
 // Engine micro-benchmarks: the relational primitives the testbed leans on,
 // each timed alone — bulk insert, scan, index probe, hash and index joins,
 // set difference, SQL parsing (the per-statement overhead of the
-// embedded-SQL interface), an INSERT ... SELECT round trip — and the WAL's
+// embedded-SQL interface), an INSERT ... SELECT round trip — the WAL's
 // two primitives: staging a record (Wal::Append) and making it durable
-// (Append + WaitDurable with fdatasync) on a scratch log under /tmp.
+// (Append + WaitDurable with fdatasync) on a scratch log under /tmp — and
+// the instrumentation primitive, one trace::ScopedPhase.
 
 #include <unistd.h>
 
@@ -15,6 +16,7 @@
 
 #include "bench_util.h"
 #include "common/timer.h"
+#include "common/trace.h"
 #include "rdbms/database.h"
 #include "sql/parser.h"
 #include "storage/wal.h"
@@ -101,7 +103,7 @@ void Micro(Report* report) {
                  "a durable WAL append costs one fdatasync");
 
   Table table({Text("case"), Text("input"), Count("rows_per_op"),
-               Micros("per_op", 2), Ratio("m_rows_per_s", 1)});
+               Micros("per_op", 3), Ratio("m_rows_per_s", 1)});
   auto row = [&table](const std::string& name, const std::string& input,
                       int64_t rows, double per_op_us) {
     table.Row({name, input, rows, per_op_us,
@@ -215,6 +217,26 @@ void Micro(Report* report) {
           group_commit ? "230 B, group commit" : "230 B, direct", 1,
           DurableAppendP50(path, group_commit, appends, payload));
     }
+  }
+  {
+    // One phase scope with a bucket only, the path every statement of every
+    // LFP iteration takes (EvalContext::Rhs), and with a bucket and a span
+    // under a live trace, each batch on a fresh context.
+    int64_t bucket_ns = 0;
+    row("phase_scope", "bucket", 1, MicrosPerOp(Reps(1000000, 100), [&]() {
+          trace::ScopedPhase phase(&bucket_ns);
+        }));
+    const int spans = Reps(20000, 20);
+    const int64_t batch = MedianMicros(Reps(5, 1), [&]() {
+      trace::TraceContext ctx("phase_scope");
+      WallTimer timer;
+      for (int i = 0; i < spans; ++i) {
+        trace::ScopedPhase phase(ctx.root(), "scope", &bucket_ns);
+      }
+      return timer.ElapsedMicros();
+    });
+    row("phase_scope", "bucket + span, traced", 1,
+        static_cast<double>(batch) / spans);
   }
   report->Add(std::move(table));
 }

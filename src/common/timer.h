@@ -11,17 +11,14 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void Reset() { start_ = Clock::now(); }
-
-  /// Elapsed time since construction or last Reset, in microseconds.
+  /// Elapsed time since construction, in microseconds.
   int64_t ElapsedMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                  start_)
         .count();
   }
 
-  /// Elapsed time since construction or last Reset, in nanoseconds.
+  /// Elapsed time since construction, in nanoseconds.
   int64_t ElapsedNanos() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                 start_)
@@ -36,24 +33,40 @@ class WallTimer {
 /// Rounds a nanosecond sum to the nearest microsecond.
 inline int64_t NanosToMicros(int64_t nanos) { return (nanos + 500) / 1000; }
 
-/// Accumulates elapsed nanoseconds into a counter across many scopes; used
-/// to attribute time to the cost buckets of the paper's Tables 4, 5 and 8
-/// (for the LFP: temp-table management, RHS evaluation, termination
-/// checking). A bucket sums its scopes in nanoseconds and is rounded to
-/// microseconds once (NanosToMicros), so scopes shorter than a microsecond
-/// still count.
-class ScopedAccumulator {
- public:
-  explicit ScopedAccumulator(int64_t* sink_nanos) : sink_(sink_nanos) {}
-  ~ScopedAccumulator() { *sink_ += timer_.ElapsedNanos(); }
-
-  ScopedAccumulator(const ScopedAccumulator&) = delete;
-  ScopedAccumulator& operator=(const ScopedAccumulator&) = delete;
-
- private:
-  int64_t* sink_;
-  WallTimer timer_;
+/// One costed phase of a stats struct, as its kPhases lists it in the order
+/// of the paper's Tables 4, 5 and 8: the name its spans carry, its time in
+/// microseconds, and the bucket its trace::ScopedPhase scopes sum into.
+template <typename Stats>
+struct PhaseField {
+  const char* name;
+  int64_t Stats::*us;
+  int64_t Stats::*ns;
 };
+
+/// The entry of Stats::kPhases whose time `us` reports.
+template <typename Stats>
+constexpr const PhaseField<Stats>& PhaseOf(int64_t Stats::*us) {
+  const PhaseField<Stats>* phase = Stats::kPhases;
+  while (phase->us != us) ++phase;
+  return *phase;
+}
+
+/// Rounds each phase's bucket into its microsecond field once, so scopes
+/// shorter than a microsecond still count.
+template <typename Stats>
+void RoundPhases(Stats* stats) {
+  for (const PhaseField<Stats>& phase : Stats::kPhases) {
+    stats->*phase.us = NanosToMicros(stats->*phase.ns);
+  }
+}
+
+/// The sum of the phases' microsecond fields.
+template <typename Stats>
+int64_t SumPhases(const Stats& stats) {
+  int64_t total = 0;
+  for (const auto& phase : Stats::kPhases) total += stats.*phase.us;
+  return total;
+}
 
 }  // namespace dkb
 

@@ -7,14 +7,15 @@
 
 namespace dkb::trace {
 
-TraceSpan::TraceSpan(const TraceContext* ctx, std::string name)
+TraceSpan::TraceSpan(const TraceContext* ctx, std::string name,
+                     Clock::time_point start)
     : ctx_(ctx),
       name_(std::move(name)),
       tid_(TraceContext::CurrentThreadId()),
-      start_us_(ctx->NowUs()) {}
+      start_us_(ctx->OffsetUs(start)) {}
 
-TraceSpan* TraceSpan::AddChild(std::string name) {
-  auto child = std::make_unique<TraceSpan>(ctx_, std::move(name));
+TraceSpan* TraceSpan::AddChild(std::string name, Clock::time_point start) {
+  auto child = std::make_unique<TraceSpan>(ctx_, std::move(name), start);
   TraceSpan* raw = child.get();
   MutexLock lock(mu_);
   children_.push_back(std::move(child));
@@ -50,22 +51,15 @@ void TraceSpan::Tag(std::string key, double value) {
   tags_.push_back({std::move(key), buf, /*is_number=*/true});
 }
 
-void TraceSpan::End() {
+void TraceSpan::End(Clock::time_point end) {
   int64_t expected = -1;
-  end_us_.compare_exchange_strong(expected, ctx_->NowUs(),
+  end_us_.compare_exchange_strong(expected, ctx_->OffsetUs(end),
                                   std::memory_order_relaxed);
 }
 
-TraceContext::TraceContext(std::string root_name)
-    : epoch_(std::chrono::steady_clock::now()) {
+TraceContext::TraceContext(std::string root_name) : epoch_(Clock::now()) {
   // The root is created after epoch_, so its start offset is ~0.
   root_ = std::make_unique<TraceSpan>(this, std::move(root_name));
-}
-
-int64_t TraceContext::NowUs() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
 }
 
 uint32_t TraceContext::CurrentThreadId() {

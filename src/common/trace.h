@@ -6,12 +6,16 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/sync.h"
+#include "common/timer.h"
 
 namespace dkb::trace {
+
+using Clock = std::chrono::steady_clock;
 
 class TraceContext;
 
@@ -36,7 +40,8 @@ struct TraceTag {
 /// it); readers (rendering) must run after execution has settled.
 class TraceSpan {
  public:
-  TraceSpan(const TraceContext* ctx, std::string name);
+  TraceSpan(const TraceContext* ctx, std::string name,
+            Clock::time_point start = Clock::now());
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -61,8 +66,9 @@ class TraceSpan {
   /// never hold a reference into the guarded container.
   std::vector<const TraceSpan*> children() const DKB_EXCLUDES(mu_);
 
-  /// Starts a child span now and returns it (owned by this span).
-  TraceSpan* AddChild(std::string name) DKB_EXCLUDES(mu_);
+  /// Starts a child span at `start` and returns it (owned by this span).
+  TraceSpan* AddChild(std::string name, Clock::time_point start = Clock::now())
+      DKB_EXCLUDES(mu_);
 
   /// Attaches an already-built span subtree (created via
   /// TraceContext::Detach) as the last child. Used by the parallel LFP
@@ -75,7 +81,7 @@ class TraceSpan {
   void Tag(std::string key, double value);
 
   /// Stamps the end time; idempotent (the first call wins).
-  void End();
+  void End(Clock::time_point end = Clock::now());
 
  private:
   const TraceContext* ctx_;
@@ -134,13 +140,16 @@ class TraceContext {
   TraceSpan* root() { return root_.get(); }
   const TraceSpan* root() const { return root_.get(); }
 
-  /// Microseconds since this context was created (steady clock).
-  int64_t NowUs() const;
+  /// Microseconds from this context's creation to `t`.
+  int64_t OffsetUs(Clock::time_point t) const {
+    return std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_)
+        .count();
+  }
 
   /// The steady-clock instant all of this context's offsets are measured
   /// from. Lets an enclosing timeline (the server's per-request spans)
   /// compute the base offset for grafting this tree via SnapshotSpan.
-  std::chrono::steady_clock::time_point epoch() const { return epoch_; }
+  Clock::time_point epoch() const { return epoch_; }
 
   /// Starts a parentless span on this context's timeline; attach it later
   /// with TraceSpan::Adopt.
@@ -169,28 +178,43 @@ class TraceContext {
   SpanNode Snapshot() const { return SnapshotSpan(*root_); }
 
  private:
-  std::chrono::steady_clock::time_point epoch_;
+  Clock::time_point epoch_;
   std::unique_ptr<TraceSpan> root_;
 };
 
-/// Null-safe span start: no-op (returns nullptr) when `parent` is null,
-/// which is how disabled tracing propagates through the layers.
-inline TraceSpan* StartSpan(TraceSpan* parent, std::string name) {
-  return parent == nullptr ? nullptr : parent->AddChild(std::move(name));
-}
-
-/// RAII guard ending a (possibly null) span on scope exit.
-class ScopedSpan {
+/// The one instrumentation primitive: a costed region timed once. It reads
+/// the clock on entry and on exit, adds the nanoseconds between to
+/// *bucket_ns when a bucket is given, and when `parent` is non-null opens
+/// the child span `name` stamped with those same two instants. With both
+/// null it reads no clock and builds no string.
+class ScopedPhase {
  public:
-  ScopedSpan(TraceSpan* parent, std::string name)
-      : span_(StartSpan(parent, std::move(name))) {}
-  explicit ScopedSpan(TraceSpan* span) : span_(span) {}
-  ~ScopedSpan() {
-    if (span_ != nullptr) span_->End();
+  ScopedPhase(TraceSpan* parent, std::string_view name,
+              int64_t* bucket_ns = nullptr)
+      : bucket_ns_(bucket_ns) {
+    if (parent == nullptr && bucket_ns == nullptr) return;
+    start_ = Clock::now();
+    if (parent != nullptr) span_ = parent->AddChild(std::string(name), start_);
+  }
+  /// A scope that feeds `bucket_ns` and opens no span.
+  explicit ScopedPhase(int64_t* bucket_ns)
+      : ScopedPhase(nullptr, {}, bucket_ns) {}
+  /// A scope of the phase of `stats` that `us` reports (Stats::kPhases).
+  template <typename Stats>
+  ScopedPhase(TraceSpan* parent, Stats* stats, int64_t Stats::*us)
+      : ScopedPhase(parent, PhaseOf(us).name, &(stats->*PhaseOf(us).ns)) {}
+
+  ~ScopedPhase() {
+    if (span_ == nullptr && bucket_ns_ == nullptr) return;
+    const Clock::time_point end = Clock::now();
+    if (bucket_ns_ != nullptr) {
+      *bucket_ns_ += std::chrono::nanoseconds(end - start_).count();
+    }
+    if (span_ != nullptr) span_->End(end);
   }
 
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  ScopedPhase(const ScopedPhase&) = delete;
+  ScopedPhase& operator=(const ScopedPhase&) = delete;
 
   TraceSpan* get() const { return span_; }
 
@@ -200,7 +224,9 @@ class ScopedSpan {
   }
 
  private:
-  TraceSpan* span_;
+  int64_t* bucket_ns_;
+  TraceSpan* span_ = nullptr;
+  Clock::time_point start_;
 };
 
 }  // namespace dkb::trace

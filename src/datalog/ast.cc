@@ -27,8 +27,8 @@ std::string Term::ToString() const {
   if (IsBareSymbol(s)) return s;
   std::string out = "'";
   for (char c : s) {
-    if (c == '\'') out += "\\'";
-    else out += c;
+    if (c == '\'' || c == '\\') out += '\\';
+    out += c;
   }
   out += "'";
   return out;

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/str_util.h"
+#include "common/timer.h"
 #include "exec/binder.h"
 #include "exec/planner.h"
 
@@ -61,8 +62,9 @@ std::string RenderPlan(const PlanNode& root, bool with_stats) {
     out += node.Name();
     if (with_stats && node.profile() != nullptr) {
       const PlanNode::Profile& p = *node.profile();
+      const int64_t us = NanosToMicros(p.open_ns + p.next_ns);
       out += "  (rows=" + std::to_string(p.rows_out) +
-             ", time=" + std::to_string(p.open_us + p.next_us) + "us";
+             ", time=" + std::to_string(us) + "us";
       if (p.batches > 0) {
         char ratio[32];
         std::snprintf(ratio, sizeof(ratio), "%.1f",

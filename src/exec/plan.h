@@ -2,7 +2,6 @@
 #define DKB_EXEC_PLAN_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -14,6 +13,7 @@
 #include "common/parallelism.h"
 #include "common/row_batch.h"
 #include "common/status.h"
+#include "common/trace.h"
 #include "exec/expr.h"
 #include "storage/scan_source.h"
 #include "storage/table.h"
@@ -118,8 +118,8 @@ class PlanNode {
  public:
   /// Per-operator runtime statistics, filled only after EnableProfiling().
   struct Profile {
-    int64_t open_us = 0;   // time inside OpenImpl, cumulative over re-opens
-    int64_t next_us = 0;   // time inside NextBatchImpl, summed over all calls
+    int64_t open_ns = 0;   // time inside OpenImpl, cumulative over re-opens
+    int64_t next_ns = 0;   // time inside NextBatchImpl, summed over all calls
     int64_t rows_out = 0;  // rows produced by this operator
     int64_t batches = 0;   // non-empty batches produced by this operator
     int64_t morsels = 0;   // parallel morsels dispatched by this operator
@@ -135,19 +135,16 @@ class PlanNode {
 
   Status Open() {
     if (profile_ == nullptr) return OpenImpl();
-    auto t0 = std::chrono::steady_clock::now();
-    Status s = OpenImpl();
-    profile_->open_us += ElapsedUs(t0);
-    return s;
+    trace::ScopedPhase phase(&profile_->open_ns);
+    return OpenImpl();
   }
 
   /// Fills *out with the next batch of rows; returns true iff *out is
   /// non-empty, false at end-of-stream. *out is reset by the callee.
   Result<bool> NextBatch(RowBatch* out) {
     if (profile_ == nullptr) return NextBatchImpl(out);
-    auto t0 = std::chrono::steady_clock::now();
+    trace::ScopedPhase phase(&profile_->next_ns);
     Result<bool> r = NextBatchImpl(out);
-    profile_->next_us += ElapsedUs(t0);
     if (r.ok() && *r) {
       ++profile_->batches;
       profile_->rows_out += static_cast<int64_t>(out->size());
@@ -199,12 +196,6 @@ class PlanNode {
   }
 
  private:
-  static int64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  }
-
   Schema schema_;
   std::unique_ptr<Profile> profile_;
   std::vector<std::shared_ptr<const ScanSource>> pinned_sources_;

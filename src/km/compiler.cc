@@ -15,6 +15,7 @@ namespace {
 using datalog::Atom;
 using datalog::HeadPredicates;
 using datalog::Rule;
+using trace::ScopedPhase;
 
 /// Estimates the fraction of extensional tuples relevant to the query by a
 /// bounded breadth-first expansion from the query constants over the binary
@@ -142,18 +143,12 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
 
   CompiledQuery out;
   out.original_query = query;
-  // Each phase's time in nanoseconds, rounded into stats once at the end.
-  struct {
-    int64_t setup = 0, extract = 0, read = 0, analyze = 0, opt = 0, eol = 0,
-            sem = 0, gen = 0, comp = 0;
-  } ns;
 
   // Step 1 (t_setup): reachable set over the Workspace DKB.
   std::vector<Rule> relevant;
   std::set<std::string> reachable;  // P: query predicate + all reachable
   {
-    ScopedAccumulator acc(&ns.setup);
-    trace::ScopedSpan phase_span(options.span, "setup");
+    ScopedPhase phase(options.span, stats, &CompilationStats::t_setup_us);
     Pcg ws_pcg;
     ws_pcg.AddNode(query.predicate);
     for (const Rule& rule : workspace_->rules()) ws_pcg.AddRule(rule);
@@ -167,8 +162,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // Steps 1.3-1.5 (t_extract): alternate between Stored-DKB extraction and
   // Workspace closure until the relevant sets stop growing.
   {
-    ScopedAccumulator acc(&ns.extract);
-    trace::ScopedSpan phase_span(options.span, "extract");
+    ScopedPhase phase(options.span, stats, &CompilationStats::t_extract_us);
     while (true) {
       size_t before = relevant.size();
       DKB_ASSIGN_OR_RETURN(std::vector<Rule> extracted,
@@ -217,8 +211,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   std::map<std::string, PredicateTypes> base_types;
   std::set<std::string> base_preds;
   {
-    ScopedAccumulator acc(&ns.read);
-    trace::ScopedSpan phase_span(options.span, "read");
+    ScopedPhase phase(options.span, stats, &CompilationStats::t_read_us);
     for (const std::string& p : reachable) {
       if (derived.count(p) == 0) base_preds.insert(p);
     }
@@ -246,8 +239,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   magic::AdornmentFilter adornment_filter;
   bool have_adornment_filter = false;
   {
-    ScopedAccumulator acc(&ns.analyze);
-    trace::ScopedSpan phase_span(options.span, "analyze");
+    ScopedPhase phase(options.span, stats, &CompilationStats::t_analyze_us);
     analysis::AnalyzerInput input;
     input.rules = relevant;
     input.goal = &query;
@@ -297,8 +289,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   Atom effective_query = query;
   bool apply_magic = options.magic_mode == MagicMode::kOn;
   if (options.magic_mode == MagicMode::kAdaptive) {
-    ScopedAccumulator acc(&ns.opt);
-    trace::ScopedSpan phase_span(options.span, "opt");
+    ScopedPhase phase(options.span, stats, &CompilationStats::t_opt_us);
     DKB_ASSIGN_OR_RETURN(
         double selectivity,
         EstimateSelectivity(query, base_preds, base_types, stored_,
@@ -307,8 +298,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
     apply_magic = selectivity < kAdaptiveMagicThreshold;
   }
   if (apply_magic) {
-    ScopedAccumulator acc(&ns.opt);
-    trace::ScopedSpan phase_span(options.span, "opt");
+    ScopedPhase phase(options.span, stats, &CompilationStats::t_opt_us);
     DKB_ASSIGN_OR_RETURN(
         magic::MagicRewrite rewrite,
         magic::ApplyGeneralizedMagicSets(
@@ -323,23 +313,20 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // Cliques + evaluation order list (t_eol).
   EvaluationOrder order;
   {
-    ScopedAccumulator acc(&ns.eol);
-    trace::ScopedSpan phase_span(options.span, "eol");
+    ScopedPhase phase(options.span, stats, &CompilationStats::t_eol_us);
     DKB_ASSIGN_OR_RETURN(order, BuildEvaluationOrder(eval_rules, derived));
   }
 
   // Semantic checks (t_sem): definedness + type inference.
   TypeCheckResult types;
   {
-    ScopedAccumulator acc(&ns.sem);
-    trace::ScopedSpan phase_span(options.span, "sem");
+    ScopedPhase phase(options.span, stats, &CompilationStats::t_sem_us);
     DKB_ASSIGN_OR_RETURN(types, TypeCheck(eval_rules, base_types));
   }
 
   // Code generation (t_gen).
   {
-    ScopedAccumulator acc(&ns.gen);
-    trace::ScopedSpan phase_span(options.span, "gen");
+    ScopedPhase phase(options.span, stats, &CompilationStats::t_gen_us);
     DKB_ASSIGN_OR_RETURN(
         out.program, GenerateProgram(order, types.derived_types, base_types,
                                      effective_query));
@@ -348,23 +335,14 @@ Result<CompiledQuery> QueryCompiler::Compile(const Atom& query,
   // "Compile & link" (t_comp): parse every generated SQL text, the analogue
   // of compiling the emitted C fragment against the run time library.
   {
-    ScopedAccumulator acc(&ns.comp);
-    trace::ScopedSpan phase_span(options.span, "comp");
+    ScopedPhase phase(options.span, stats, &CompilationStats::t_comp_us);
     for (const std::string& sql : out.program.AllSqlTexts()) {
       DKB_ASSIGN_OR_RETURN(sql::StatementPtr stmt, sql::ParseStatement(sql));
       (void)stmt;
     }
   }
 
-  stats->t_setup_us = NanosToMicros(ns.setup);
-  stats->t_extract_us = NanosToMicros(ns.extract);
-  stats->t_read_us = NanosToMicros(ns.read);
-  stats->t_analyze_us = NanosToMicros(ns.analyze);
-  stats->t_opt_us = NanosToMicros(ns.opt);
-  stats->t_eol_us = NanosToMicros(ns.eol);
-  stats->t_sem_us = NanosToMicros(ns.sem);
-  stats->t_gen_us = NanosToMicros(ns.gen);
-  stats->t_comp_us = NanosToMicros(ns.comp);
+  RoundPhases(stats);
   out.summary = stats->Summary();
   return out;
 }

@@ -29,6 +29,9 @@ struct CompilationStats {
   int64_t t_gen_us = 0;      // code (SQL program) generation
   int64_t t_comp_us = 0;     // "compile & link": parsing every generated
                              // SQL text (DESIGN.md substitution #2)
+  /// The phases' buckets: Compile rounds each into its _us field once.
+  int64_t t_setup_ns = 0, t_extract_ns = 0, t_read_ns = 0, t_analyze_ns = 0,
+          t_opt_ns = 0, t_eol_ns = 0, t_sem_ns = 0, t_gen_ns = 0, t_comp_ns = 0;
 
   int64_t rules_relevant = 0;          // |R| after closure
   int64_t rules_extracted_stored = 0;  // rules pulled from the Stored DKB
@@ -38,21 +41,29 @@ struct CompilationStats {
   bool magic_applied = false;          // rewrite actually changed the rules
   double estimated_selectivity = -1.0;  // adaptive mode only; -1 = not run
 
-  int64_t total_us() const {
-    return t_setup_us + t_extract_us + t_read_us + t_analyze_us + t_opt_us +
-           t_eol_us + t_sem_us + t_gen_us + t_comp_us;
-  }
+  int64_t total_us() const { return SumPhases(*this); }
+
+  /// Table 4's phases in order; each names its compile child span.
+  static constexpr PhaseField<CompilationStats> kPhases[] = {
+      {"setup", &CompilationStats::t_setup_us, &CompilationStats::t_setup_ns},
+      {"extract", &CompilationStats::t_extract_us,
+       &CompilationStats::t_extract_ns},
+      {"read", &CompilationStats::t_read_us, &CompilationStats::t_read_ns},
+      {"analyze", &CompilationStats::t_analyze_us,
+       &CompilationStats::t_analyze_ns},
+      {"opt", &CompilationStats::t_opt_us, &CompilationStats::t_opt_ns},
+      {"eol", &CompilationStats::t_eol_us, &CompilationStats::t_eol_ns},
+      {"sem", &CompilationStats::t_sem_us, &CompilationStats::t_sem_ns},
+      {"gen", &CompilationStats::t_gen_us, &CompilationStats::t_gen_ns},
+      {"comp", &CompilationStats::t_comp_us, &CompilationStats::t_comp_ns},
+  };
 
   /// The counts and the magic decision without the timings or query id:
   /// what a precompiled program reports for every query it serves.
   CompilationStats Summary() const {
-    CompilationStats s;
-    s.rules_relevant = rules_relevant;
-    s.rules_extracted_stored = rules_extracted_stored;
-    s.preds_relevant = preds_relevant;
-    s.rules_pruned = rules_pruned;
-    s.magic_applied = magic_applied;
-    s.estimated_selectivity = estimated_selectivity;
+    CompilationStats s = *this;
+    s.query_id = 0;
+    for (const auto& phase : kPhases) s.*phase.us = s.*phase.ns = 0;
     return s;
   }
 };

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/timer.h"
+#include "common/trace.h"
 #include "km/pcg.h"
 #include "km/type_checker.h"
 
@@ -25,11 +25,6 @@ Result<UpdatePlan> UpdateProcessor::Check(const Workspace& workspace) {
   // source form of the rules (paper Fig 15), so nothing else is checked.
   if (!stored_->options().compiled_rule_storage) return plan;
 
-  // Each step's time in nanoseconds, rounded into stats once at the end.
-  struct {
-    int64_t extract = 0, tc = 0, typecheck = 0;
-  } ns;
-
   // Step 1 (t_extract): gather the portion of the stored DKB the update
   // touches. The stored rules downstream of the update's predicates close
   // the composite PCG; the stored rules of the predicates that reach an
@@ -48,7 +43,7 @@ Result<UpdatePlan> UpdateProcessor::Check(const Workspace& workspace) {
   };
   std::set<std::string>& affected = plan.affected;
   {
-    ScopedAccumulator acc(&ns.extract);
+    trace::ScopedPhase phase(&stats.t_extract_ns);
     std::set<std::string> update_preds;
     for (const datalog::Rule& rule : idb_new) {
       affected.insert(rule.head.predicate);
@@ -75,7 +70,7 @@ Result<UpdatePlan> UpdateProcessor::Check(const Workspace& workspace) {
   Pcg pcg;
   std::set<std::string> heads;
   {
-    ScopedAccumulator acc(&ns.tc);
+    trace::ScopedPhase phase(&stats.t_tc_ns);
     for (const datalog::Rule& rule : composite) {
       pcg.AddRule(rule);
       heads.insert(rule.head.predicate);
@@ -89,7 +84,7 @@ Result<UpdatePlan> UpdateProcessor::Check(const Workspace& workspace) {
   // data dictionaries (upstream rules may reference derived predicates
   // whose defining rules are unaffected by this update).
   {
-    ScopedAccumulator acc(&ns.typecheck);
+    trace::ScopedPhase phase(&stats.t_typecheck_ns);
     std::set<std::string> external;
     for (const datalog::Rule& rule : composite) {
       for (const datalog::Atom& atom : rule.body) {
@@ -116,25 +111,20 @@ Result<UpdatePlan> UpdateProcessor::Check(const Workspace& workspace) {
                          TypeCheck(composite, known_types));
     plan.derived_types = std::move(types.derived_types);
   }
-  stats.t_extract_us = NanosToMicros(ns.extract);
-  stats.t_tc_us = NanosToMicros(ns.tc);
-  stats.t_typecheck_us = NanosToMicros(ns.typecheck);
+  RoundPhases(&stats);
   return plan;
 }
 
 Result<UpdateStats> UpdateProcessor::Apply(const Workspace& workspace,
                                            const UpdatePlan& plan) {
   UpdateStats stats = plan.stats;
-  struct {
-    int64_t dict = 0, store = 0;
-  } ns;
 
   // Steps 5-6 (t_dict): dictionary + compiled-form maintenance of the
   // affected predicates. The other composite heads keep their types and
   // reachability. Rule storage is add-only, so reachability is merged
   // monotonically.
   if (stored_->options().compiled_rule_storage) {
-    ScopedAccumulator acc(&ns.dict);
+    trace::ScopedPhase phase(&stats.t_dict_ns);
     std::map<std::string, PredicateTypes> affected_types;
     for (const auto& [pred, sig] : plan.derived_types) {
       if (plan.affected.count(pred) > 0) affected_types.emplace(pred, sig);
@@ -149,14 +139,13 @@ Result<UpdateStats> UpdateProcessor::Apply(const Workspace& workspace,
 
   // Step 7 (t_store): store the source form of the new rules.
   {
-    ScopedAccumulator acc(&ns.store);
+    trace::ScopedPhase phase(&stats.t_store_ns);
     for (const datalog::Rule& rule : workspace.rules()) {
       DKB_ASSIGN_OR_RETURN(bool added, stored_->StoreRuleSource(rule));
       if (added) ++stats.rules_stored;
     }
   }
-  stats.t_dict_us = NanosToMicros(ns.dict);
-  stats.t_store_us = NanosToMicros(ns.store);
+  RoundPhases(&stats);
   return stats;
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/timer.h"
 #include "km/stored_dkb.h"
 #include "km/workspace.h"
 
@@ -21,15 +22,25 @@ struct UpdateStats {
   int64_t t_typecheck_us = 0;  // semantic/type check of the composite
   int64_t t_dict_us = 0;       // idbrel / idbcol / reachablepreds updates
   int64_t t_store_us = 0;      // rulesource inserts (source form)
+  /// The phases' buckets: Check and Apply round each into its _us field.
+  int64_t t_extract_ns = 0, t_tc_ns = 0, t_typecheck_ns = 0, t_dict_ns = 0,
+          t_store_ns = 0;
 
   int64_t rules_stored = 0;    // new rulesource rows
   int64_t closure_edges = 0;   // |TC| of the composite PCG (the paper's R_c)
   int64_t composite_rules = 0;
   int64_t affected_preds = 0;  // predicates whose dictionary rows it wrote
 
-  int64_t total_us() const {
-    return t_extract_us + t_tc_us + t_typecheck_us + t_dict_us + t_store_us;
-  }
+  int64_t total_us() const { return SumPhases(*this); }
+
+  /// Table 8's phases in order.
+  static constexpr PhaseField<UpdateStats> kPhases[] = {
+      {"extract", &UpdateStats::t_extract_us, &UpdateStats::t_extract_ns},
+      {"tc", &UpdateStats::t_tc_us, &UpdateStats::t_tc_ns},
+      {"typecheck", &UpdateStats::t_typecheck_us, &UpdateStats::t_typecheck_ns},
+      {"dict", &UpdateStats::t_dict_us, &UpdateStats::t_dict_ns},
+      {"store", &UpdateStats::t_store_us, &UpdateStats::t_store_ns},
+  };
 };
 
 /// What an update's check (steps 1-4) decided, for its apply (steps 5-7)

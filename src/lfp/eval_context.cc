@@ -2,7 +2,6 @@
 
 #include "common/metrics.h"
 #include "common/str_util.h"
-#include "common/timer.h"
 #include "km/naming.h"
 #include "storage/sharded_table.h"
 
@@ -84,19 +83,19 @@ int64_t RunRelations::ApproxBytes() const {
 }
 
 Status EvalContext::Temp(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_temp_ns);
+  trace::ScopedPhase phase(&stats_->t_temp_ns);
   ++stats_->statements_planned;
   return db_->Execute(sql, &relations_->names()).status();
 }
 
 Status EvalContext::Rhs(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_rhs_ns);
+  trace::ScopedPhase phase(&stats_->t_rhs_ns);
   ++stats_->statements_planned;
   return db_->Execute(sql, &relations_->names()).status();
 }
 
 Result<PlannedStatement> EvalContext::Plan(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_rhs_ns);
+  trace::ScopedPhase phase(&stats_->t_rhs_ns);
   ++stats_->statements_planned;
   DKB_ASSIGN_OR_RETURN(PlannedStatement planned,
                        db_->Plan(sql, &relations_->names()));
@@ -105,18 +104,18 @@ Result<PlannedStatement> EvalContext::Plan(const std::string& sql) {
 }
 
 Status EvalContext::Rhs(PlannedStatement* statement) {
-  ScopedAccumulator acc(&stats_->t_rhs_ns);
+  trace::ScopedPhase phase(&stats_->t_rhs_ns);
   return statement->Run().status();
 }
 
 Status EvalContext::Term(const std::string& sql) {
-  ScopedAccumulator acc(&stats_->t_term_ns);
+  trace::ScopedPhase phase(&stats_->t_term_ns);
   ++stats_->statements_planned;
   return db_->Execute(sql, &relations_->names()).status();
 }
 
 Result<int64_t> EvalContext::TermCount(const std::string& count_sql) {
-  ScopedAccumulator acc(&stats_->t_term_ns);
+  trace::ScopedPhase phase(&stats_->t_term_ns);
   ++stats_->statements_planned;
   DKB_ASSIGN_OR_RETURN(QueryResult count,
                        db_->Execute(count_sql, &relations_->names()));
@@ -125,7 +124,7 @@ Result<int64_t> EvalContext::TermCount(const std::string& count_sql) {
 
 Result<ScanSource*> EvalContext::Temporary(const std::string& name,
                                            const Schema& schema) {
-  ScopedAccumulator acc(&stats_->t_temp_ns);
+  trace::ScopedPhase phase(&stats_->t_temp_ns);
   return relations_->Empty(name, schema);
 }
 
@@ -203,7 +202,7 @@ Result<ExitRules> ExitRules::Plan(EvalContext* ctx,
 
 Status ExitRules::Run(EvalContext* ctx) {
   if (!bind_tables_.empty()) {
-    ScopedAccumulator acc(&ctx->stats()->t_temp_ns);
+    trace::ScopedPhase phase(&ctx->stats()->t_temp_ns);
     for (ScanSource* table : bind_tables_) table->Clear();
   }
   for (size_t s : seeds_) {

@@ -175,12 +175,13 @@ Result<QueryResult> RunProgram(Database* db, const km::QueryProgram& program,
   std::unique_ptr<ProgramInstance>& instance = keep != nullptr ? *keep : own;
   Status status = Status::OK();
   {
-    // The run's relations and plans: built here unless an idle instance of
-    // this program can serve the run.
-    trace::ScopedSpan temp_span(options.span, "temp");
+    // The run's relations and plans, built unless an idle instance of this
+    // program can serve the run; bucket-less, as planning feeds rhs and final.
+    trace::ScopedPhase temp_span(options.span,
+                                 PhaseOf(&ExecutionStats::t_temp_us).name);
     if (instance != nullptr &&
         !instance->ReusableFor(*db, program, options.strategy)) {
-      ScopedAccumulator acc(&stats->t_temp_ns);
+      trace::ScopedPhase phase(&stats->t_temp_ns);
       instance.reset();
     }
     if (instance == nullptr) {
@@ -212,8 +213,7 @@ Result<QueryResult> RunProgram(Database* db, const km::QueryProgram& program,
 
   Result<QueryResult> answer = status;
   if (status.ok()) {
-    ScopedAccumulator acc(&stats->t_final_ns);
-    trace::ScopedSpan final_span(options.span, "final");
+    trace::ScopedPhase phase(options.span, stats, &ExecutionStats::t_final_us);
     answer = instance->Answer();
   }
 
@@ -221,23 +221,20 @@ Result<QueryResult> RunProgram(Database* db, const km::QueryProgram& program,
   // and always when it is the run's own. Freeing what planning built
   // counts where planning counted; the relations are the temp bucket's.
   {
-    trace::ScopedSpan cleanup_span(options.span, "cleanup");
+    trace::ScopedPhase cleanup_span(options.span, "cleanup");
     if (keep != nullptr && answer.ok()) {
-      ScopedAccumulator acc(&stats->t_temp_ns);
+      trace::ScopedPhase phase(&stats->t_temp_ns);
       instance->Clear();
     } else {
       {
-        ScopedAccumulator acc(&stats->t_rhs_ns);
+        trace::ScopedPhase phase(&stats->t_rhs_ns);
         instance->ReleasePlans();
       }
-      ScopedAccumulator acc(&stats->t_temp_ns);
+      trace::ScopedPhase phase(&stats->t_temp_ns);
       instance.reset();
     }
   }
-  stats->t_temp_us = NanosToMicros(stats->t_temp_ns);
-  stats->t_rhs_us = NanosToMicros(stats->t_rhs_ns);
-  stats->t_term_us = NanosToMicros(stats->t_term_ns);
-  stats->t_final_us = NanosToMicros(stats->t_final_ns);
+  RoundPhases(stats);
   if (answer.ok()) {
     stats->answer_tuples = static_cast<int64_t>(answer->rows.size());
   }

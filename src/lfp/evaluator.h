@@ -78,13 +78,8 @@ struct ExecutionStats {
   int64_t t_rhs_us = 0;    // evaluating rule bodies (or their differentials)
   int64_t t_term_us = 0;   // termination checks (set difference + count)
   int64_t t_final_us = 0;  // final answer retrieval
-  /// The four buckets above before rounding: their scopes sum here in
-  /// nanoseconds (ScopedAccumulator) and ExecuteProgram rounds each into
-  /// its _us field once, so sub-microsecond scopes still count.
-  int64_t t_temp_ns = 0;
-  int64_t t_rhs_ns = 0;
-  int64_t t_term_ns = 0;
-  int64_t t_final_ns = 0;
+  /// The phases' buckets: RunProgram rounds each into its _us field once.
+  int64_t t_temp_ns = 0, t_rhs_ns = 0, t_term_ns = 0, t_final_ns = 0;
   int64_t t_total_us = 0;
   int64_t iterations = 0;  // summed over all cliques
   int64_t answer_tuples = 0;
@@ -94,6 +89,14 @@ struct ExecutionStats {
   /// hit). Runs of planned statements count in ExecStats::statements.
   int64_t statements_planned = 0;
   std::vector<NodeStats> nodes;
+
+  /// Table 5's phases in order.
+  static constexpr PhaseField<ExecutionStats> kPhases[] = {
+      {"temp", &ExecutionStats::t_temp_us, &ExecutionStats::t_temp_ns},
+      {"rhs", &ExecutionStats::t_rhs_us, &ExecutionStats::t_rhs_ns},
+      {"term", &ExecutionStats::t_term_us, &ExecutionStats::t_term_ns},
+      {"final", &ExecutionStats::t_final_us, &ExecutionStats::t_final_ns},
+  };
 };
 
 class ProgramInstance;

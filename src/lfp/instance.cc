@@ -1,6 +1,6 @@
 #include "lfp/instance.h"
 
-#include "common/timer.h"
+#include "common/trace.h"
 #include "lfp/naive.h"
 #include "lfp/seminaive.h"
 #include "lfp/tc_operator.h"
@@ -38,7 +38,7 @@ int64_t ProgramInstance::IdleBytes() const {
 Status ProgramInstance::Build(ExecutionStats* stats) {
   const size_t n = program_->nodes.size();
   {
-    ScopedAccumulator acc(&stats->t_temp_ns);
+    trace::ScopedPhase phase(&stats->t_temp_ns);
     for (const auto& [pred, binding] : program_->bindings) {
       if (binding.is_base) continue;
       DKB_RETURN_IF_ERROR(
@@ -70,7 +70,7 @@ Status ProgramInstance::Build(ExecutionStats* stats) {
     nodes_.push_back(std::move(*built));
     reads_snapshot_ = reads_snapshot_ || ctx.planned_snapshot();
   }
-  ScopedAccumulator acc(&stats->t_final_ns);
+  trace::ScopedPhase phase(&stats->t_final_ns);
   ++stats->statements_planned;
   DKB_ASSIGN_OR_RETURN(final_,
                        db_->Plan(program_->final_select, &relations_.names()));

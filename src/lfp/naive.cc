@@ -46,7 +46,7 @@ class NaiveClique : public NodeRun {
     int64_t iterations = 0;
     while (true) {
       ++iterations;
-      trace::ScopedSpan iter_span(ctx->span(), "iteration");
+      trace::ScopedPhase iter_span(ctx->span(), "iteration");
       iter_span.Tag("iter", iterations);
       // Recompute every member relation from scratch into #p_new.
       for (const std::string& p : node_.predicates) {

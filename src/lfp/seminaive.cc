@@ -5,7 +5,7 @@
 #include <span>
 
 #include "common/thread_pool.h"
-#include "common/timer.h"
+#include "common/trace.h"
 #include "km/naming.h"
 #include "lfp/dedup_index.h"
 
@@ -143,11 +143,11 @@ int64_t Terminate(EvalContext* ctx, std::vector<Member>* members,
                   IterationWork* work) {
   int64_t delta = 0;
   {
-    ScopedAccumulator acc(&ctx->stats()->t_term_ns);
+    trace::ScopedPhase phase(&ctx->stats()->t_term_ns);
     for (Member& m : *members) delta += Absorb(&m, work);
   }
   if (bind_tables.empty()) return delta;
-  ScopedAccumulator acc(&ctx->stats()->t_temp_ns);
+  trace::ScopedPhase phase(&ctx->stats()->t_temp_ns);
   for (ScanSource* table : bind_tables) {
     work->driver += static_cast<int64_t>(table->num_tuples());
     table->Clear();
@@ -221,7 +221,7 @@ class SemiNaiveClique : public NodeRun {
     // seed the dedup indexes as the first delta.
     DKB_RETURN_IF_ERROR(exits_.Run(ctx));
     {
-      ScopedAccumulator acc(&ctx->stats()->t_term_ns);
+      trace::ScopedPhase phase(&ctx->stats()->t_term_ns);
       for (Member& m : members_) Seed(&m);
     }
 
@@ -229,7 +229,7 @@ class SemiNaiveClique : public NodeRun {
     int64_t iterations = 0;
     while (true) {
       ++iterations;
-      trace::ScopedSpan iter_span(ctx->span(), "iteration");
+      trace::ScopedPhase iter_span(ctx->span(), "iteration");
       iter_span.Tag("iter", iterations);
       const int64_t rhs_before = ctx->stats()->t_rhs_ns;
       const int64_t term_before = ctx->stats()->t_term_ns;

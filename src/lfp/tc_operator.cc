@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/timer.h"
+#include "common/trace.h"
 #include "storage/table.h"
 
 namespace dkb::lfp {
@@ -44,7 +44,7 @@ class TcNode : public NodeRun {
         closure_table_(std::move(closure_table)) {}
 
   Result<int64_t> Evaluate(EvalContext* ctx) override {
-    ScopedAccumulator acc(&ctx->stats()->t_rhs_ns);
+    trace::ScopedPhase phase(&ctx->stats()->t_rhs_ns);
     DKB_ASSIGN_OR_RETURN(ScanSource * edges, ctx->Source(edge_table_));
     DKB_ASSIGN_OR_RETURN(ScanSource * closure, ctx->Source(closure_table_));
     std::vector<Tuple> edge_rows;

@@ -23,6 +23,8 @@ namespace dkb::net {
 
 namespace {
 
+constexpr int kListenBacklog = 256;  // connections queued before accept
+
 std::string ErrnoMessage(const char* what) {
   return std::string(what) + ": " +
          std::error_code(errno, std::generic_category()).message();
@@ -158,7 +160,7 @@ Status Server::Start(testbed::Testbed* testbed, const ServerOptions& options) {
     listen_fd_ = -1;
     return status;
   }
-  if (listen(listen_fd_, options_.backlog) < 0) {
+  if (listen(listen_fd_, kListenBacklog) < 0) {
     Status status = Status::Unavailable(ErrnoMessage("listen"));
     close(listen_fd_);
     listen_fd_ = -1;

@@ -22,7 +22,6 @@ namespace dkb::net {
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 = kernel-assigned; read the result from port()
-  int backlog = 256;
   uint32_t max_frame_len = kDefaultMaxFrameLen;
   /// Network-layer slow-request threshold: any request whose arrival-to-
   /// response time exceeds this emits one structured line through the

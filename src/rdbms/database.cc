@@ -146,11 +146,6 @@ void Database::set_statement_cache_enabled(bool enabled) {
   if (!enabled) cache.parsed.clear();
 }
 
-bool Database::statement_cache_enabled() const {
-  MutexLock lock(cache_.mu());
-  return cache_.Ref().enabled;
-}
-
 Result<QueryResult> Database::ExecuteParsed(const sql::Statement& stmt,
                                             const std::vector<Value>* params,
                                             const std::string& text,

@@ -169,7 +169,6 @@ class Database {
 
   /// Disables/enables the parsed-statement cache (ablations).
   void set_statement_cache_enabled(bool enabled);
-  bool statement_cache_enabled() const;
 
   /// Executes a ';'-separated script, stopping at the first error.
   Status ExecuteAll(const std::string& script);

@@ -170,7 +170,7 @@ std::string FlightRecorder::FormatSlowRecord(const QueryLogEntry& entry,
   out += std::string(" cache=") + (entry.from_cache ? "1" : "0");
   out += " rows=" + std::to_string(entry.rows_out);
   out += " iterations=" + std::to_string(entry.iterations);
-  out += " query=\"" + entry.query + "\"";
+  out += " query=\"" + JsonEscape(entry.query) + "\"";
   return out;
 }
 

@@ -125,7 +125,8 @@ class FlightRecorder {
   void SetSlowQueryLog(SlowQueryLogOptions options) DKB_EXCLUDES(mu_);
   SlowQueryLogOptions slow_query_log() const DKB_EXCLUDES(mu_);
 
-  /// The one-line record the slow-query log emits for `entry`.
+  /// The one-line record the slow-query log emits for `entry` (both forms
+  /// escape the query as a JSON string).
   static std::string FormatSlowRecord(const QueryLogEntry& entry, bool json);
 
  private:

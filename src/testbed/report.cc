@@ -5,23 +5,30 @@
 namespace dkb::testbed {
 
 std::vector<PhaseTiming> QueryReport::Phases() const {
-  std::vector<PhaseTiming> out = {
-      {"t_setup", compile.t_setup_us},     {"t_extract", compile.t_extract_us},
-      {"t_read", compile.t_read_us},       {"t_analyze", compile.t_analyze_us},
-      {"t_opt", compile.t_opt_us},         {"t_eol", compile.t_eol_us},
-      {"t_sem", compile.t_sem_us},         {"t_gen", compile.t_gen_us},
-      {"t_comp", compile.t_comp_us},
-  };
+  std::vector<PhaseTiming> out;
+  for (const auto& phase : km::CompilationStats::kPhases) {
+    out.push_back({std::string("t_") + phase.name, compile.*phase.us});
+  }
   if (executed) {
-    out.push_back({"t_temp", exec.t_temp_us});
-    out.push_back({"t_rhs", exec.t_rhs_us});
-    out.push_back({"t_term", exec.t_term_us});
-    out.push_back({"t_final", exec.t_final_us});
+    for (const auto& phase : lfp::ExecutionStats::kPhases) {
+      out.push_back({std::string("t_") + phase.name, exec.*phase.us});
+    }
   }
   return out;
 }
 
 namespace {
+
+/// " name=micros" for each of `stats`' phases.
+template <typename Stats>
+std::string PhaseList(const Stats& stats) {
+  std::string out;
+  for (const PhaseField<Stats>& phase : Stats::kPhases) {
+    out += std::string(" ") + phase.name + "=" +
+           std::to_string(stats.*phase.us);
+  }
+  return out;
+}
 
 std::string JoinDeltas(const std::vector<int64_t>& deltas) {
   std::string out = "[";
@@ -57,26 +64,13 @@ std::string QueryReport::ExplainText() const {
   out += "  final: " + plan.final_select + "\n";
 
   if (!from_cache) {
-    out += "compile: " + std::to_string(compile.total_us()) + " us\n ";
-    const PhaseTiming compile_phases[] = {
-        {"setup", compile.t_setup_us},     {"extract", compile.t_extract_us},
-        {"read", compile.t_read_us},       {"analyze", compile.t_analyze_us},
-        {"opt", compile.t_opt_us},         {"eol", compile.t_eol_us},
-        {"sem", compile.t_sem_us},         {"gen", compile.t_gen_us},
-        {"comp", compile.t_comp_us},
-    };
-    for (const PhaseTiming& phase : compile_phases) {
-      out += " " + phase.name + "=" + std::to_string(phase.micros);
-    }
-    out += "\n";
+    out += "compile: " + std::to_string(compile.total_us()) + " us\n " +
+           PhaseList(compile) + "\n";
   }
 
   if (executed) {
     out += "execute: " + std::to_string(exec.t_total_us) + " us\n";
-    out += "  temp=" + std::to_string(exec.t_temp_us) +
-           " rhs=" + std::to_string(exec.t_rhs_us) +
-           " term=" + std::to_string(exec.t_term_us) +
-           " final=" + std::to_string(exec.t_final_us) +
+    out += " " + PhaseList(exec) +
            " planned=" + std::to_string(exec.statements_planned) + "\n";
     for (const lfp::NodeStats& ns : exec.nodes) {
       out += "  node " + ns.label + ": " + std::to_string(ns.iterations) +

@@ -13,10 +13,8 @@
 
 namespace dkb::testbed {
 
-/// One named phase timing. Names follow the paper's Table 4 (compilation:
-/// t_setup .. t_comp) and Table 5 (execution: t_temp, t_rhs, t_term,
-/// t_final) so report consumers can line results up with the published
-/// breakdowns directly.
+/// One named phase timing, t_<name> of a phase of the paper's Table 4
+/// (km::CompilationStats::kPhases) or Table 5 (lfp::ExecutionStats::kPhases).
 struct PhaseTiming {
   std::string name;
   int64_t micros = 0;
@@ -71,9 +69,8 @@ struct QueryReport {
   /// traced query.
   std::shared_ptr<trace::TraceContext> trace;
 
-  /// Compilation then execution phases in table order (t_setup ... t_comp,
-  /// t_temp, t_rhs, t_term, t_final). Execution entries are present only
-  /// when the query executed.
+  /// Compilation then execution phases in table order; execution entries
+  /// are present only when the query executed.
   std::vector<PhaseTiming> Phases() const;
 
   /// Human-readable EXPLAIN (plan only) / EXPLAIN ANALYZE (plan + timings,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -24,8 +24,12 @@ Value IntOrNull(const std::optional<int64_t>& v) {
 }
 Value BoolVal(bool v) { return Value(static_cast<int64_t>(v ? 1 : 0)); }
 
+/// sys.query_log's phase columns: Table 4's phases, then Table 5's.
+constexpr size_t kPhaseColumns = std::size(km::CompilationStats::kPhases) +
+                                 std::size(lfp::ExecutionStats::kPhases);
+
 Schema QueryLogSchema() {
-  return Schema({
+  std::vector<Column> columns = {
       {"query_id", DataType::kInteger},
       {"session_id", DataType::kInteger},
       {"ts_us", DataType::kInteger},
@@ -37,26 +41,19 @@ Schema QueryLogSchema() {
       {"rows_out", DataType::kInteger},
       {"iterations", DataType::kInteger},
       {"total_us", DataType::kInteger},
-      {"t_setup_us", DataType::kInteger},
-      {"t_extract_us", DataType::kInteger},
-      {"t_read_us", DataType::kInteger},
-      {"t_analyze_us", DataType::kInteger},
-      {"t_opt_us", DataType::kInteger},
-      {"t_eol_us", DataType::kInteger},
-      {"t_sem_us", DataType::kInteger},
-      {"t_gen_us", DataType::kInteger},
-      {"t_comp_us", DataType::kInteger},
-      {"t_temp_us", DataType::kInteger},
-      {"t_rhs_us", DataType::kInteger},
-      {"t_term_us", DataType::kInteger},
-      {"t_final_us", DataType::kInteger},
-      {"batches", DataType::kInteger},
-      {"statements_planned", DataType::kInteger},
-      {"shards", DataType::kInteger},
-      {"bytes_sent", DataType::kInteger},
-      {"bytes_received", DataType::kInteger},
-      {"trace", DataType::kVarchar},
-  });
+  };
+  QueryReport executed;  // its Phases() are the entries' phases, in order
+  executed.executed = true;
+  for (const PhaseTiming& phase : executed.Phases()) {
+    columns.push_back({phase.name + "_us", DataType::kInteger});
+  }
+  columns.insert(columns.end(), {{"batches", DataType::kInteger},
+                                 {"statements_planned", DataType::kInteger},
+                                 {"shards", DataType::kInteger},
+                                 {"bytes_sent", DataType::kInteger},
+                                 {"bytes_received", DataType::kInteger},
+                                 {"trace", DataType::kVarchar}});
+  return Schema(std::move(columns));
 }
 
 Schema LfpIterationsSchema() {
@@ -173,22 +170,23 @@ Result<std::shared_ptr<const Table>> Materialize(
 Result<std::shared_ptr<const Table>> QueryLogProvider(Testbed* tb) {
   std::vector<Tuple> rows;
   for (const QueryLogEntry& e : tb->recorder().Snapshot()) {
-    // Phase columns follow Table 4/5 order; absent phases (compile-only
-    // queries have no execution phases) render as 0.
-    std::map<std::string, int64_t> phase;
-    for (const PhaseTiming& p : e.phases) phase[p.name] = p.micros;
-    auto us = [&phase](const char* name) { return IntVal(phase[name]); };
-    rows.push_back(Tuple{
-        IntVal(e.query_id), IntVal(e.session_id), IntVal(e.ts_us),
-        Value(e.query), Value(e.strategy), BoolVal(e.magic),
-        BoolVal(e.from_cache), BoolVal(e.executed), IntVal(e.rows_out),
-        IntVal(e.iterations), IntVal(e.total_us), us("t_setup"),
-        us("t_extract"), us("t_read"), us("t_analyze"), us("t_opt"),
-        us("t_eol"), us("t_sem"), us("t_gen"), us("t_comp"), us("t_temp"),
-        us("t_rhs"), us("t_term"), us("t_final"), IntVal(e.batches),
-        IntVal(e.statements_planned), IntVal(e.shards), IntVal(e.bytes_sent), IntVal(e.bytes_received),
-        Value(e.trace == nullptr ? std::string()
-                                 : e.trace->RenderChromeTrace())});
+    Tuple row = {IntVal(e.query_id),     IntVal(e.session_id),
+                 IntVal(e.ts_us),        Value(e.query),
+                 Value(e.strategy),      BoolVal(e.magic),
+                 BoolVal(e.from_cache),  BoolVal(e.executed),
+                 IntVal(e.rows_out),     IntVal(e.iterations),
+                 IntVal(e.total_us)};
+    // A compile-only query has no execution phases; they render as 0.
+    for (size_t i = 0; i < kPhaseColumns; ++i) {
+      row.push_back(IntVal(i < e.phases.size() ? e.phases[i].micros : 0));
+    }
+    row.insert(row.end(),
+               {IntVal(e.batches), IntVal(e.statements_planned),
+                IntVal(e.shards), IntVal(e.bytes_sent),
+                IntVal(e.bytes_received),
+                Value(e.trace == nullptr ? std::string()
+                                         : e.trace->RenderChromeTrace())});
+    rows.push_back(std::move(row));
   }
   return Materialize("sys.query_log", QueryLogSchema(), std::move(rows));
 }

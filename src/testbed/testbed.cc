@@ -582,7 +582,7 @@ Result<QueryOutcome> Testbed::QueryImpl(Database* db,
     }
   }
   if (!report.from_cache) {
-    trace::ScopedSpan compile_span(root, "compile");
+    trace::ScopedPhase compile_span(root, "compile");
     DKB_ASSIGN_OR_RETURN(
         km::CompiledQuery compiled,
         CompileImpl(workspace, stored, goal, options, &report.compile,
@@ -644,7 +644,7 @@ Result<QueryOutcome> Testbed::QueryImpl(Database* db,
   eopts.parallelism = options.EffectivePolicy().lfp_parallelism;
   eopts.query_id = report.query_id;
   {
-    trace::ScopedSpan exec_span(root, "execute");
+    trace::ScopedPhase exec_span(root, "execute");
     eopts.span = exec_span.get();
     // A cached program runs on the instance kept beside it, which is
     // checked out for the run and back in after it; any other query's

@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "common/str_util.h"
 #include "common/timer.h"
+#include "common/trace.h"
 #include "common/value.h"
 
 namespace dkb {
@@ -158,11 +159,11 @@ TEST(StrUtilTest, StartsWith) {
 // ---------------------------------------------------------------------------
 
 TEST(TimerTest, AccumulatorKeepsSubMicrosecondScopes) {
-  // 1,000 scopes of at least 300 ns each: truncating every scope to whole
-  // microseconds would lose nearly all of it.
+  // 1,000 phase scopes of at least 300 ns each: truncating every scope to
+  // whole microseconds would lose nearly all of it.
   int64_t sink_ns = 0;
   for (int i = 0; i < 1000; ++i) {
-    ScopedAccumulator acc(&sink_ns);
+    trace::ScopedPhase phase(&sink_ns);
     WallTimer spin;
     while (spin.ElapsedNanos() < 300) {
     }

@@ -84,6 +84,8 @@ TEST(DatalogAstTest, ToStringRoundTrip) {
       "p(a, 3) :- q(a, X), r(X, 3).",
       "edge(n1, n2).",
       "p('has space', X) :- q(X).",
+      // Quotes and backslashes, escaped and trailing, in both quote styles.
+      R"(p('a\\b', 'it\'s', "say \"hi\"", "ends\\") :- q('\\', X).)",
   };
   for (const char* text : texts) {
     auto rule = ParseRule(text);

@@ -103,6 +103,21 @@ TEST(FlightRecorderTest, SlowRecordJsonFormat) {
   EXPECT_EQ(record.find('\n'), std::string::npos);
 }
 
+TEST(FlightRecorderTest, SlowRecordTextKeepsTheQueryOnOneLine) {
+  // A goal constant may hold a newline, a quote or a backslash. The text
+  // form escapes them as the JSON form does, so a query cannot split its
+  // record or forge a second one.
+  QueryLogEntry entry = Entry(7, 12345);
+  entry.query = "p('x\n[dkb slow query] id=999 forged=1', \"q\", 'a\\b')";
+  const std::string record =
+      FlightRecorder::FormatSlowRecord(entry, /*json=*/false);
+  EXPECT_EQ(record.find('\n'), std::string::npos) << record;
+  const std::string escaped =
+      R"(p('x\n[dkb slow query] id=999 forged=1', \"q\", 'a\\b'))";
+  EXPECT_NE(record.find("query=\"" + escaped + "\""), std::string::npos)
+      << record;
+}
+
 TEST(FlightRecorderTest, MakeEntryFlattensReportAndIterations) {
   QueryReport report;
   report.plan.query = "tc(a, X)";

@@ -437,6 +437,58 @@ TEST(RecoveryTest, RejectedWriteAppliesAndLogsNothing) {
 // A record whose payload the mutation codec rejects stops recovery with
 // InvalidArgument instead of replaying as something else: a column type
 // byte that names no type, and a row count the payload cannot hold.
+/// Rules whose constants hold a backslash (inside and trailing) or a quote,
+/// over facts that only those exact constants match.
+const char kQuotedConstantRules[] = R"(
+q(1, 'a\\b'). q(2, 'ab'). q(3, 'end\\'). q(4, 'it\'s').
+inner(X) :- q(X, 'a\\b').
+trailing(X) :- q(X, 'end\\').
+quote(X) :- q(X, 'it\'s').
+)";
+
+/// The answers of the three rules of kQuotedConstantRules.
+std::vector<std::set<std::string>> QuotedConstantAnswers(Testbed* tb) {
+  std::vector<std::set<std::string>> out;
+  for (const char* goal : {"inner(W)", "trailing(W)", "quote(W)"}) {
+    auto q = tb->Query(goal);
+    EXPECT_TRUE(q.ok()) << goal << ": " << q.status().ToString();
+    out.push_back(q.ok() ? AnswerSet(q->result) : std::set<std::string>{});
+  }
+  return out;
+}
+
+// Stored rules are parsed back from their text (rulesource), so the text
+// must round-trip: after :update and :clear, each rule answers as before.
+TEST(RecoveryTest, StoredRulesKeepQuotedConstants) {
+  auto tb = Testbed::Create();
+  ASSERT_TRUE(tb.ok()) << tb.status().ToString();
+  ASSERT_TRUE((*tb)->Consult(kQuotedConstantRules).ok());
+  const std::vector<std::set<std::string>> expected = {
+      {"1|"}, {"3|"}, {"4|"}};
+  EXPECT_EQ(QuotedConstantAnswers(tb->get()), expected);
+  ASSERT_TRUE((*tb)->UpdateStoredDkb().ok());
+  (*tb)->ClearWorkspace();
+  EXPECT_EQ(QuotedConstantAnswers(tb->get()), expected);
+}
+
+// A checkpoint writes the workspace rules as text; reopening parses them.
+TEST(RecoveryTest, CheckpointReopensWithQuotedConstants) {
+  std::string dir = FreshDir("recovery_quoted_constants");
+  std::vector<std::string> rules;
+  {
+    auto tb = Testbed::Create(TestbedOptions{}.WithWalDir(dir));
+    ASSERT_TRUE(tb.ok()) << tb.status().ToString();
+    ASSERT_TRUE((*tb)->Consult(kQuotedConstantRules).ok());
+    rules = (*tb)->ListRuleTexts();
+    ASSERT_TRUE((*tb)->Checkpoint().ok());
+  }
+  auto recovered = Testbed::Create(TestbedOptions{}.WithWalDir(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->ListRuleTexts(), rules);
+  EXPECT_EQ(QuotedConstantAnswers(recovered->get()),
+            (std::vector<std::set<std::string>>{{"1|"}, {"3|"}, {"4|"}}));
+}
+
 TEST(RecoveryTest, MalformedRecordStopsRecovery) {
   codec::Writer bad_type;
   bad_type.Str("q");

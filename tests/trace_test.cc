@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -89,8 +90,7 @@ TEST(TraceSpanTest, DetachAndAdoptPreservesTimeline) {
 }
 
 TEST(TraceSpanTest, NullParentIsNoOp) {
-  EXPECT_EQ(trace::StartSpan(nullptr, "x"), nullptr);
-  trace::ScopedSpan scoped(nullptr, "y");
+  trace::ScopedPhase scoped(nullptr, "y");
   EXPECT_EQ(scoped.get(), nullptr);
   scoped.Tag("k", int64_t{1});  // must not crash
 }
@@ -307,6 +307,49 @@ TEST(QueryTraceTest, PhaseTimingsAccountForWallTime) {
   EXPECT_EQ(phases.front().name, "t_setup");
   EXPECT_EQ(phases[8].name, "t_comp");
   EXPECT_EQ(phases.back().name, "t_final");
+}
+
+// Each compile phase is timed once, for its bucket and its spans: a Table 4
+// phase's spans under "compile" sum to its t_*_us, within the microsecond
+// each span's rounding may lose. An adaptive goal that applies the rewrite
+// opens two "opt" scopes, the estimate and the rewrite.
+TEST(QueryTraceTest, CompileSpansSumToTheirPhaseTimes) {
+  auto tb_or = MakeMultiClique(2, 12);
+  ASSERT_TRUE(tb_or.ok()) << tb_or.status().ToString();
+  auto tb = std::move(tb_or).value();
+  const struct {
+    const char* goal;
+    QueryOptions options;
+    int64_t opt_spans;
+  } cases[] = {{"all(X, Y)", QueryOptions::SemiNaive(), 0},
+               {"anc0(n0_0, W)", QueryOptions::Magic(), 1},
+               {"anc0(n0_11, W)", QueryOptions::Adaptive(), 2}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.goal);
+    auto outcome = tb->Query(c.goal, QueryOptions(c.options).WithTrace());
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    const testbed::QueryReport& report = outcome->report;
+    EXPECT_EQ(report.compile.magic_applied, c.opt_spans > 0);
+    const std::vector<const trace::TraceSpan*> top =
+        report.trace->root()->children();
+    ASSERT_FALSE(top.empty());
+    const trace::TraceSpan* compile = top[0];
+    ASSERT_EQ(compile->name(), "compile");
+    for (const auto& phase : km::CompilationStats::kPhases) {
+      SCOPED_TRACE(phase.name);
+      int64_t spans = 0;
+      int64_t span_us = 0;
+      for (const trace::TraceSpan* span : compile->children()) {
+        if (span->name() != phase.name) continue;
+        ++spans;
+        span_us += span->duration_us();
+      }
+      EXPECT_EQ(spans, phase.name == std::string("opt") ? c.opt_spans : 1);
+      EXPECT_LE(std::abs(span_us - report.compile.*phase.us), spans)
+          << "spans " << span_us << " us, bucket "
+          << report.compile.*phase.us << " us";
+    }
+  }
 }
 
 TEST(QueryTraceTest, TracingOffByDefault) {
